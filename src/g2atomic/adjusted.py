@@ -12,28 +12,24 @@ levels expresses an adjusted element as a signed sum of canonical elements
 over the sets X_I (adjusted_in_canonical).  In the other direction each
 level inverts to a chain with all-positive powers of q (adjusted_expand_up),
 and the level-2 adjusted elements expand positively into the atomic basis
-(adjusted2_in_atomic), which yields a second, manifestly positive expansion
-of the canonical basis into the atomic one (atomic_second).
+(adjusted2_in_atomic), which yields a manifestly positive expansion of the
+canonical basis into the atomic one (atomic_second).  This route serves
+atomic() at the package level; the pre-canonical route is its oracle.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .lattice import (Weight, GAMMA, dominance_leq, gamma_sum, is_dominant,
+from .lattice import (Weight, GAMMA, check_dominant, gamma_sum, is_dominant,
                       sub, x_I_member, x_set_member)
 from .polyq import Poly, poly_add, monomial, iadd_scaled
-from .combo import Combination, CANONICAL, ATOMIC, adjusted_label, substitute
+from .combo import Combination, CANONICAL, ATOMIC, adjusted_label, layered
 
 _INDEX_SUBSETS = tuple(
     tuple(i for i in (2, 3, 4, 5) if mask & (1 << (i - 2)))
     for mask in range(16)
 )
-
-
-def _check_dominant(w: Weight) -> None:
-    if not is_dominant(w):
-        raise ValueError(f"weight {w!r} is not dominant")
 
 
 def _check_level(k: int) -> None:
@@ -45,7 +41,7 @@ def adjusted_step_down(k: int, lam: Weight) -> Combination:
     """Adjusted level-k element in the level-(k+1) adjusted basis: the
     defining one- or two-term relation."""
     _check_level(k)
-    _check_dominant(lam)
+    check_dominant(lam)
     terms: dict[Weight, Poly] = {lam: {0: 1}}
     if x_set_member(k, lam):
         terms[sub(lam, GAMMA[k])] = {1: -1}
@@ -56,7 +52,7 @@ def adjusted_expand_up(k: int, lam: Weight) -> Combination:
     """Adjusted level-(k+1) element in the level-k adjusted basis: the
     inverse chain, walking down by gamma_k while membership in X_k holds."""
     _check_level(k)
-    _check_dominant(lam)
+    check_dominant(lam)
     terms: dict[Weight, Poly] = {}
     w = lam
     j = 0
@@ -76,7 +72,7 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     membership set X_I contains lam."""
     if k not in (2, 3, 4, 5, 6):
         raise ValueError(f"level must be in 2..6, got {k!r}")
-    _check_dominant(lam)
+    check_dominant(lam)
     acc: dict[Weight, Poly] = {}
     for I in _INDEX_SUBSETS:
         if I and I[0] < k:
@@ -96,28 +92,44 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     return Combination(CANONICAL, acc)
 
 
+def _adjusted2_below(lam: Weight) -> Weight | None:
+    """The weight whose level-2 expansion the case split at lam reuses, or
+    None in the base case.  Steps descend in the coordinate sum."""
+    a, b = lam
+    if a >= 3 or a + b < 2:
+        return None
+    if a == 2:
+        return (0, b)
+    if a == 1:
+        return (1, b - 1)
+    return (0, b - 2)
+
+
 @cache
 def adjusted2_in_atomic(lam: Weight) -> Combination:
     """Adjusted level-2 element in the atomic basis.
 
     Case split on the first coordinate; every branch is manifestly positive.
-    Recursion descends in the coordinate sum, so it terminates.
     """
-    _check_dominant(lam)
-    a, b = lam
-    if a >= 3 or a + b < 2:
+    check_dominant(lam)
+    below = _adjusted2_below(lam)
+    if below is None:
         return Combination(ATOMIC, {lam: {0: 1}})
+    # Fill the memo from the base case upward, so that no call reaches more
+    # than one step down and the stack stays flat at any weight.
+    descent = [below]
+    while (w := _adjusted2_below(descent[-1])) is not None:
+        descent.append(w)
+    for w in reversed(descent):
+        adjusted2_in_atomic(w)
+    # a == 2: q^2 times the expansion at below.  a == 1 (b >= 1) and a == 0
+    # (b >= 2): q^2 resp. q^4 times it, plus q^k N(a+k, b-k) for k >= 2-a.
+    a, b = lam
     terms: dict[Weight, Poly] = {lam: {0: 1}}
-    if a == 2:
-        _acc_scaled(terms, adjusted2_in_atomic((0, b)), 2)
-    elif a == 1:  # b >= 1 here
-        _acc_scaled(terms, adjusted2_in_atomic((1, b - 1)), 2)
-        for k in range(1, b + 1):
-            _acc_poly(terms, (1 + k, b - k), monomial(k))
-    else:  # a == 0, b >= 2
-        _acc_scaled(terms, adjusted2_in_atomic((0, b - 2)), 4)
-        for k in range(2, b + 1):
-            _acc_poly(terms, (k, b - k), monomial(k))
+    _acc_scaled(terms, adjusted2_in_atomic(below), 4 if a == 0 else 2)
+    if a < 2:
+        for k in range(2 - a, b + 1):
+            _acc_poly(terms, (a + k, b - k), monomial(k))
     return Combination(ATOMIC, terms)
 
 
@@ -140,41 +152,14 @@ def _acc_poly(dst: dict[Weight, Poly], w: Weight, p: Poly) -> None:
         dst.pop(w, None)
 
 
-# Second atomic pipeline: expand the canonical element down through the
-# adjusted levels, then substitute the atomic expansion of level 2.
-# Cached Combinations are shared; callers must not mutate them.
+# Second atomic pipeline, the production route: expand the canonical
+# element down through the adjusted levels, then substitute the atomic
+# expansion of level 2.  Every step has non-negative coefficients, so
+# positivity holds by construction, and nothing cancels.  The pre-canonical
+# route must agree, which the verification sweep asserts.
 
-@cache
-def _t3_atomic(mu: Weight) -> Combination:
-    return substitute(adjusted_expand_up(2, mu), adjusted2_in_atomic, basis=ATOMIC)
-
-
-@cache
-def _t4_atomic(mu: Weight) -> Combination:
-    return substitute(adjusted_expand_up(3, mu), _t3_atomic, basis=ATOMIC)
-
-
-@cache
-def _t5_atomic(mu: Weight) -> Combination:
-    return substitute(adjusted_expand_up(4, mu), _t4_atomic, basis=ATOMIC)
-
-
-@cache
-def atomic_second(lam: Weight) -> Combination:
-    """Expansion of the canonical element at lam in the atomic basis,
-    computed along the adjusted-basis route.  Every substitution step has
-    non-negative coefficients, so positivity holds by construction; the
-    result must agree with the pre-canonical route, which the verification
-    sweep asserts."""
-    _check_dominant(lam)
-    expansion = substitute(adjusted_expand_up(5, lam), _t5_atomic, basis=ATOMIC)
-    terms = expansion.terms
-    if terms.get(lam) != {0: 1}:
-        raise RuntimeError(f"atomic expansion at {lam!r} is not unitriangular")
-    for w, p in terms.items():
-        if not dominance_leq(w, lam):
-            raise RuntimeError(f"atomic expansion at {lam!r} has support at {w!r}")
-        if any(c < 0 for c in p.values()):
-            raise RuntimeError(f"atomic expansion at {lam!r} has a negative "
-                               f"coefficient at {w!r}: {p!r}")
-    return Combination(ATOMIC, terms)
+_t3_atomic, _t4_atomic, _t5_atomic, atomic_second = layered(
+    adjusted2_in_atomic,
+    [lambda mu: adjusted_expand_up(2, mu), lambda mu: adjusted_expand_up(3, mu),
+     lambda mu: adjusted_expand_up(4, mu), lambda mu: adjusted_expand_up(5, mu)],
+    basis=ATOMIC)

@@ -22,9 +22,10 @@ import hashlib
 import json
 import random
 import sys
+from functools import cache
 
-from .lattice import (Weight, dominant_box, dominance_leq, height,
-                      x_I_member, x_I_member_closed)
+from .lattice import (Weight, dominant_box, dominance_leq, x_I_member,
+                      x_I_member_closed)
 from .polyq import Poly, poly_add, poly_sub, to_pairs, from_pairs
 from .combo import (Combination, BasisLabel, CANONICAL, parse_basis,
                     pre_canonical, sorted_support, substitute)
@@ -55,9 +56,11 @@ def _build_parser() -> _Parser:
     p = add("atomic", "atomic expansion of the canonical element at (a, b)")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.add_argument("--method", choices=("precanonical", "adjusted"),
-                   default="precanonical",
-                   help="which of the two equivalent pipelines to run")
+    p.add_argument("--method", choices=("adjusted", "precanonical"),
+                   default="adjusted",
+                   help="which of the two equivalent pipelines to run; the "
+                        "positive adjusted route is the default, the "
+                        "pre-canonical route its oracle")
     p.add_argument("--cache", metavar="PATH",
                    help="JSON cache of expansions, keyed 'a,b'; validated on "
                         "load by recomputing one entry")
@@ -210,15 +213,18 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
 
 def combination_from_json(obj) -> tuple[Combination, Weight]:
     """Inverse of the JSON rendering; returns the combination and the
-    designated weight."""
-    basis = parse_basis(obj["basis"])
-    lam = (int(obj["weight"][0]), int(obj["weight"][1]))
-    terms = {}
-    for entry in obj["terms"]:
-        w = (int(entry["weight"][0]), int(entry["weight"][1]))
-        if w in terms:
-            raise ValueError(f"duplicate weight {w!r} in serialized combination")
-        terms[w] = from_pairs(entry["poly"])
+    designated weight.  Malformed input raises ValueError."""
+    try:
+        basis = parse_basis(obj["basis"])
+        lam = (int(obj["weight"][0]), int(obj["weight"][1]))
+        terms = {}
+        for entry in obj["terms"]:
+            w = (int(entry["weight"][0]), int(entry["weight"][1]))
+            if w in terms:
+                raise ValueError(f"duplicate weight {w!r} in serialized combination")
+            terms[w] = from_pairs(entry["poly"])
+    except (AttributeError, KeyError, IndexError, OverflowError, TypeError) as exc:
+        raise ValueError(f"malformed serialized combination: {exc!r}") from None
     return Combination(basis, terms), lam
 
 
@@ -243,31 +249,30 @@ def _load_cache(path: str) -> dict:
         a, b = (int(s) for s in probe.split(","))
         if (a, b) != lam:
             raise ValueError(f"cache key {probe!r} does not match its weight")
-        if precanonical.atomic(lam) != x:
+        if adjusted_mod.atomic_second(lam) != x:
             raise ValueError(f"cache entry {probe!r} fails revalidation")
     return data
 
 
 def _atomic_command(args) -> tuple[int, str]:
     lam = (args.a, args.b)
+    route = (precanonical.atomic if args.method == "precanonical"
+             else adjusted_mod.atomic_second)
     if args.cache:
+        key = f"{lam[0]},{lam[1]}"
         try:
             data = _load_cache(args.cache)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            x = combination_from_json(data[key])[0] if key in data else None
+        except ValueError as exc:
             return 1, f"error: invalid cache file: {exc}"
-        key = f"{lam[0]},{lam[1]}"
-        if key in data:
-            x, _ = combination_from_json(data[key])
-        else:
-            x = (adjusted_mod.atomic_second(lam) if args.method == "adjusted"
-                 else precanonical.atomic(lam))
+        if x is None:
+            x = route(lam)
             data[key] = json.loads(render_combination(x, CANONICAL, lam, "json"))
             with open(args.cache, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, sort_keys=True)
                 fh.write("\n")
     else:
-        x = (adjusted_mod.atomic_second(lam) if args.method == "adjusted"
-             else precanonical.atomic(lam))
+        x = route(lam)
     return 0, render_combination(x, CANONICAL, lam, args.format)
 
 
@@ -360,16 +365,18 @@ def _sweep(max_a: int, max_b: int) -> list[kostka.CheckResult]:
         return f"{len(box)} weights x 4 levels"
 
     def definitional_roundtrip():
+        # Supports overlap heavily across the box, so expand each weight
+        # once; the memo is local and freed when the check returns.
+        expand = cache(lambda w: precanonical.defn_precanonical(2, w))
         for lam in box:
-            back = substitute(precanonical.atomic(lam),
-                              lambda w: precanonical.defn_precanonical(2, w))
+            back = substitute(adjusted_mod.atomic_second(lam), expand)
             if back.terms != {lam: {0: 1}}:
                 raise AssertionError(f"round trip fails at {lam!r}")
         return f"{len(box)} weights"
 
     def positivity():
         for lam in box:
-            precanonical.atomic(lam)  # raises internally on violation
+            adjusted_mod.atomic_second(lam)  # raises internally on violation
         return f"{len(box)} weights"
 
     def even_column_closed_form():

@@ -10,9 +10,11 @@ basis, and labels compare accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
-from .lattice import Weight, is_dominant, to_root_coords
+from .lattice import (Weight, check_dominant, dominance_leq, is_dominant,
+                      to_root_coords)
 from .polyq import Poly, poly_add, poly_mul, iadd_scaled, one
 
 _KINDS = ("canonical", "standard", "atomic", "precanonical", "adjusted")
@@ -93,8 +95,7 @@ def empty(basis: BasisLabel) -> Combination:
 
 
 def single(basis: BasisLabel, w: Weight, p: Optional[Poly] = None) -> Combination:
-    if not is_dominant(w):
-        raise ValueError(f"weight {w!r} is not dominant")
+    check_dominant(w)
     if p is None:
         p = one()
     return Combination(basis, {w: dict(p)} if p else {})
@@ -144,6 +145,41 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
     if out_basis is None:
         raise ValueError("cannot infer result basis from an empty combination")
     return Combination(out_basis, {w: q for w, q in acc.items() if q})
+
+
+def layered(base: Callable[[Weight], Combination],
+            chains: list[Callable[[Weight], Combination]],
+            basis: BasisLabel) -> tuple:
+    """Memoized layers of chain substitutions over a base expander: layer
+    k is mu -> substitute(chains[k-1](mu), layer k-1, basis=basis), with
+    layer 0 = base.  Returns the layers built on base, top last; the top
+    layer is the checked expansion of the canonical element in the atomic
+    basis.  Cached Combinations are shared; callers must not mutate them."""
+    *inner, top_chain = chains
+    layers = []
+    for chain in inner:
+        base = cache(lambda mu, chain=chain, lower=base:
+                     substitute(chain(mu), lower, basis=basis))
+        layers.append(base)
+
+    @cache
+    def atomic(lam: Weight) -> Combination:
+        """Expansion of the canonical element at lam in the atomic basis,
+        checked to be unitriangular with non-negative coefficients
+        supported below lam."""
+        check_dominant(lam)
+        terms = substitute(top_chain(lam), base, basis=basis).terms
+        if terms.get(lam) != {0: 1}:
+            raise RuntimeError(f"atomic expansion at {lam!r} is not unitriangular")
+        for w, p in terms.items():
+            if not dominance_leq(w, lam):
+                raise RuntimeError(f"atomic expansion at {lam!r} has support at {w!r}")
+            if any(c < 0 for c in p.values()):
+                raise RuntimeError(f"atomic expansion at {lam!r} has a negative "
+                                   f"coefficient at {w!r}: {p!r}")
+        return Combination(ATOMIC, terms)
+
+    return (*layers, atomic)
 
 
 def display_key(w: Weight):

@@ -15,24 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .lattice import (Weight, POSITIVE_ROOTS, dominance_leq, dominant_below,
-                      height, is_dominant, linear_dominant, orbit_size)
+from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, dominance_leq,
+                      dominant_below, height, linear_dominant, orbit_size)
 from .polyq import (Poly, poly_sub, poly_scale_qpow, eval_at_one,
                     is_nonnegative, degree, leading_coeff)
 from .combo import Combination, STANDARD, substitute
-from .precanonical import atomic, defn_precanonical
-from .adjusted import atomic_second
-
-
-def _check_dominant(w: Weight) -> None:
-    if not is_dominant(w):
-        raise ValueError(f"weight {w!r} is not dominant")
+from . import precanonical
+# The positive adjusted route serves every expansion here; the pre-canonical
+# route is the cross-approach oracle.
+from .adjusted import atomic_second as atomic
 
 
 def atomic_to_standard(lam: Weight) -> Combination:
     """Atomic element in the standard basis: every dominant weight below
     lam appears once, with coefficient q to the height of the difference."""
-    _check_dominant(lam)
+    check_dominant(lam)
     h = height(lam)
     terms = {mu: {h - height(mu): 1} for mu in dominant_below(lam)}
     return Combination(STANDARD, terms)
@@ -51,8 +48,8 @@ def canonical_to_standard(lam: Weight) -> Combination:
 def kostka_foulkes(lam: Weight, mu: Weight) -> Poly:
     """Generalized Kostka-Foulkes polynomial: the sum, over atomic support
     weights nu >= mu, of q**height(nu - mu) times the atomic coefficient."""
-    _check_dominant(lam)
-    _check_dominant(mu)
+    check_dominant(lam)
+    check_dominant(mu)
     if not dominance_leq(mu, lam):
         return {}
     acc: Poly = {}
@@ -90,7 +87,7 @@ def multiplicity_table(lam: Weight) -> dict[Weight, int]:
     """Multiplicities of all dominant weights of the irreducible highest
     weight module, by the Freudenthal recursion, filled top down in height.
     Entirely independent of the q-analogue machinery."""
-    _check_dominant(lam)
+    check_dominant(lam)
     order = sorted(dominant_below(lam), key=height, reverse=True)
     allowed = set(order)
     norm_top = _norm_shifted(lam)
@@ -123,14 +120,14 @@ def multiplicity_table(lam: Weight) -> dict[Weight, int]:
 def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
     """Multiplicity of the weight mu in the irreducible module of highest
     weight lam.  mu may be any weight; it is reflected to dominance first."""
-    _check_dominant(lam)
+    check_dominant(lam)
     nu = linear_dominant(mu)
     return multiplicity_table(lam).get(nu, 0)
 
 
 def weyl_dimension(lam: Weight) -> int:
     """Dimension of the irreducible module, by the product formula."""
-    _check_dominant(lam)
+    check_dominant(lam)
     shifted = (lam[0] + 1, lam[1] + 1)
     num = den = 1
     for _w, rc, _h in POSITIVE_ROOTS:
@@ -179,7 +176,7 @@ def verify(lam: Weight) -> VerifyReport:
     definitional round trip, the q=1 multiplicity oracle, dimension by
     orbits, monic top degrees, and the shift monotonicity of the
     Kostka-Foulkes array."""
-    _check_dominant(lam)
+    check_dominant(lam)
     report = VerifyReport(lam)
 
     def positivity():
@@ -187,11 +184,11 @@ def verify(lam: Weight) -> VerifyReport:
         return f"{len(atomic(lam).terms)} terms"
 
     def cross():
-        if atomic_second(lam) != atomic(lam):
+        if atomic(lam) != precanonical.atomic(lam):
             raise AssertionError("the two atomic routes disagree")
 
     def roundtrip():
-        back = substitute(atomic(lam), lambda w: defn_precanonical(2, w))
+        back = substitute(atomic(lam), lambda w: precanonical.defn_precanonical(2, w))
         if back.terms != {lam: {0: 1}}:
             raise AssertionError("definitional expansion does not invert the pipeline")
 

@@ -27,11 +27,6 @@ from __future__ import annotations
 Weight = tuple[int, int]
 RootCoords = tuple[int, int]
 
-# Result of dot-action straightening: None encodes a singular weight (one
-# whose rho shift lies on a reflection wall); otherwise (sign, rep) with rep
-# dominant and sign the parity of the number of reflections applied.
-SignedDominant = "tuple[int, Weight] | None"
-
 RHO: Weight = (1, 1)
 
 # (weight coords, root coords, height), height ascending.  Transcribed
@@ -80,6 +75,11 @@ def height(w: Weight) -> int:
 
 def is_dominant(w: Weight) -> bool:
     return w[0] >= 0 and w[1] >= 0
+
+
+def check_dominant(w: Weight) -> None:
+    if not is_dominant(w):
+        raise ValueError(f"weight {w!r} is not dominant")
 
 
 def dominance_leq(mu: Weight, lam: Weight) -> bool:
@@ -147,18 +147,13 @@ def linear_dominant(w: Weight) -> Weight:
 
 def orbit_size(mu: Weight) -> int:
     """Size of the linear Weyl orbit of a dominant weight."""
-    _check_dominant(mu)
+    check_dominant(mu)
     a, b = mu
     if a == 0 and b == 0:
         return 1
     if a == 0 or b == 0:
         return 6
     return 12
-
-
-def _check_dominant(w: Weight) -> None:
-    if not is_dominant(w):
-        raise ValueError(f"weight {w!r} is not dominant")
 
 
 # Membership conditions for the single-index sets X_k: the weights where the
@@ -173,7 +168,7 @@ _X_SINGLE = {
 
 def x_set_member(k: int, lam: Weight) -> bool:
     """Whether lam lies in the level-k correction set X_k."""
-    _check_dominant(lam)
+    check_dominant(lam)
     if k not in _X_SINGLE:
         raise ValueError(f"level must be in 2..5, got {k!r}")
     return _X_SINGLE[k](*lam)
@@ -183,7 +178,7 @@ def x_I_member(I: frozenset | set | tuple | list, lam: Weight) -> bool:
     """Whether lam lies in X_I, defined recursively on the index set I:
     X_empty is everything, and for i0 = min I, lam is in X_I when lam is in
     X_{i0} and lam - gamma_{i0} is in X_{I minus i0}."""
-    _check_dominant(lam)
+    check_dominant(lam)
     idx = sorted(set(I))
     if any(i not in (2, 3, 4, 5) for i in idx):
         raise ValueError(f"index set must be a subset of {{2,3,4,5}}, got {I!r}")
@@ -220,7 +215,7 @@ X_I_CLOSED: dict[frozenset, object] = {
 
 def x_I_member_closed(I, lam: Weight) -> bool:
     """Closed-form version of x_I_member (cross-check only)."""
-    _check_dominant(lam)
+    check_dominant(lam)
     key = frozenset(I)
     if key not in X_I_CLOSED:
         raise ValueError(f"index set must be a subset of {{2,3,4,5}}, got {I!r}")
@@ -240,7 +235,7 @@ def gamma_sum(I) -> Weight:
 def dominant_below(lam: Weight) -> list[Weight]:
     """All dominant weights <= lam in dominance order, in a fixed scan
     order.  The two root-coordinate inequalities cut out a finite box."""
-    _check_dominant(lam)
+    check_dominant(lam)
     r1, r2 = to_root_coords(lam)
     out = []
     d = 0

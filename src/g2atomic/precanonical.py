@@ -12,24 +12,20 @@ empty, so N^6 is the canonical basis; at level 2 the family is the atomic
 basis.  Between consecutive levels the change of basis is given by two-term
 relations (inverse_step) whose inversions are single chains (step_up), so
 expanding the canonical basis into the atomic one is a composition of four
-chain substitutions.  Coefficients of the result are non-negative, the
-expansion is unitriangular, and its support lies below the indexing weight;
-atomic() checks all three.
+chain substitutions.  The level-4 chain is signed, so this route cancels
+heavily; it is kept as the independent oracle for the adjusted route, which
+serves atomic() at the package level.  Coefficients of the result are
+non-negative, the expansion is unitriangular, and its support lies below
+the indexing weight; atomic() checks all three.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .lattice import (Weight, GAMMA, PHI_GEQ, dominance_leq, dominant_rep,
-                      is_dominant, sub)
-from .polyq import Poly, poly_add, monomial, one
-from .combo import (Combination, CANONICAL, ATOMIC, pre_canonical, substitute)
-
-
-def _check_dominant(w: Weight) -> None:
-    if not is_dominant(w):
-        raise ValueError(f"weight {w!r} is not dominant")
+from .lattice import Weight, PHI_GEQ, check_dominant, dominant_rep
+from .polyq import Poly, poly_add, monomial
+from .combo import Combination, CANONICAL, layered, pre_canonical
 
 
 def _check_level(i: int, lo: int, hi: int) -> None:
@@ -52,7 +48,7 @@ def defn_precanonical(i: int, lam: Weight) -> Combination:
     """Definitional expansion of the level-i pre-canonical element in the
     canonical basis: signed sum over subsets of the roots of height >= i."""
     _check_level(i, 2, 6)
-    _check_dominant(lam)
+    check_dominant(lam)
     roots = PHI_GEQ[i]
     n = len(roots)
     acc: dict[Weight, Poly] = {}
@@ -85,7 +81,7 @@ def inverse_step(i: int, lam: Weight) -> Combination:
     """Expansion of the level-i element at lam in the level-(i+1) basis.
     Always one or two terms."""
     _check_level(i, 2, 5)
-    _check_dominant(lam)
+    check_dominant(lam)
     a, b = lam
     terms: dict[Weight, Poly] = {lam: {0: 1}}
     if i == 5:
@@ -120,7 +116,7 @@ def step_up(i: int, lam: Weight) -> Combination:
     """Expansion of the level-(i+1) element at lam in the level-i basis.
     Inverse of inverse_step; a single chain of monomial terms."""
     _check_level(i, 2, 5)
-    _check_dominant(lam)
+    check_dominant(lam)
     a, b = lam
     if i == 5:
         terms = {(a, b - j): {j: 1} for j in range(b + 1)}
@@ -181,7 +177,7 @@ def step_up(i: int, lam: Weight) -> Combination:
 def closed_form_6to5(lam: Weight) -> Combination:
     """Canonical element in the level-5 basis: a geometric sum down the
     second coordinate."""
-    _check_dominant(lam)
+    check_dominant(lam)
     a, b = lam
     return Combination(pre_canonical(5), {(a, b - i): {i: 1} for i in range(b + 1)})
 
@@ -189,7 +185,7 @@ def closed_form_6to5(lam: Weight) -> Combination:
 def closed_form_3to2(lam: Weight) -> Combination:
     """Level-3 element in the atomic-level basis: a geometric sum along the
     diagonal trade of the two coordinates."""
-    _check_dominant(lam)
+    check_dominant(lam)
     a, b = lam
     return Combination(pre_canonical(2), {(a + i, b - i): {i: 1} for i in range(b + 1)})
 
@@ -197,7 +193,7 @@ def closed_form_3to2(lam: Weight) -> Combination:
 def closed_form_5to4(lam: Weight) -> tuple[Combination, Combination]:
     """Level-5 element split into a level-4 part and a level-3 remainder;
     the shape depends on lam[0] mod 3.  Returns (level4_part, level3_part)."""
-    _check_dominant(lam)
+    check_dominant(lam)
     a, b = lam
     m, r = divmod(a, 3)
     part4: dict[Weight, Poly] = {}
@@ -222,7 +218,7 @@ def closed_form_5to4(lam: Weight) -> tuple[Combination, Combination]:
 def closed_form_4to3(lam: Weight) -> Combination:
     """Level-4 element in the level-3 basis: a geometric sum down the first
     coordinate, then period-2 blocks down the second."""
-    _check_dominant(lam)
+    check_dominant(lam)
     a, b = lam
     terms: dict[Weight, Poly] = {}
     for i in range(a + 1):
@@ -255,40 +251,16 @@ def closed_form(which: str, lam: Weight):
     return fn(lam)
 
 
-# Atomic pipeline.  Each layer memoizes the expansion of one level's
-# elements in the atomic-level basis, so sweeps share all the work.
-# Cached Combinations are shared; callers must not mutate them.
+# Atomic pipeline, kept as the oracle for the adjusted route (which serves
+# production): three memoized layers over the level-3 chain, then the
+# checked top layer.  Sweeps share all the work.
 
 @cache
 def _n3_atomic(mu: Weight) -> Combination:
     return step_up(2, mu)
 
 
-@cache
-def _n4_atomic(mu: Weight) -> Combination:
-    return substitute(step_up(3, mu), _n3_atomic, basis=pre_canonical(2))
-
-
-@cache
-def _n5_atomic(mu: Weight) -> Combination:
-    return substitute(step_up(4, mu), _n4_atomic, basis=pre_canonical(2))
-
-
-@cache
-def atomic(lam: Weight) -> Combination:
-    """Expansion of the canonical element at lam in the atomic basis.
-
-    Composition of the four chain substitutions; the result is checked to be
-    unitriangular with non-negative coefficients supported below lam."""
-    _check_dominant(lam)
-    expansion = substitute(step_up(5, lam), _n5_atomic, basis=pre_canonical(2))
-    terms = expansion.terms
-    if terms.get(lam) != {0: 1}:
-        raise RuntimeError(f"atomic expansion at {lam!r} is not unitriangular")
-    for w, p in terms.items():
-        if not dominance_leq(w, lam):
-            raise RuntimeError(f"atomic expansion at {lam!r} has support at {w!r}")
-        if any(c < 0 for c in p.values()):
-            raise RuntimeError(f"atomic expansion at {lam!r} has a negative "
-                               f"coefficient at {w!r}: {p!r}")
-    return Combination(ATOMIC, terms)
+_n4_atomic, _n5_atomic, atomic = layered(
+    _n3_atomic,
+    [lambda mu: step_up(3, mu), lambda mu: step_up(4, mu), lambda mu: step_up(5, mu)],
+    basis=pre_canonical(2))

@@ -1,7 +1,9 @@
 """Adjusted-basis machinery: definitions, canonical expansions, the
 correction recursion into the atomic basis, and the second pipeline."""
 
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -118,6 +120,20 @@ def test_adjusted2_examples():
         (1, 1): {0: 1}, (1, 0): {2: 1}, (2, 0): {1: 1}}
     assert adjusted2_in_atomic((0, 2)).terms == {
         (0, 2): {0: 1}, (0, 0): {4: 1}, (2, 0): {2: 1}}
+
+
+def test_adjusted2_needs_no_deep_stack():
+    # Long descents down the first columns must not recurse once per step.
+    weights = [(1, 150), (0, 300)]
+    want = [adjusted2_in_atomic(lam) for lam in weights]
+    adjusted2_in_atomic.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = [adjusted2_in_atomic(lam) for lam in weights]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 def test_adjusted2_positivity():

@@ -1,5 +1,6 @@
 """Command-line front end: rendering, JSON schema, exit codes, cache."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -58,11 +59,42 @@ def test_atomic_latex(capsys):
 
 
 def test_atomic_methods_agree(capsys):
-    code1, out1, _ = run_cli(capsys, "atomic", "3", "3", "--format", "json")
-    code2, out2, _ = run_cli(capsys, "atomic", "3", "3", "--format", "json",
-                             "--method", "adjusted")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for a, b in [(3, 3), (2, 4), (7, 3), (0, 12)]:
+        for fmt in ("text", "json", "latex"):
+            argv = ["atomic", str(a), str(b), "--format", fmt]
+            code1, out1, _ = run_cli(capsys, *argv)
+            code2, out2, _ = run_cli(capsys, *argv, "--method", "adjusted")
+            code3, out3, _ = run_cli(capsys, *argv, "--method", "precanonical")
+            assert code1 == code2 == code3 == 0
+            assert out1 == out2 == out3, argv
+
+
+# sha256 of stdout, recorded before the adjusted route became the default.
+GOLDEN_STDOUT = {
+    "atomic 2 4 --format text": "17c8300ee39051a3d69010568a574ecdd00665a093431cd431cf670316cf2f31",
+    "atomic 2 4 --format json": "1560eca7f4f7452075c7b77c45f782758cab92e7a217644d259352d1a2667335",
+    "atomic 2 4 --format latex": "118cee87c8e7fc2b7165f994dc2f9773f6d70ec833407e41fe202d4c2a6bb09c",
+    "atomic 7 3 --format text": "649d54d36f529481d7e9ce47655df774f944f2b657f8ef078e43536336d61c48",
+    "atomic 7 3 --format json": "5f74281f81b012787d9cb18af1764d68bee1acc4b8ae207bce1ebcf260839f14",
+    "atomic 7 3 --format latex": "bedde7f93da7a908d2f535edd92ee909dffeb1b3356e0b0c33741b6502429a7e",
+    "atomic 0 12 --format text": "741045521de4c5bb6803c4faf62d6b412b2d604b5cd8ac963f051e4de8d2cfc2",
+    "atomic 0 12 --format json": "b133f862bb9da71ad1afd3f60359b9e734d1552e1ff88cbcdccd7fd97080f9da",
+    "atomic 0 12 --format latex": "e5f0c1b7932b658947b4c49cf2ee5b2fea8832bacf5943cf7be34654943620f9",
+    "standard 5 5 --format text": "c919bb5649190311ea070771412ed7788194222214d26f1321054fabd1b8a3e5",
+    "standard 5 5 --format json": "431fdd73a4853ab8ef7d695b9ec2d2aa027768387dee39d3224ed79a53390046",
+    "standard 5 5 --format latex": "deac3029b6ad08430f87d9f81d88df15df355ecab3fe03b5ae3678d3c9cf3b48",
+    "kf 6 9 3 2 --format text": "cf1e4e615dae5a6d7d15b04022c53341ad1396fe9eddbe25daa4c9869fc4a057",
+    "kf 6 9 3 2 --format json": "35b776c6b578d18c0fdecc5c98e3d6a74da5b6aadba1f88bb8c2b3f350e73a46",
+    "kf 6 9 3 2 --format latex": "b451503f4fc1d243d20a3b2ac81a045737d0b9d314ac7ac2223d65c326b99f41",
+    "verify --max-a 4 --max-b 4 --format json": "a3262d5197bec6c89c3ce026b08e3ecfc2e45fee4913e7a698a24024c6583fed",
+}
+
+
+def test_golden_stdout(capsys):
+    for cmd, want in GOLDEN_STDOUT.items():
+        code, out, err = run_cli(capsys, *cmd.split())
+        assert code == 0 and err == "", cmd
+        assert hashlib.sha256(out.encode()).hexdigest() == want, cmd
 
 
 def test_kf_text(capsys):
@@ -194,6 +226,19 @@ def test_cache_corruption_detected(tmp_path, capsys):
     path.write_text("not json at all")
     code, out, err = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
     assert code == 1
+    # An entry that is not an object is rejected whether it is the entry
+    # probed on load or the one served.  Padding moves the probe.
+    code, out, _ = run_cli(capsys, "atomic", "2", "4", "--format", "json")
+    outcomes = set()
+    for pad in range(8):
+        path.write_text(json.dumps({"1,0": [1, 2], "2,4": json.loads(out)})
+                        + " " * pad)
+        code, _, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(path))
+        assert code == 1
+        assert err.startswith("error: invalid cache file: ") and err.count("\n") == 1
+        code, _, err = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
+        outcomes.add(code)
+    assert outcomes == {0, 1}
 
 
 def test_subprocess_determinism():

@@ -87,6 +87,23 @@ GOLDEN_STDOUT = {
     "kf 6 9 3 2 --format json": "35b776c6b578d18c0fdecc5c98e3d6a74da5b6aadba1f88bb8c2b3f350e73a46",
     "kf 6 9 3 2 --format latex": "b451503f4fc1d243d20a3b2ac81a045737d0b9d314ac7ac2223d65c326b99f41",
     "verify --max-a 4 --max-b 4 --format json": "a3262d5197bec6c89c3ce026b08e3ecfc2e45fee4913e7a698a24024c6583fed",
+    # recorded before the check registry and the renderer were merged
+    "expand --level 2 2 3 --format text": "7c9534c6d350d22a68323c8435ade6bd6f846f5b63f9c8be6d412abf663a2e08",
+    "expand --level 2 2 3 --format json": "b2620bc0fe9616df652a60a82843c71fc888b5f198361302f7240db8511b5295",
+    "expand --level 2 2 3 --format latex": "c6db164892e667ec19c260d1dae3345876f8ab7e25c0dbcaff37005deddcedae",
+    "expand --level 3 2 3 --format text": "a68d962c010fd984558ba25c9fc6987e12aba233bdda7577ffcc8b7376cabbe6",
+    "expand --level 3 2 3 --format json": "048c30a4175eaf593314802ce0abc93a616dbd07b231d634684fdd90f1f67e2f",
+    "expand --level 3 2 3 --format latex": "7d260028229cb93a5e8dfe77829ef02d0177fed93b292d19763a698a78593f10",
+    "expand --level 4 2 3 --format text": "d1c926726faa174df5e4fe2e63bc52734bf48cae4bb7db7841f2d973f667bd9a",
+    "expand --level 4 2 3 --format json": "2609ac937d7e10ddaf95cfd2d1efdd7070c5eead86212306c5a29372118ac21c",
+    "expand --level 4 2 3 --format latex": "9856b2f79ecfedc80aa2662857254f4e9418dd5a20e2530c0b364070981d81b7",
+    "expand --level 5 2 3 --format text": "4cc2af16d86b62594e507c5fc42030eb2ef71d38927c06eea57b96fe27e2c44e",
+    "expand --level 5 2 3 --format json": "2609ac937d7e10ddaf95cfd2d1efdd7070c5eead86212306c5a29372118ac21c",
+    "expand --level 5 2 3 --format latex": "c16d374953d344e4d1858e4da4d2e319de7ee8bcc5df3ec92bb666040f5f325a",
+    "expand --level 6 2 3 --format text": "d54648a9356293e4381e597c971ab393e5c2303ed85b2116d43bfa5cdccad284",
+    "expand --level 6 2 3 --format json": "e0e066c2e144f609b383ac96ec019e0af2a91531dbcbf688c0836fe33153d2bc",
+    "expand --level 6 2 3 --format latex": "31911cba724505aae79f38a4257c087f1fd2aba575d057b4dd9380d79a6552ca",
+    "verify --max-a 4 --max-b 4 --format text": "17dd0839aeb815994d91e3f32f7f0bf9a9c48f6f1e7938845ced8797a118112f",
 }
 
 

@@ -15,7 +15,8 @@ from .combo import Combination, BasisLabel, CANONICAL, STANDARD, ATOMIC, pre_can
 from .precanonical import defn_precanonical, step_up, inverse_step, tilde_h
 from .adjusted import atomic_second, adjusted_expand_up, adjusted_step_down, adjusted_in_canonical, adjusted2_in_atomic
 from .adjusted import atomic_second as atomic
-from .kostka import kostka_foulkes, canonical_to_standard, atomic_to_standard, freudenthal_multiplicity, weyl_dimension, verify
+from .kostka import kostka_foulkes, canonical_to_standard, atomic_to_standard, freudenthal_multiplicity, weyl_dimension
+from .checks import verify
 
 __version__ = "0.1.0"
 

@@ -1,0 +1,313 @@
+"""Invariant checks: one runner and two ordered registries.
+
+A check is a (name, fn) pair; fn raises on failure and may return a detail
+string, and run() turns it into a CheckResult.  verify() runs WEIGHT_CHECKS
+on one weight; sweep() runs BOX_CHECKS over a box, and box checks that
+re-check a per-weight invariant call the same body.  Library functions are
+looked up on their modules at call time, so a tracing wrapper bound there
+sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cache, partial
+
+from . import adjusted, kostka, precanonical
+from .combo import ATOMIC, CANONICAL, combo_add, pre_canonical, single, substitute
+from .kostka import CheckResult
+from .lattice import (Weight, check_dominant, dominance_leq, dominant_box,
+                      height, x_I_member, x_I_member_closed)
+from .polyq import (degree, eval_at_one, is_nonnegative, leading_coeff,
+                    poly_scale_qpow, poly_sub)
+
+# Quadratic-cost oracle checks (the two Kostka-Foulkes paths, shift
+# monotonicity) run on the part of the box with both coordinates at most
+# this, so the default sweep stays quick.
+SMALL = 6
+
+
+def run(name: str, fn) -> CheckResult:
+    try:
+        detail = fn()
+    except Exception as exc:  # noqa: BLE001 - a failed check is reported, not raised
+        return CheckResult(name, False, str(exc))
+    return CheckResult(name, True, detail or "")
+
+
+@dataclass
+class VerifyReport:
+    lam: Weight
+    checks: list[CheckResult] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+
+# Per-weight bodies.
+
+def positivity(lam: Weight) -> str:
+    # the production route checks positivity as it builds the expansion
+    return f"{len(adjusted.atomic_second(lam).terms)} terms"
+
+
+def cross_approach(lam: Weight) -> None:
+    if adjusted.atomic_second(lam) != precanonical.atomic(lam):
+        raise AssertionError(f"the two atomic routes disagree at {lam!r}")
+
+
+def _level2(w: Weight):
+    return precanonical.defn_precanonical(2, w)
+
+
+def definitional_roundtrip(lam: Weight, expand=_level2) -> None:
+    back = substitute(adjusted.atomic_second(lam), expand)
+    if back.terms != {lam: {0: 1}}:
+        raise AssertionError(f"definitional expansion does not invert the "
+                             f"pipeline at {lam!r}")
+
+
+def at_one(lam: Weight) -> str:
+    table = kostka.multiplicity_table(lam)  # every dominant weight below lam
+    kf = kostka.canonical_to_standard(lam).terms
+    for mu, want in table.items():
+        got = eval_at_one(kf.get(mu, {}))
+        if got != want:
+            raise AssertionError(f"q=1 value {got} != multiplicity {want} "
+                                 f"at {mu!r} below {lam!r}")
+    return f"{len(table)} dominant weights"
+
+
+def dimension(lam: Weight) -> str:
+    wd = kostka.weyl_dimension(lam)
+    ob = kostka.dimension_by_orbits(lam)
+    if wd != ob:
+        raise AssertionError(f"dimension mismatch at {lam!r}: product {wd}, "
+                             f"orbits {ob}")
+    return f"dim {wd}"
+
+
+def monic(lam: Weight) -> None:
+    for mu, p in kostka.canonical_to_standard(lam).terms.items():
+        want = height(lam) - height(mu)
+        if degree(p) != want or leading_coeff(p) != 1:
+            raise AssertionError(f"coefficient at {mu!r} below {lam!r} is not "
+                                 f"monic of degree {want}")
+
+
+def monotone(lam: Weight) -> None:
+    kf = kostka.canonical_to_standard(lam).terms
+    for mu, pmu in kf.items():
+        for nu in kf:
+            if nu == mu or not dominance_leq(mu, nu):
+                continue
+            diff = poly_sub(pmu, poly_scale_qpow(kf[nu], height(nu) - height(mu)))
+            if not is_nonnegative(diff):
+                raise AssertionError(f"monotonicity fails for {mu!r} <= {nu!r} "
+                                     f"below {lam!r}")
+
+
+WEIGHT_CHECKS = [
+    ("atomic-positivity", positivity),
+    ("cross-approach", cross_approach),
+    ("definitional-roundtrip", definitional_roundtrip),
+    ("kostka-at-one", at_one),
+    ("dimension-by-orbits", dimension),
+    ("monic-degree", monic),
+    ("shift-monotonicity", monotone),
+]
+
+
+def verify(lam: Weight) -> VerifyReport:
+    """Run every per-weight invariant: positivity and triangularity of the
+    atomic expansion, agreement of the two expansion routes, the
+    definitional round trip, the q=1 multiplicity oracle, dimension by
+    orbits, monic top degrees, and the shift monotonicity of the
+    Kostka-Foulkes array.  Failures are reported, never raised."""
+    check_dominant(lam)
+    return VerifyReport(lam, [run(name, partial(fn, lam)) for name, fn in WEIGHT_CHECKS])
+
+
+# Box checks.  Each takes the box as a list of weights in dominant_box order.
+
+def _small(box: list[Weight]) -> list[Weight]:
+    return [w for w in box if w[0] <= SMALL and w[1] <= SMALL]
+
+
+def _each_weight(*bodies, small=False):
+    """A box check running each per-weight body on every weight."""
+    def check(box):
+        weights = _small(box) if small else box
+        for lam in weights:
+            for body in bodies:
+                body(lam)
+        return f"{len(weights)} weights"
+    return check
+
+
+def _step_roundtrips(box, up, down) -> str:
+    """up(i, .) and down(i, .) invert each other at levels 2..5."""
+    for lam in box:
+        for i in (2, 3, 4, 5):
+            f = substitute(down(i, lam), lambda w: up(i, w))
+            g = substitute(up(i, lam), lambda w: down(i, w))
+            if f.terms != {lam: {0: 1}} or g.terms != {lam: {0: 1}}:
+                raise AssertionError(f"level {i} round trip fails at {lam!r}")
+    return f"{len(box)} weights x 4 levels"
+
+
+def _canonical_consistency(box, down, in_canonical) -> str:
+    """Stepping down from level i+1 agrees with the canonical-basis
+    expansion at level i, for i in 2..5."""
+    for lam in box:
+        for i in (2, 3, 4, 5):
+            via = substitute(down(i, lam), lambda w: in_canonical(i + 1, w),
+                             basis=CANONICAL)
+            if via != in_canonical(i, lam):
+                raise AssertionError(f"level {i} canonical expansion disagrees "
+                                     f"at {lam!r}")
+    return f"{len(box)} weights x 4 levels"
+
+
+def closed_forms(box) -> str:
+    step_up, closed_form = precanonical.step_up, precanonical.closed_form
+    for lam in box:
+        for which, i in (("6to5", 5), ("3to2", 2), ("4to3", 3)):
+            if closed_form(which, lam) != step_up(i, lam):
+                raise AssertionError(f"{which} disagrees at {lam!r}")
+        p4, p3 = closed_form("5to4", lam)
+        lhs = substitute(step_up(4, lam), lambda w: step_up(3, w),
+                         basis=pre_canonical(3))
+        rhs = substitute(p4, lambda w: step_up(3, w), basis=pre_canonical(3))
+        if lhs != combo_add(rhs, p3):
+            raise AssertionError(f"5to4 disagrees at {lam!r}")
+    return f"{len(box)} weights"
+
+
+def definitional_roundtrips(box) -> str:
+    # Supports overlap heavily across the box, so expand each weight once;
+    # the memo is local and freed when the check returns.
+    expand = cache(_level2)
+    for lam in box:
+        definitional_roundtrip(lam, expand)
+    return f"{len(box)} weights"
+
+
+def even_column_closed_form(box) -> str:
+    step_up = precanonical.step_up
+    top = min(max(b for _, b in box), 12) // 2
+    for m in range(top + 1):
+        want: dict = {}
+        for i in range(m + 1):
+            want[(0, 2 * m - 2 * i)] = {4 * i: 1}
+        for i in range(1, m + 1):
+            for j in range(1, 2 * m - 2 * i + 2):
+                w = (j + 1, 2 * m - 2 * i - j + 1)
+                want.setdefault(w, {})
+                want[w][4 * i + j - 3] = want[w].get(4 * i + j - 3, 0) + 1
+        got = substitute(step_up(4, (0, 2 * m)),
+                         lambda u: substitute(step_up(3, u),
+                                              lambda v: step_up(2, v),
+                                              basis=pre_canonical(2)),
+                         basis=pre_canonical(2))
+        if got.terms != want:
+            raise AssertionError(f"even-column closed form fails at m={m}")
+    return f"m <= {top}"
+
+
+def adjusted2_consistency(box) -> str:
+    for lam in box:
+        via = substitute(adjusted.adjusted_in_canonical(2, lam),
+                         lambda w: precanonical.atomic(w))
+        if via != adjusted.adjusted2_in_atomic(lam):
+            raise AssertionError(f"level-2 atomic expansion disagrees at {lam!r}")
+    return f"{len(box)} weights"
+
+
+def correction_identity(box) -> str:
+    # the level-2 adjusted element minus the atomic element, in the atomic
+    # basis, case split on the indexing weight
+    def shifted(w, k):
+        return {u: {e + k: c for e, c in p.items()}
+                for u, p in adjusted.adjusted2_in_atomic(w).terms.items()}
+
+    for lam in box:
+        a, b = lam
+        diff = combo_add(adjusted.adjusted2_in_atomic(lam),
+                         single(ATOMIC, lam, {0: -1})).terms
+        if a >= 3 or a + b < 2:
+            want: dict = {}
+        elif a == 2:
+            want = shifted((0, b), 2)
+        elif a == 1:
+            want = shifted((1, b - 1), 2)
+            for k in range(1, b + 1):
+                w = (1 + k, b - k)
+                want.setdefault(w, {})
+                want[w][k] = want[w].get(k, 0) + 1
+        else:
+            want = shifted((0, b - 2), 4)
+            for k in range(2, b + 1):
+                w = (k, b - k)
+                want.setdefault(w, {})
+                want[w][k] = want[w].get(k, 0) + 1
+        if diff != want:
+            raise AssertionError(f"correction identity fails at {lam!r}")
+    return f"{len(box)} weights"
+
+
+def membership_tables(box) -> str:
+    subsets = [tuple(i for i in (2, 3, 4, 5) if m & (1 << (i - 2)))
+               for m in range(16)]
+    for lam in box:
+        for I in subsets:
+            if x_I_member(I, lam) != x_I_member_closed(I, lam):
+                raise AssertionError(f"membership tables disagree for "
+                                     f"{I!r} at {lam!r}")
+    return f"{len(box)} weights x 16 subsets"
+
+
+def kf_two_paths(box) -> str:
+    small = _small(box)
+    for lam in small:
+        table = kostka.canonical_to_standard(lam).terms
+        for mu in small:
+            got = kostka.kostka_foulkes(lam, mu)
+            want = table.get(mu, {}) if dominance_leq(mu, lam) else {}
+            if got != want:
+                raise AssertionError(f"two KF paths disagree at {lam!r}, {mu!r}")
+    return f"{len(small)}^2 pairs"
+
+
+BOX_CHECKS = [
+    ("precanonical.step-roundtrips",
+     lambda box: _step_roundtrips(box, precanonical.step_up, precanonical.inverse_step)),
+    ("precanonical.closed-forms", closed_forms),
+    ("precanonical.definitional-consistency",
+     lambda box: _canonical_consistency(box, precanonical.inverse_step,
+                                        precanonical.defn_precanonical)),
+    ("precanonical.definitional-roundtrip", definitional_roundtrips),
+    ("precanonical.positivity", _each_weight(positivity)),
+    ("precanonical.even-column-closed-form", even_column_closed_form),
+    ("adjusted.step-roundtrips",
+     lambda box: _step_roundtrips(box, adjusted.adjusted_expand_up,
+                                  adjusted.adjusted_step_down)),
+    ("adjusted.canonical-consistency",
+     lambda box: _canonical_consistency(box, adjusted.adjusted_step_down,
+                                        adjusted.adjusted_in_canonical)),
+    ("adjusted.atomic-consistency", adjusted2_consistency),
+    ("adjusted.correction-identity", correction_identity),
+    ("adjusted.cross-approach", _each_weight(cross_approach)),
+    ("lattice.membership-tables", membership_tables),
+    ("kostka.two-paths", kf_two_paths),
+    ("kostka.at-one-vs-freudenthal", _each_weight(at_one, dimension, small=True)),
+    ("kostka.monic-and-monotone", _each_weight(monic, monotone, small=True)),
+]
+
+
+def sweep(max_a: int, max_b: int) -> list[CheckResult]:
+    """Run every box check over the dominant weights with a <= max_a and
+    b <= max_b."""
+    box = dominant_box(max_a, max_b)
+    return [run(name, partial(fn, box)) for name, fn in BOX_CHECKS]

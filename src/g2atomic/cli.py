@@ -20,18 +20,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
-from functools import cache
+import tempfile
 
-from .lattice import (Weight, dominant_box, dominance_leq, x_I_member,
-                      x_I_member_closed)
-from .polyq import Poly, poly_add, poly_sub, to_pairs, from_pairs
-from .combo import (Combination, BasisLabel, CANONICAL, parse_basis,
-                    pre_canonical, sorted_support, substitute)
-from . import precanonical
-from . import adjusted as adjusted_mod
-from . import kostka
+from . import adjusted, checks, kostka, precanonical
+from .combo import CANONICAL, Combination, check_atomic, pre_canonical
+from .lattice import Weight
+from .polyq import to_pairs
+from .render import combination_from_json, render_combination, render_poly
 
 _FORMATS = ("text", "json", "latex")
 
@@ -62,8 +60,8 @@ def _build_parser() -> _Parser:
                         "positive adjusted route is the default, the "
                         "pre-canonical route its oracle")
     p.add_argument("--cache", metavar="PATH",
-                   help="JSON cache of expansions, keyed 'a,b'; validated on "
-                        "load by recomputing one entry")
+                   help="JSON cache of expansions, keyed 'a,b'; the entry "
+                        "served is checked, and one entry is recomputed on load")
 
     p = add("kf", "Kostka-Foulkes polynomial for lambda=(a, b), mu=(c, d)")
     for name in ("a", "b", "c", "d"):
@@ -85,152 +83,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Rendering.  Text and latex render polynomials by descending exponent;
-# JSON serializes by ascending exponent via polyq.to_pairs.
-
-def poly_text(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            qq = "q" if e == 1 else f"q^{e}"
-            body = qq if mag == 1 else f"{mag}{qq}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def poly_latex(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            qq = "q" if e == 1 else f"q^{{{e}}}"
-            body = qq if mag == 1 else f"{mag}{qq}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def _symbol_text(basis: BasisLabel, w: Weight) -> str:
-    kind = basis.normalized().kind
-    level = basis.normalized().level
-    core = {"canonical": "Hbar", "standard": "H", "atomic": "N"}.get(kind)
-    if core is None:
-        core = f"N{level}" if kind == "precanonical" else f"Nt{level}"
-    return f"{core}({w[0]},{w[1]})"
-
-
-def _symbol_latex(basis: BasisLabel, w: Weight) -> str:
-    kind = basis.normalized().kind
-    level = basis.normalized().level
-    sub = f"_{{({w[0]},{w[1]})}}"
-    if kind == "canonical":
-        return r"\underline{\mathbf{H}}" + sub
-    if kind == "standard":
-        return r"\mathbf{H}" + sub
-    if kind == "atomic":
-        return r"\mathbf{N}" + sub
-    if kind == "precanonical":
-        return r"\mathbf{N}" + f"^{{{level}}}" + sub
-    return r"\widetilde{\mathbf{N}}" + f"^{{{level}}}" + sub
-
-
-def _term_text(p: Poly, symbol: str) -> tuple[str, str]:
-    """(sign, body) for one rendered term."""
-    if len(p) == 1:
-        ((e, c),) = p.items()
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        if e == 0:
-            coeff = "" if mag == 1 else f"{mag} "
-        else:
-            qq = "q" if e == 1 else f"q^{e}"
-            coeff = f"{qq} " if mag == 1 else f"{mag}{qq} "
-        return sign, f"{coeff}{symbol}"
-    return "+", f"({poly_text(p)}) {symbol}"
-
-
-def _term_latex(p: Poly, symbol: str) -> tuple[str, str]:
-    if len(p) == 1:
-        ((e, c),) = p.items()
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        if e == 0:
-            coeff = "" if mag == 1 else f"{mag} \\, "
-        else:
-            qq = "q" if e == 1 else f"q^{{{e}}}"
-            coeff = f"{qq} \\, " if mag == 1 else f"{mag}{qq} \\, "
-        return sign, f"{coeff}{symbol}"
-    return "+", f"({poly_latex(p)}) \\, {symbol}"
-
-
-def _join_terms(parts: list[tuple[str, str]]) -> str:
-    out = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out.append(body if sign == "+" else f"-{body}")
-        else:
-            out.append(f"{sign} {body}")
-    return " ".join(out) if out else "0"
-
-
-def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
-                       fmt: str) -> str:
-    """One-line equation: the element named by (lhs_basis, lam) expanded
-    in the basis of x, support in display order."""
-    order = sorted_support(x, first=lam)
-    if fmt == "json":
-        obj = {
-            "basis": str(x.basis.normalized()),
-            "weight": [lam[0], lam[1]],
-            "terms": [{"weight": [w[0], w[1]], "poly": to_pairs(x.terms[w])}
-                      for w in order],
-        }
-        return json.dumps(obj)
-    if fmt == "latex":
-        lhs = _symbol_latex(lhs_basis, lam)
-        parts = [_term_latex(x.terms[w], _symbol_latex(x.basis, w)) for w in order]
-        return f"{lhs} = {_join_terms(parts)}"
-    lhs = _symbol_text(lhs_basis, lam)
-    parts = [_term_text(x.terms[w], _symbol_text(x.basis, w)) for w in order]
-    return f"{lhs} = {_join_terms(parts)}"
-
-
-def combination_from_json(obj) -> tuple[Combination, Weight]:
-    """Inverse of the JSON rendering; returns the combination and the
-    designated weight.  Malformed input raises ValueError."""
-    try:
-        basis = parse_basis(obj["basis"])
-        lam = (int(obj["weight"][0]), int(obj["weight"][1]))
-        terms = {}
-        for entry in obj["terms"]:
-            w = (int(entry["weight"][0]), int(entry["weight"][1]))
-            if w in terms:
-                raise ValueError(f"duplicate weight {w!r} in serialized combination")
-            terms[w] = from_pairs(entry["poly"])
-    except (AttributeError, KeyError, IndexError, OverflowError, TypeError) as exc:
-        raise ValueError(f"malformed serialized combination: {exc!r}") from None
-    return Combination(basis, terms), lam
-
-
 # Expansion cache for the atomic subcommand.  A cache file maps "a,b" keys
-# to rendered JSON objects.  On load, one deterministically chosen entry
-# (seeded by the file bytes) is recomputed and compared.
+# to rendered JSON objects.  The entry served is checked to be an atomic
+# expansion of the canonical element at its weight, and on load one more
+# entry, chosen deterministically from the file bytes, is recomputed and
+# compared.
+
+def _entry(data: dict, key: str) -> tuple[Combination, Weight]:
+    x, lam = combination_from_json(data[key])
+    if key != f"{lam[0]},{lam[1]}":
+        raise ValueError(f"cache key {key!r} does not match its weight")
+    check_atomic(lam, x)
+    return x, lam
+
 
 def _load_cache(path: str) -> dict:
     try:
@@ -245,34 +110,47 @@ def _load_cache(path: str) -> dict:
         keys = sorted(data)
         seed = int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
         probe = keys[random.Random(seed).randrange(len(keys))]
-        x, lam = combination_from_json(data[probe])
-        a, b = (int(s) for s in probe.split(","))
-        if (a, b) != lam:
-            raise ValueError(f"cache key {probe!r} does not match its weight")
-        if adjusted_mod.atomic_second(lam) != x:
+        x, lam = _entry(data, probe)
+        if adjusted.atomic_second(lam) != x:
             raise ValueError(f"cache entry {probe!r} fails revalidation")
     return data
+
+
+def _save_cache(path: str, data: dict) -> None:
+    """Write to a temporary file in the same directory, then rename it over
+    path, so that readers see the old file or the new one, never a part."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _atomic_command(args) -> tuple[int, str]:
     lam = (args.a, args.b)
     route = (precanonical.atomic if args.method == "precanonical"
-             else adjusted_mod.atomic_second)
-    if args.cache:
-        key = f"{lam[0]},{lam[1]}"
-        try:
-            data = _load_cache(args.cache)
-            x = combination_from_json(data[key])[0] if key in data else None
-        except ValueError as exc:
-            return 1, f"error: invalid cache file: {exc}"
-        if x is None:
-            x = route(lam)
-            data[key] = json.loads(render_combination(x, CANONICAL, lam, "json"))
-            with open(args.cache, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True)
-                fh.write("\n")
-    else:
+             else adjusted.atomic_second)
+    if not args.cache:
+        return 0, render_combination(route(lam), CANONICAL, lam, args.format)
+    key = f"{lam[0]},{lam[1]}"
+    try:
+        data = _load_cache(args.cache)
+        x = _entry(data, key)[0] if key in data else None
+    except OSError as exc:
+        return 1, f"error: cannot read cache file {args.cache!r}: {exc.strerror}"
+    except ValueError as exc:
+        return 1, f"error: invalid cache file: {exc}"
+    if x is None:
         x = route(lam)
+        data[key] = json.loads(render_combination(x, CANONICAL, lam, "json"))
+        try:
+            _save_cache(args.cache, data)
+        except OSError as exc:
+            return 1, f"error: cannot write cache file {args.cache!r}: {exc.strerror}"
     return 0, render_combination(x, CANONICAL, lam, args.format)
 
 
@@ -283,9 +161,7 @@ def _kf_command(args) -> tuple[int, str]:
         obj = {"lambda": [lam[0], lam[1]], "mu": [mu[0], mu[1]],
                "poly": to_pairs(p)}
         return 0, json.dumps(obj)
-    if args.format == "latex":
-        return 0, poly_latex(p)
-    return 0, poly_text(p)
+    return 0, render_poly(p, args.format)
 
 
 def _standard_command(args) -> tuple[int, str]:
@@ -302,249 +178,30 @@ def _expand_command(args) -> tuple[int, str]:
     return 0, render_combination(x, pre_canonical(args.level), lam, args.format)
 
 
-# Verification sweep.  Quadratic-cost oracle checks (classical multiplicity
-# comparison and shift monotonicity) are capped at coordinate 6 so the
-# default sweep stays quick; everything else honors the requested bounds.
-
-def _sweep(max_a: int, max_b: int) -> list[kostka.CheckResult]:
-    checks: list[kostka.CheckResult] = []
-    box = dominant_box(max_a, max_b)
-    small = dominant_box(min(max_a, 6), min(max_b, 6))
-
-    def run(name, fn):
-        try:
-            detail = fn()
-            checks.append(kostka.CheckResult(name, True, detail or ""))
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
-            checks.append(kostka.CheckResult(name, False, str(exc)))
-
-    def step_roundtrips():
-        for lam in box:
-            for i in (2, 3, 4, 5):
-                f = substitute(precanonical.inverse_step(i, lam),
-                               lambda w: precanonical.step_up(i, w))
-                g = substitute(precanonical.step_up(i, lam),
-                               lambda w: precanonical.inverse_step(i, w))
-                if f.terms != {lam: {0: 1}} or g.terms != {lam: {0: 1}}:
-                    raise AssertionError(f"level {i} round trip fails at {lam!r}")
-        return f"{len(box)} weights x 4 levels"
-
-    def closed_forms():
-        for lam in box:
-            if precanonical.closed_form("6to5", lam) != precanonical.step_up(5, lam):
-                raise AssertionError(f"6to5 disagrees at {lam!r}")
-            if precanonical.closed_form("3to2", lam) != precanonical.step_up(2, lam):
-                raise AssertionError(f"3to2 disagrees at {lam!r}")
-            if precanonical.closed_form("4to3", lam) != precanonical.step_up(3, lam):
-                raise AssertionError(f"4to3 disagrees at {lam!r}")
-            p4, p3 = precanonical.closed_form("5to4", lam)
-            lhs = substitute(precanonical.step_up(4, lam),
-                             lambda w: precanonical.step_up(3, w),
-                             basis=pre_canonical(3))
-            rhs = substitute(p4, lambda w: precanonical.step_up(3, w),
-                             basis=pre_canonical(3))
-            merged = {w: dict(p) for w, p in rhs.terms.items()}
-            for w, p in p3.terms.items():
-                s = poly_add(merged.get(w, {}), p)
-                if s:
-                    merged[w] = s
-                else:
-                    merged.pop(w, None)
-            if lhs.terms != merged:
-                raise AssertionError(f"5to4 disagrees at {lam!r}")
-        return f"{len(box)} weights"
-
-    def definitional_consistency():
-        for lam in box:
-            for i in (2, 3, 4, 5):
-                via = substitute(precanonical.inverse_step(i, lam),
-                                 lambda w: precanonical.defn_precanonical(i + 1, w),
-                                 basis=CANONICAL)
-                if via != precanonical.defn_precanonical(i, lam):
-                    raise AssertionError(f"level {i} definition disagrees at {lam!r}")
-        return f"{len(box)} weights x 4 levels"
-
-    def definitional_roundtrip():
-        # Supports overlap heavily across the box, so expand each weight
-        # once; the memo is local and freed when the check returns.
-        expand = cache(lambda w: precanonical.defn_precanonical(2, w))
-        for lam in box:
-            back = substitute(adjusted_mod.atomic_second(lam), expand)
-            if back.terms != {lam: {0: 1}}:
-                raise AssertionError(f"round trip fails at {lam!r}")
-        return f"{len(box)} weights"
-
-    def positivity():
-        for lam in box:
-            adjusted_mod.atomic_second(lam)  # raises internally on violation
-        return f"{len(box)} weights"
-
-    def even_column_closed_form():
-        for m in range(0, min(max_b, 12) // 2 + 1):
-            want: dict = {}
-            for i in range(m + 1):
-                want[(0, 2 * m - 2 * i)] = {4 * i: 1}
-            for i in range(1, m + 1):
-                for j in range(1, 2 * m - 2 * i + 2):
-                    w = (j + 1, 2 * m - 2 * i - j + 1)
-                    want.setdefault(w, {})
-                    want[w][4 * i + j - 3] = want[w].get(4 * i + j - 3, 0) + 1
-            got = substitute(precanonical.step_up(4, (0, 2 * m)),
-                             lambda u: substitute(
-                                 precanonical.step_up(3, u),
-                                 lambda v: precanonical.step_up(2, v),
-                                 basis=pre_canonical(2)),
-                             basis=pre_canonical(2))
-            if got.terms != want:
-                raise AssertionError(f"even-column closed form fails at m={m}")
-        return f"m <= {min(max_b, 12) // 2}"
-
-    def adjusted_roundtrips():
-        for lam in box:
-            for k in (2, 3, 4, 5):
-                f = substitute(adjusted_mod.adjusted_step_down(k, lam),
-                               lambda w: adjusted_mod.adjusted_expand_up(k, w))
-                g = substitute(adjusted_mod.adjusted_expand_up(k, lam),
-                               lambda w: adjusted_mod.adjusted_step_down(k, w))
-                if f.terms != {lam: {0: 1}} or g.terms != {lam: {0: 1}}:
-                    raise AssertionError(f"level {k} round trip fails at {lam!r}")
-        return f"{len(box)} weights x 4 levels"
-
-    def adjusted_canonical_consistency():
-        for lam in box:
-            for k in (2, 3, 4, 5):
-                via = substitute(adjusted_mod.adjusted_step_down(k, lam),
-                                 lambda w: adjusted_mod.adjusted_in_canonical(k + 1, w),
-                                 basis=CANONICAL)
-                if via != adjusted_mod.adjusted_in_canonical(k, lam):
-                    raise AssertionError(f"level {k} canonical expansion "
-                                         f"disagrees at {lam!r}")
-        return f"{len(box)} weights x 4 levels"
-
-    def adjusted2_consistency():
-        for lam in box:
-            via = substitute(adjusted_mod.adjusted_in_canonical(2, lam),
-                             lambda w: precanonical.atomic(w))
-            if via != adjusted_mod.adjusted2_in_atomic(lam):
-                raise AssertionError(f"level-2 atomic expansion disagrees at {lam!r}")
-        return f"{len(box)} weights"
-
-    def correction_identity():
-        # the level-2 adjusted element minus the atomic element, in the
-        # atomic basis, case split on the indexing weight
-        for lam in box:
-            a, b = lam
-            diff = dict(adjusted_mod.adjusted2_in_atomic(lam).terms)
-            cur = poly_sub(diff.get(lam, {}), {0: 1})
-            if cur:
-                diff[lam] = cur
-            else:
-                diff.pop(lam, None)
-            if a >= 3 or a + b < 2:
-                want: dict = {}
-            elif a == 2:
-                want = {w: {e + 2: c for e, c in p.items()}
-                        for w, p in adjusted_mod.adjusted2_in_atomic((0, b)).terms.items()}
-            elif a == 1:
-                want = {w: {e + 2: c for e, c in p.items()}
-                        for w, p in adjusted_mod.adjusted2_in_atomic((1, b - 1)).terms.items()}
-                for k in range(1, b + 1):
-                    w = (1 + k, b - k)
-                    want.setdefault(w, {})
-                    want[w][k] = want[w].get(k, 0) + 1
-            else:
-                want = {w: {e + 4: c for e, c in p.items()}
-                        for w, p in adjusted_mod.adjusted2_in_atomic((0, b - 2)).terms.items()}
-                for k in range(2, b + 1):
-                    w = (k, b - k)
-                    want.setdefault(w, {})
-                    want[w][k] = want[w].get(k, 0) + 1
-            if diff != want:
-                raise AssertionError(f"correction identity fails at {lam!r}")
-        return f"{len(box)} weights"
-
-    def cross_approach():
-        for lam in box:
-            if adjusted_mod.atomic_second(lam) != precanonical.atomic(lam):
-                raise AssertionError(f"routes disagree at {lam!r}")
-        return f"{len(box)} weights"
-
-    def table_equivalence():
-        subsets = [tuple(i for i in (2, 3, 4, 5) if m & (1 << (i - 2)))
-                   for m in range(16)]
-        for lam in box:
-            for I in subsets:
-                if x_I_member(I, lam) != x_I_member_closed(I, lam):
-                    raise AssertionError(f"membership tables disagree for "
-                                         f"{I!r} at {lam!r}")
-        return f"{len(box)} weights x 16 subsets"
-
-    def kf_consistency():
-        for lam in small:
-            table = kostka.canonical_to_standard(lam).terms
-            for mu in small:
-                got = kostka.kostka_foulkes(lam, mu)
-                want = table.get(mu, {}) if dominance_leq(mu, lam) else {}
-                if got != want:
-                    raise AssertionError(f"two KF paths disagree at {lam!r}, {mu!r}")
-        return f"{len(small)}^2 pairs"
-
-    def kf_at_one():
-        for lam in small:
-            table = kostka.multiplicity_table(lam)
-            kf = kostka.canonical_to_standard(lam).terms
-            for mu, p in kf.items():
-                if sum(p.values()) != table.get(mu, 0):
-                    raise AssertionError(f"q=1 disagrees at {lam!r}, {mu!r}")
-            if kostka.weyl_dimension(lam) != kostka.dimension_by_orbits(lam):
-                raise AssertionError(f"dimension mismatch at {lam!r}")
-        return f"{len(small)} weights"
-
-    def monic_and_monotone():
-        for lam in small:
-            rep = kostka.verify(lam)
-            for c in rep.checks:
-                if c.name in ("monic-degree", "shift-monotonicity") and not c.ok:
-                    raise AssertionError(f"{c.name} fails at {lam!r}: {c.detail}")
-        return f"{len(small)} weights"
-
-    run("precanonical.step-roundtrips", step_roundtrips)
-    run("precanonical.closed-forms", closed_forms)
-    run("precanonical.definitional-consistency", definitional_consistency)
-    run("precanonical.definitional-roundtrip", definitional_roundtrip)
-    run("precanonical.positivity", positivity)
-    run("precanonical.even-column-closed-form", even_column_closed_form)
-    run("adjusted.step-roundtrips", adjusted_roundtrips)
-    run("adjusted.canonical-consistency", adjusted_canonical_consistency)
-    run("adjusted.atomic-consistency", adjusted2_consistency)
-    run("adjusted.correction-identity", correction_identity)
-    run("adjusted.cross-approach", cross_approach)
-    run("lattice.membership-tables", table_equivalence)
-    run("kostka.two-paths", kf_consistency)
-    run("kostka.at-one-vs-freudenthal", kf_at_one)
-    run("kostka.monic-and-monotone", monic_and_monotone)
-    return checks
-
-
 def _verify_command(args) -> tuple[int, str]:
     if args.max_a < 0 or args.max_b < 0:
         return 1, "error: sweep bounds must be non-negative"
-    checks = _sweep(args.max_a, args.max_b)
-    ok = all(c.ok for c in checks)
+    results = checks.sweep(args.max_a, args.max_b)
+    ok = all(c.ok for c in results)
     if args.format == "json":
         obj = {"max_a": args.max_a, "max_b": args.max_b,
                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                          for c in checks],
+                          for c in results],
                "ok": ok}
         return (0 if ok else 2), json.dumps(obj)
     lines = []
-    for c in checks:
+    for c in results:
         mark = "ok  " if c.ok else "FAIL"
         tail = f" ({c.detail})" if c.detail else ""
         lines.append(f"{mark} {c.name}{tail}")
     lines.append(f"{'all checks passed' if ok else 'VERIFICATION FAILED'} "
                  f"(sweep a <= {args.max_a}, b <= {args.max_b})")
     return (0 if ok else 2), "\n".join(lines)
+
+
+_COMMANDS = {"atomic": _atomic_command, "kf": _kf_command,
+             "standard": _standard_command, "expand": _expand_command,
+             "verify": _verify_command}
 
 
 def main(argv=None) -> int:
@@ -556,24 +213,14 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    for name in ("a", "b", "c", "d"):
+        v = getattr(args, name, None)
+        if v is not None and v < 0:
+            print(f"error: coordinates must be non-negative, got {v}",
+                  file=sys.stderr)
+            return 1
     try:
-        if args.command == "verify":
-            code, out = _verify_command(args)
-        else:
-            for name in ("a", "b", "c", "d"):
-                v = getattr(args, name, None)
-                if v is not None and v < 0:
-                    print(f"error: coordinates must be non-negative, got {v}",
-                          file=sys.stderr)
-                    return 1
-            if args.command == "atomic":
-                code, out = _atomic_command(args)
-            elif args.command == "kf":
-                code, out = _kf_command(args)
-            elif args.command == "standard":
-                code, out = _standard_command(args)
-            else:
-                code, out = _expand_command(args)
+        code, out = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -165,21 +165,29 @@ def layered(base: Callable[[Weight], Combination],
     @cache
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
-        checked to be unitriangular with non-negative coefficients
-        supported below lam."""
+        checked by check_atomic."""
         check_dominant(lam)
-        terms = substitute(top_chain(lam), base, basis=basis).terms
-        if terms.get(lam) != {0: 1}:
-            raise RuntimeError(f"atomic expansion at {lam!r} is not unitriangular")
-        for w, p in terms.items():
-            if not dominance_leq(w, lam):
-                raise RuntimeError(f"atomic expansion at {lam!r} has support at {w!r}")
-            if any(c < 0 for c in p.values()):
-                raise RuntimeError(f"atomic expansion at {lam!r} has a negative "
-                                   f"coefficient at {w!r}: {p!r}")
-        return Combination(ATOMIC, terms)
+        x = Combination(ATOMIC, substitute(top_chain(lam), base, basis=basis).terms)
+        check_atomic(lam, x)
+        return x
 
     return (*layers, atomic)
+
+
+def check_atomic(lam: Weight, x: Combination) -> None:
+    """Raise ValueError unless x is an expansion of the canonical element at
+    lam in the atomic basis: unitriangular, supported on dominant weights
+    below lam, with nonzero coefficients in N[q]."""
+    if not same_basis(x.basis, ATOMIC):
+        raise ValueError(f"expansion at {lam!r} is in the {x.basis} basis, not atomic")
+    if x.terms.get(lam) != {0: 1}:
+        raise ValueError(f"atomic expansion at {lam!r} is not unitriangular")
+    for w, p in x.terms.items():
+        if not (is_dominant(w) and dominance_leq(w, lam)):
+            raise ValueError(f"atomic expansion at {lam!r} has support at {w!r}")
+        if not p or min(p) < 0 or min(p.values()) < 0:
+            raise ValueError(f"atomic expansion at {lam!r} has coefficient "
+                             f"{p!r} at {w!r}, not a nonzero element of N[q]")
 
 
 def display_key(w: Weight):

@@ -6,21 +6,19 @@ exponent the height of the difference.  Composing with the atomic expansion
 of the canonical basis gives the full triangular array of generalized
 Kostka-Foulkes polynomials.  Specializing q to 1 must reproduce dominant
 weight multiplicities of the irreducible representation, which an
-independent Freudenthal recursion computes from nothing but the root data;
-verify() bundles that check with the structural invariants.
+independent Freudenthal recursion computes from nothing but the root data.
+The checks module runs that comparison with the structural invariants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, dominance_leq,
                       dominant_below, height, linear_dominant, orbit_size)
-from .polyq import (Poly, poly_sub, poly_scale_qpow, eval_at_one,
-                    is_nonnegative, degree, leading_coeff)
+from .polyq import Poly
 from .combo import Combination, STANDARD, substitute
-from . import precanonical
 # The positive adjusted route serves every expansion here; the pre-canonical
 # route is the cross-approach oracle.
 from .adjusted import atomic_second as atomic
@@ -145,95 +143,10 @@ def dimension_by_orbits(lam: Weight) -> int:
     return sum(m * orbit_size(nu) for nu, m in multiplicity_table(lam).items())
 
 
+# Defined here rather than in checks: the benchmark's tracer times each
+# verify check by hooking construction of kostka.CheckResult.
 @dataclass
 class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-@dataclass
-class VerifyReport:
-    lam: Weight
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def _run(report: VerifyReport, name: str, fn) -> None:
-    try:
-        detail = fn()
-        report.checks.append(CheckResult(name, True, detail or ""))
-    except Exception as exc:  # noqa: BLE001 - verification reports, never raises
-        report.checks.append(CheckResult(name, False, str(exc)))
-
-
-def verify(lam: Weight) -> VerifyReport:
-    """Run every invariant for one weight: positivity and triangularity of
-    the atomic expansion, agreement of the two expansion routes, the
-    definitional round trip, the q=1 multiplicity oracle, dimension by
-    orbits, monic top degrees, and the shift monotonicity of the
-    Kostka-Foulkes array."""
-    check_dominant(lam)
-    report = VerifyReport(lam)
-
-    def positivity():
-        atomic(lam)  # raises internally on any violation
-        return f"{len(atomic(lam).terms)} terms"
-
-    def cross():
-        if atomic(lam) != precanonical.atomic(lam):
-            raise AssertionError("the two atomic routes disagree")
-
-    def roundtrip():
-        back = substitute(atomic(lam), lambda w: precanonical.defn_precanonical(2, w))
-        if back.terms != {lam: {0: 1}}:
-            raise AssertionError("definitional expansion does not invert the pipeline")
-
-    def at_one():
-        table = multiplicity_table(lam)
-        kf = canonical_to_standard(lam).terms
-        for mu in dominant_below(lam):
-            got = eval_at_one(kf.get(mu, {}))
-            want = table.get(mu, 0)
-            if got != want:
-                raise AssertionError(f"q=1 value {got} != multiplicity {want} at {mu!r}")
-        return f"{len(table)} dominant weights"
-
-    def dims():
-        wd = weyl_dimension(lam)
-        ob = dimension_by_orbits(lam)
-        if wd != ob:
-            raise AssertionError(f"dimension mismatch: product {wd}, orbits {ob}")
-        return f"dim {wd}"
-
-    def monic():
-        for mu, p in canonical_to_standard(lam).terms.items():
-            want = height(lam) - height(mu)
-            if degree(p) != want or leading_coeff(p) != 1:
-                raise AssertionError(f"coefficient at {mu!r} is not monic of "
-                                     f"degree {want}")
-
-    def monotone():
-        kf = canonical_to_standard(lam).terms
-        support = list(kf)
-        for mu in support:
-            pmu = kf[mu]
-            for nu in support:
-                if nu == mu or not dominance_leq(mu, nu):
-                    continue
-                shift = height(nu) - height(mu)
-                diff = poly_sub(pmu, poly_scale_qpow(kf[nu], shift))
-                if not is_nonnegative(diff):
-                    raise AssertionError(f"monotonicity fails for {mu!r} <= {nu!r}")
-
-    _run(report, "atomic-positivity", positivity)
-    _run(report, "cross-approach", cross)
-    _run(report, "definitional-roundtrip", roundtrip)
-    _run(report, "kostka-at-one", at_one)
-    _run(report, "dimension-by-orbits", dims)
-    _run(report, "monic-degree", monic)
-    _run(report, "shift-monotonicity", monotone)
-    return report

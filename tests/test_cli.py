@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from g2atomic import checks
 from g2atomic.cli import combination_from_json, main, render_combination
 from g2atomic.combo import CANONICAL
 from g2atomic.kostka import kostka_foulkes
@@ -256,6 +257,66 @@ def test_cache_corruption_detected(tmp_path, capsys):
         code, _, err = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
         outcomes.add(code)
     assert outcomes == {0, 1}
+
+
+def _three_entry_cache(path, capsys):
+    for a, b in [(0, 0), (1, 0), (0, 1)]:
+        assert run_cli(capsys, "atomic", str(a), str(b), "--cache", str(path))[0] == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda e: e["terms"][0].update(poly=[[0, 7]]),
+    lambda e: e.update(basis="standard"),
+    lambda e: e.update(weight=[0, 1]),
+], ids=["coefficient", "basis", "weight"])
+def test_cache_served_entry_checked(tmp_path, capsys, corrupt):
+    # Padding moves the probe that recomputes one entry; the entry served
+    # must be rejected wherever the probe lands.
+    path = tmp_path / "cache.json"
+    data = _three_entry_cache(path, capsys)
+    corrupt(data["1,0"])
+    for pad in range(8):
+        path.write_text(json.dumps(data) + " " * pad)
+        code, out, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(path))
+        assert (code, out) == (1, ""), pad
+        assert err.startswith("error: invalid cache file: ") and err.count("\n") == 1
+
+
+def test_cache_io_errors(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read cache file ") and err.count("\n") == 1
+    missing = tmp_path / "no-such-dir" / "cache.json"
+    code, out, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(missing))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write cache file ") and err.count("\n") == 1
+    # a successful write leaves only the cache file behind
+    path = tmp_path / "cache.json"
+    assert run_cli(capsys, "atomic", "1", "0", "--cache", str(path))[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
+
+def test_verify_reports_failing_check(monkeypatch, capsys):
+    def boom(box):
+        raise AssertionError("boom")
+
+    box_checks = list(checks.BOX_CHECKS)
+    name = box_checks[4][0]
+    box_checks[4] = (name, boom)
+    monkeypatch.setattr(checks, "BOX_CHECKS", box_checks)
+    code, out, _ = run_cli(capsys, "verify", "--max-a", "1", "--max-b", "1")
+    assert code == 2
+    lines = out.rstrip("\n").split("\n")
+    assert len(lines) == 16
+    assert lines[4] == f"FAIL {name} (boom)"
+    assert all(line.startswith("ok  ") for i, line in enumerate(lines[:-1]) if i != 4)
+    assert lines[-1] == "VERIFICATION FAILED (sweep a <= 1, b <= 1)"
+    code, out, _ = run_cli(capsys, "verify", "--max-a", "1", "--max-b", "1",
+                           "--format", "json")
+    obj = json.loads(out)
+    assert code == 2 and obj["ok"] is False
+    assert [c["ok"] for c in obj["checks"]] == [i != 4 for i in range(15)]
 
 
 def test_subprocess_determinism():

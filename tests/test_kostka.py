@@ -3,11 +3,12 @@ independent Freudenthal / Weyl-dimension oracles."""
 
 import pytest
 
-from g2atomic.combo import STANDARD
+from g2atomic import precanonical
+from g2atomic.checks import verify
+from g2atomic.combo import ATOMIC, STANDARD, Combination
 from g2atomic.kostka import (atomic_to_standard, canonical_to_standard,
                              dimension_by_orbits, freudenthal_multiplicity,
-                             kostka_foulkes, multiplicity_table, verify,
-                             weyl_dimension)
+                             kostka_foulkes, multiplicity_table, weyl_dimension)
 from g2atomic.lattice import (dominance_leq, dominant_below, dominant_box,
                               height, linear_dominant, orbit_size)
 from g2atomic.polyq import eval_at_one, degree, leading_coeff, poly_sub
@@ -143,3 +144,14 @@ def test_verify_reports():
         assert "cross-approach" in names
         assert "kostka-at-one" in names
         assert len(report.checks) == 7
+
+
+def test_verify_reports_failure(monkeypatch):
+    # an oracle route that disagrees is reported, not raised
+    monkeypatch.setattr(precanonical, "atomic", lambda lam: Combination(ATOMIC, {}))
+    report = verify((2, 4))
+    assert report.ok is False
+    assert len(report.checks) == 7
+    failed = [c for c in report.checks if not c.ok]
+    assert [c.name for c in failed] == ["cross-approach"]
+    assert "disagree" in failed[0].detail

@@ -23,7 +23,7 @@ from functools import cache
 
 from .lattice import (Weight, GAMMA, check_dominant, gamma_sum, is_dominant,
                       sub, x_I_member, x_set_member)
-from .polyq import Poly, poly_add, monomial, iadd_scaled
+from .polyq import Poly, iadd_terms, monomial, poly_add, pruned
 from .combo import Combination, CANONICAL, ATOMIC, adjusted_label, layered
 
 _INDEX_SUBSETS = tuple(
@@ -126,30 +126,10 @@ def adjusted2_in_atomic(lam: Weight) -> Combination:
     # (b >= 2): q^2 resp. q^4 times it, plus q^k N(a+k, b-k) for k >= 2-a.
     a, b = lam
     terms: dict[Weight, Poly] = {lam: {0: 1}}
-    _acc_scaled(terms, adjusted2_in_atomic(below), 4 if a == 0 else 2)
+    iadd_terms(terms, adjusted2_in_atomic(below).terms, 4 if a == 0 else 2)
     if a < 2:
-        for k in range(2 - a, b + 1):
-            _acc_poly(terms, (a + k, b - k), monomial(k))
-    return Combination(ATOMIC, terms)
-
-
-def _acc_scaled(dst: dict[Weight, Poly], x: Combination, exp: int) -> None:
-    # dst += q**exp * x, in place
-    for w, p in x.terms.items():
-        tgt = dst.get(w)
-        if tgt is None:
-            tgt = dst[w] = {}
-        iadd_scaled(tgt, p, exp, 1)
-        if not tgt:
-            del dst[w]
-
-
-def _acc_poly(dst: dict[Weight, Poly], w: Weight, p: Poly) -> None:
-    cur = poly_add(dst.get(w, {}), p)
-    if cur:
-        dst[w] = cur
-    else:
-        dst.pop(w, None)
+        iadd_terms(terms, {(a + k, b - k): {k: 1} for k in range(2 - a, b + 1)})
+    return Combination(ATOMIC, pruned(terms))
 
 
 # Second atomic pipeline, the production route: expand the canonical

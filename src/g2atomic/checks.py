@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import adjusted, kostka, precanonical
-from .combo import ATOMIC, CANONICAL, combo_add, pre_canonical, single, substitute
+from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
+                    single, substitute)
 from .kostka import CheckResult
 from .lattice import (Weight, check_dominant, dominance_leq, dominant_box,
                       height, x_I_member, x_I_member_closed)
-from .polyq import (degree, eval_at_one, is_nonnegative, leading_coeff,
-                    poly_scale_qpow, poly_sub)
+from .polyq import degree, eval_at_one, is_nonnegative, leading_coeff
 
 # Quadratic-cost oracle checks (the two Kostka-Foulkes paths, shift
 # monotonicity) run on the part of the box with both coordinates at most
@@ -61,9 +61,15 @@ def _level2(w: Weight):
     return precanonical.defn_precanonical(2, w)
 
 
+def inverts_definitional(lam: Weight, x: Combination, expand=_level2) -> bool:
+    """Whether x, in the atomic basis, is the expansion of the canonical
+    element at lam: substituting the definitional expansion of each atomic
+    element must give back exactly that canonical element."""
+    return substitute(x, expand).terms == {lam: {0: 1}}
+
+
 def definitional_roundtrip(lam: Weight, expand=_level2) -> None:
-    back = substitute(adjusted.atomic_second(lam), expand)
-    if back.terms != {lam: {0: 1}}:
+    if not inverts_definitional(lam, adjusted.atomic_second(lam), expand):
         raise AssertionError(f"definitional expansion does not invert the "
                              f"pipeline at {lam!r}")
 
@@ -97,13 +103,20 @@ def monic(lam: Weight) -> None:
 
 
 def monotone(lam: Weight) -> None:
+    # pmu - q**s * pnu >= 0 coefficientwise, compared in place: on the
+    # exponents of q**s * pnu directly, and elsewhere it is pmu itself, so
+    # one non-negativity test of pmu settles those exponents for every nu.
     kf = kostka.canonical_to_standard(lam).terms
     for mu, pmu in kf.items():
-        for nu in kf:
+        hmu = height(mu)
+        pmu_nonnegative = is_nonnegative(pmu)
+        for nu, pnu in kf.items():
             if nu == mu or not dominance_leq(mu, nu):
                 continue
-            diff = poly_sub(pmu, poly_scale_qpow(kf[nu], height(nu) - height(mu)))
-            if not is_nonnegative(diff):
+            s = height(nu) - hmu
+            if not (all(pmu.get(e + s, 0) >= c for e, c in pnu.items())
+                    and (pmu_nonnegative
+                         or all(c >= pnu.get(e - s, 0) for e, c in pmu.items()))):
                 raise AssertionError(f"monotonicity fails for {mu!r} <= {nu!r} "
                                      f"below {lam!r}")
 

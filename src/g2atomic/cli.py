@@ -61,7 +61,8 @@ def _build_parser() -> _Parser:
                         "pre-canonical route its oracle")
     p.add_argument("--cache", metavar="PATH",
                    help="JSON cache of expansions, keyed 'a,b'; the entry "
-                        "served is checked, and one entry is recomputed on load")
+                        "served is fully checked, and one entry is recomputed "
+                        "on load")
 
     p = add("kf", "Kostka-Foulkes polynomial for lambda=(a, b), mu=(c, d)")
     for name in ("a", "b", "c", "d"):
@@ -84,10 +85,10 @@ def _build_parser() -> _Parser:
 
 
 # Expansion cache for the atomic subcommand.  A cache file maps "a,b" keys
-# to rendered JSON objects.  The entry served is checked to be an atomic
-# expansion of the canonical element at its weight, and on load one more
-# entry, chosen deterministically from the file bytes, is recomputed and
-# compared.
+# to rendered JSON objects.  Every entry read is checked structurally, then
+# exactly: on load one entry, chosen deterministically from the file bytes,
+# is recomputed and compared, and the entry served must pass the
+# definitional round trip, which only the exact expansion passes.
 
 def _entry(data: dict, key: str) -> tuple[Combination, Weight]:
     x, lam = combination_from_json(data[key])
@@ -95,6 +96,15 @@ def _entry(data: dict, key: str) -> tuple[Combination, Weight]:
         raise ValueError(f"cache key {key!r} does not match its weight")
     check_atomic(lam, x)
     return x, lam
+
+
+def _served(data: dict, key: str) -> Combination | None:
+    if key not in data:
+        return None
+    x, lam = _entry(data, key)
+    if not checks.inverts_definitional(lam, x):
+        raise ValueError(f"cache entry {key!r} fails the definitional round trip")
+    return x
 
 
 def _load_cache(path: str) -> dict:
@@ -139,7 +149,7 @@ def _atomic_command(args) -> tuple[int, str]:
     key = f"{lam[0]},{lam[1]}"
     try:
         data = _load_cache(args.cache)
-        x = _entry(data, key)[0] if key in data else None
+        x = _served(data, key)
     except OSError as exc:
         return 1, f"error: cannot read cache file {args.cache!r}: {exc.strerror}"
     except ValueError as exc:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .lattice import (Weight, check_dominant, dominance_leq, is_dominant,
                       to_root_coords)
-from .polyq import Poly, poly_add, poly_mul, iadd_scaled, one
+from .polyq import Poly, iadd_product, one, poly_add, poly_mul, pruned
 
 _KINDS = ("canonical", "standard", "atomic", "precanonical", "adjusted")
 
@@ -51,10 +51,14 @@ STANDARD = BasisLabel("standard")
 ATOMIC = BasisLabel("atomic")
 
 
+# One label object per level, so that substitute's identity test usually
+# settles a basis check without comparing labels.
+@cache
 def pre_canonical(i: int) -> BasisLabel:
     return BasisLabel("precanonical", i)
 
 
+@cache
 def adjusted_label(k: int) -> BasisLabel:
     return BasisLabel("adjusted", k)
 
@@ -127,6 +131,13 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
     All expander outputs must share one basis label, which becomes the label
     of the result; pass basis= to assert it (required when x is empty, since
     there is nothing to infer from).
+
+    Cost model: expander is called once per weight of x, and the work is
+    one coefficient update per (monomial of x's polynomial at w) x
+    (monomial of expander(w)), counted before any cancellation.  The sum is
+    collected by polyq.iadd_product, zeros included, and pruned once at the
+    end.  Neither x nor any expander output is mutated or shared with the
+    result.
     """
     out_basis = basis
     acc: dict[Weight, Poly] = {}
@@ -134,17 +145,12 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
         sub = expander(w)
         if out_basis is None:
             out_basis = sub.basis
-        elif not same_basis(out_basis, sub.basis):
+        elif sub.basis is not out_basis and not same_basis(out_basis, sub.basis):
             raise ValueError(f"basis mismatch: {out_basis} vs {sub.basis}")
-        for u, r in sub.terms.items():
-            tgt = acc.get(u)
-            if tgt is None:
-                tgt = acc[u] = {}
-            for e1, c1 in p.items():
-                iadd_scaled(tgt, r, e1, c1)
+        iadd_product(acc, p, sub.terms)
     if out_basis is None:
         raise ValueError("cannot infer result basis from an empty combination")
-    return Combination(out_basis, {w: q for w, q in acc.items() if q})
+    return Combination(out_basis, pruned(acc))
 
 
 def layered(base: Callable[[Weight], Combination],

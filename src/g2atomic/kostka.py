@@ -17,7 +17,7 @@ from functools import cache
 
 from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, dominance_leq,
                       dominant_below, height, linear_dominant, orbit_size)
-from .polyq import Poly
+from .polyq import Poly, iadd_scaled
 from .combo import Combination, STANDARD, substitute
 # The positive adjusted route serves every expansion here; the pre-canonical
 # route is the cross-approach oracle.
@@ -54,14 +54,7 @@ def kostka_foulkes(lam: Weight, mu: Weight) -> Poly:
     for nu, p in atomic(lam).terms.items():
         if not dominance_leq(mu, nu):
             continue
-        k = height(nu) - height(mu)
-        for e, c in p.items():
-            e2 = e + k
-            s = acc.get(e2, 0) + c
-            if s:
-                acc[e2] = s
-            else:
-                del acc[e2]
+        iadd_scaled(acc, p, height(nu) - height(mu))
     return acc
 
 

@@ -265,20 +265,28 @@ def _three_entry_cache(path, capsys):
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda e: e["terms"][0].update(poly=[[0, 7]]),
-    lambda e: e.update(basis="standard"),
-    lambda e: e.update(weight=[0, 1]),
-], ids=["coefficient", "basis", "weight"])
-def test_cache_served_entry_checked(tmp_path, capsys, corrupt):
+def _set_poly(entry, weight, poly):
+    (term,) = [t for t in entry["terms"] if t["weight"] == weight]
+    term["poly"] = poly
+
+
+@pytest.mark.parametrize("key, corrupt", [
+    ("1,0", lambda e: e["terms"][0].update(poly=[[0, 7]])),
+    ("1,0", lambda e: e.update(basis="standard")),
+    ("1,0", lambda e: e.update(weight=[0, 1])),
+    # unitriangular, supported below (0,1) and positive, but wrong: only the
+    # definitional round trip rejects it
+    ("0,1", lambda e: _set_poly(e, [0, 0], [[1, 2]])),
+], ids=["coefficient", "basis", "weight", "positive-coefficient"])
+def test_cache_served_entry_checked(tmp_path, capsys, key, corrupt):
     # Padding moves the probe that recomputes one entry; the entry served
     # must be rejected wherever the probe lands.
     path = tmp_path / "cache.json"
     data = _three_entry_cache(path, capsys)
-    corrupt(data["1,0"])
+    corrupt(data[key])
     for pad in range(8):
         path.write_text(json.dumps(data) + " " * pad)
-        code, out, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(path))
+        code, out, err = run_cli(capsys, "atomic", *key.split(","), "--cache", str(path))
         assert (code, out) == (1, ""), pad
         assert err.startswith("error: invalid cache file: ") and err.count("\n") == 1
 

@@ -1,6 +1,10 @@
 """Basis labels, combination arithmetic, substitution, display order."""
 
+import copy
+from functools import cache
+
 import pytest
+from hypothesis import given, strategies as st
 
 from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
                             Combination, adjusted_label, combo_add,
@@ -8,6 +12,7 @@ from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
                             pre_canonical, same_basis, single, sorted_support,
                             substitute, validate)
 from g2atomic.lattice import dominant_box
+from g2atomic.polyq import poly_add, poly_mul
 from g2atomic.precanonical import atomic
 
 from reference_data import REF_ORDER_24
@@ -105,6 +110,64 @@ def test_substitute_is_linear():
         p = {0: 2, 1: -1}
         assert substitute(combo_scale(p, x), expander, basis=STANDARD) \
             == combo_scale(p, substitute(x, expander, basis=STANDARD))
+
+
+# Kernel inputs: monomials and multi-term polynomials, coefficients +-1 and
+# others, exponent 0 among the shifts.
+_BOX = dominant_box(1, 1)
+_polys = st.dictionaries(st.integers(0, 3), st.sampled_from([1, -1, 2, -3]),
+                         min_size=1, max_size=3)
+_combos = st.dictionaries(st.sampled_from(_BOX), _polys, max_size=4)
+_tables = st.fixed_dictionaries(
+    {w: st.dictionaries(st.sampled_from(_BOX), _polys, max_size=4) for w in _BOX})
+
+
+def _substitute_reference(terms, table):
+    acc = {}
+    for w, p in terms.items():
+        for u, r in table[w].items():
+            acc[u] = poly_add(acc.get(u, {}), poly_mul(p, r))
+    return {u: r for u, r in acc.items() if r}
+
+
+@given(_combos, _tables)
+def test_substitute_matches_reference(terms, table):
+    snapshot = copy.deepcopy((terms, table))
+    expander = cache(lambda w: Combination(STANDARD, table[w]))
+    out = substitute(Combination(CANONICAL, terms), expander, basis=STANDARD)
+    assert out.basis == STANDARD
+    assert out.terms == _substitute_reference(terms, table)
+    validate(out)
+    # neither x nor the memoized expander outputs were touched
+    assert (terms, table) == snapshot
+    # a second expansion over the same memo still sees the original outputs
+    again = substitute(Combination(CANONICAL, terms), expander, basis=STANDARD)
+    assert again == out
+
+
+@given(_combos, _tables)
+def test_substitute_cancels_to_empty(terms, table):
+    # x plus its negation at twin weights with the same expansions
+    twins = {(a + 10, b): {e: -c for e, c in p.items()} for (a, b), p in terms.items()}
+    x = Combination(CANONICAL, {**terms, **twins})
+    out = substitute(x, lambda w: Combination(STANDARD, table[(w[0] % 10, w[1])]),
+                     basis=STANDARD)
+    assert out.terms == {}
+
+
+def test_substitute_never_aliases_expander_output():
+    # Shift 0 and coefficient 1 copy the expander's polynomial for a target
+    # seen first; later updates to that target must land in the copy.
+    table = {(1, 0): {(0, 0): {2: 1}}, (0, 1): {(0, 0): {2: 1, 3: -1}}}
+    expander = cache(lambda w: Combination(STANDARD, table[w]))
+    snapshot = copy.deepcopy(table)
+    for x in ({(1, 0): {0: 1}, (0, 1): {0: 1}},
+              {(1, 0): {0: 1, 1: 1}, (0, 1): {0: -1}}):
+        out = substitute(Combination(CANONICAL, x), expander, basis=STANDARD)
+        assert out.terms == _substitute_reference(x, table)
+        for w in table:
+            assert all(r is not expander(w).terms[u] for u, r in out.terms.items())
+        assert table == snapshot
 
 
 def test_sorted_support_examples():

@@ -1,9 +1,12 @@
 """Standard-basis expansions, Kostka-Foulkes polynomials, and the
 independent Freudenthal / Weyl-dimension oracles."""
 
-import pytest
+from functools import partial
 
-from g2atomic import precanonical
+import pytest
+from hypothesis import example, given, strategies as st
+
+from g2atomic import checks, kostka, precanonical
 from g2atomic.checks import verify
 from g2atomic.combo import ATOMIC, STANDARD, Combination
 from g2atomic.kostka import (atomic_to_standard, canonical_to_standard,
@@ -11,7 +14,8 @@ from g2atomic.kostka import (atomic_to_standard, canonical_to_standard,
                              kostka_foulkes, multiplicity_table, weyl_dimension)
 from g2atomic.lattice import (dominance_leq, dominant_below, dominant_box,
                               height, linear_dominant, orbit_size)
-from g2atomic.polyq import eval_at_one, degree, leading_coeff, poly_sub
+from g2atomic.polyq import (eval_at_one, degree, is_nonnegative, leading_coeff,
+                            poly_scale_qpow, poly_sub)
 
 from reference_data import REF_KF_69_32
 
@@ -124,6 +128,40 @@ def test_monotonicity():
                 shifted = {e + h: c for e, c in knu.items()}
                 diff = poly_sub(kmu, shifted)
                 assert all(c > 0 for c in diff.values()), (lam, mu, nu)
+
+
+def _monotone_reference(lam, kf):
+    # the shift-monotonicity check written with the difference polynomial
+    for mu, pmu in kf.items():
+        for nu in kf:
+            if nu == mu or not dominance_leq(mu, nu):
+                continue
+            diff = poly_sub(pmu, poly_scale_qpow(kf[nu], height(nu) - height(mu)))
+            if not is_nonnegative(diff):
+                raise AssertionError(f"monotonicity fails for {mu!r} <= {nu!r} "
+                                     f"below {lam!r}")
+
+
+@given(st.sampled_from(dominant_box(3, 3)),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12),
+                          st.integers(-3, 3)), max_size=4))
+# passes only because equal negative coefficients cancel
+@example((1, 0), [(0, 5, -1), (1, 2, -1)])
+def test_monotone_check_matches_reference(lam, edits):
+    # Real Kostka-Foulkes columns, some coefficients edited (negative ones
+    # included): the in-place check gives the reference's verdict and detail.
+    kf = {mu: dict(p) for mu, p in canonical_to_standard(lam).terms.items()}
+    weights = list(kf)
+    for i, e, d in edits:
+        p = kf[weights[i % len(weights)]]
+        p[e] = p.get(e, 0) + d
+        if not p[e]:
+            del p[e]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kostka, "canonical_to_standard",
+                   lambda w: Combination(STANDARD, kf))
+        got = checks.run("m", partial(checks.monotone, lam))
+    assert got == checks.run("m", partial(_monotone_reference, lam, kf))
 
 
 def test_triangularity():

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .lattice import (Weight, GAMMA, check_dominant, gamma_sum, is_dominant,
-                      sub, x_I_member, x_set_member)
+from .lattice import (Weight, GAMMA, check_dominant, check_level, gamma_sum,
+                      is_dominant, sub, x_I_member, x_set_member)
 from .polyq import Poly, iadd_terms, monomial, poly_add, pruned
 from .combo import Combination, CANONICAL, ATOMIC, adjusted_label, layered
 
@@ -32,15 +32,10 @@ _INDEX_SUBSETS = tuple(
 )
 
 
-def _check_level(k: int) -> None:
-    if k not in (2, 3, 4, 5):
-        raise ValueError(f"level must be in 2..5, got {k!r}")
-
-
 def adjusted_step_down(k: int, lam: Weight) -> Combination:
     """Adjusted level-k element in the level-(k+1) adjusted basis: the
     defining one- or two-term relation."""
-    _check_level(k)
+    check_level(k, 5)
     check_dominant(lam)
     terms: dict[Weight, Poly] = {lam: {0: 1}}
     if x_set_member(k, lam):
@@ -51,7 +46,7 @@ def adjusted_step_down(k: int, lam: Weight) -> Combination:
 def adjusted_expand_up(k: int, lam: Weight) -> Combination:
     """Adjusted level-(k+1) element in the level-k adjusted basis: the
     inverse chain, walking down by gamma_k while membership in X_k holds."""
-    _check_level(k)
+    check_level(k, 5)
     check_dominant(lam)
     terms: dict[Weight, Poly] = {}
     w = lam
@@ -70,8 +65,7 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     """Adjusted level-k element in the canonical basis: the recursion
     unwound, a signed sum over index subsets I with min I >= k whose
     membership set X_I contains lam."""
-    if k not in (2, 3, 4, 5, 6):
-        raise ValueError(f"level must be in 2..6, got {k!r}")
+    check_level(k, 6)
     check_dominant(lam)
     acc: dict[Weight, Poly] = {}
     for I in _INDEX_SUBSETS:

@@ -18,10 +18,8 @@ same argv, byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import random
 import sys
 import tempfile
 
@@ -61,8 +59,7 @@ def _build_parser() -> _Parser:
                         "pre-canonical route its oracle")
     p.add_argument("--cache", metavar="PATH",
                    help="JSON cache of expansions, keyed 'a,b'; the entry "
-                        "served is fully checked, and one entry is recomputed "
-                        "on load")
+                        "served is checked exactly")
 
     p = add("kf", "Kostka-Foulkes polynomial for lambda=(a, b), mu=(c, d)")
     for name in ("a", "b", "c", "d"):
@@ -85,23 +82,17 @@ def _build_parser() -> _Parser:
 
 
 # Expansion cache for the atomic subcommand.  A cache file maps "a,b" keys
-# to rendered JSON objects.  Every entry read is checked structurally, then
-# exactly: on load one entry, chosen deterministically from the file bytes,
-# is recomputed and compared, and the entry served must pass the
-# definitional round trip, which only the exact expansion passes.
-
-def _entry(data: dict, key: str) -> tuple[Combination, Weight]:
-    x, lam = combination_from_json(data[key])
-    if key != f"{lam[0]},{lam[1]}":
-        raise ValueError(f"cache key {key!r} does not match its weight")
-    check_atomic(lam, x)
-    return x, lam
-
+# to rendered JSON objects.  Only the entry served is checked: structurally,
+# then exactly, by the definitional round trip, which only the exact
+# expansion passes.  Other entries are carried along unchecked.
 
 def _served(data: dict, key: str) -> Combination | None:
     if key not in data:
         return None
-    x, lam = _entry(data, key)
+    x, lam = combination_from_json(data[key])
+    if key != f"{lam[0]},{lam[1]}":
+        raise ValueError(f"cache key {key!r} does not match its weight")
+    check_atomic(lam, x)
     if not checks.inverts_definitional(lam, x):
         raise ValueError(f"cache entry {key!r} fails the definitional round trip")
     return x
@@ -113,16 +104,12 @@ def _load_cache(path: str) -> dict:
             raw = fh.read()
     except FileNotFoundError:
         return {}
-    data = json.loads(raw.decode("utf-8"))
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("cache root must be a JSON object")
-    if data:
-        keys = sorted(data)
-        seed = int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
-        probe = keys[random.Random(seed).randrange(len(keys))]
-        x, lam = _entry(data, probe)
-        if adjusted.atomic_second(lam) != x:
-            raise ValueError(f"cache entry {probe!r} fails revalidation")
     return data
 
 

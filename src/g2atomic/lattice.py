@@ -82,6 +82,11 @@ def check_dominant(w: Weight) -> None:
         raise ValueError(f"weight {w!r} is not dominant")
 
 
+def check_level(i: int, hi: int) -> None:
+    if not (isinstance(i, int) and 2 <= i <= hi):
+        raise ValueError(f"level must be in 2..{hi}, got {i!r}")
+
+
 def dominance_leq(mu: Weight, lam: Weight) -> bool:
     """True when lam - mu is a non-negative integer sum of positive roots,
     i.e. both root coordinates of the difference are >= 0."""
@@ -105,15 +110,10 @@ def dot_reflect(i: int, w: Weight) -> Weight:
 _REFLECTION_CAP = 12
 
 
-def dominant_rep(w: Weight) -> "tuple[int, Weight] | None":
-    """Straighten w under the dot action.
-
-    Returns None when w + rho lies on a wall (w is singular), otherwise
-    (sign, rep) where rep is the unique dominant weight in the dot orbit and
-    sign is (-1)**(number of simple reflections used).  The policy reflects
-    the first strictly negative coordinate of w + rho at each step.
-    """
-    x, y = w[0] + 1, w[1] + 1
+def _straighten(w: Weight, shift: int) -> tuple[int, int, int]:
+    """(sign, x, y): w + (shift, shift) reflected linearly into the closed
+    dominant cone, with sign = (-1)**(number of reflections)."""
+    x, y = w[0] + shift, w[1] + shift
     sign = 1
     steps = 0
     while x < 0 or y < 0:
@@ -125,6 +125,18 @@ def dominant_rep(w: Weight) -> "tuple[int, Weight] | None":
             x, y = x + 3 * y, -y
         sign = -sign
         steps += 1
+    return sign, x, y
+
+
+def dominant_rep(w: Weight) -> "tuple[int, Weight] | None":
+    """Straighten w under the dot action.
+
+    Returns None when w + rho lies on a wall (w is singular), otherwise
+    (sign, rep) where rep is the unique dominant weight in the dot orbit and
+    sign is (-1)**(number of simple reflections used).  The policy reflects
+    the first strictly negative coordinate of w + rho at each step.
+    """
+    sign, x, y = _straighten(w, 1)
     if x == 0 or y == 0:
         return None
     return (sign, (x - 1, y - 1))
@@ -132,16 +144,7 @@ def dominant_rep(w: Weight) -> "tuple[int, Weight] | None":
 
 def linear_dominant(w: Weight) -> Weight:
     """Dominant representative of w under the plain linear Weyl action."""
-    x, y = w
-    steps = 0
-    while x < 0 or y < 0:
-        if steps >= _REFLECTION_CAP:
-            raise RuntimeError(f"straightening of {w!r} did not terminate")
-        if x < 0:
-            x, y = -x, x + y
-        else:
-            x, y = x + 3 * y, -y
-        steps += 1
+    _, x, y = _straighten(w, 0)
     return (x, y)
 
 
@@ -169,8 +172,7 @@ _X_SINGLE = {
 def x_set_member(k: int, lam: Weight) -> bool:
     """Whether lam lies in the level-k correction set X_k."""
     check_dominant(lam)
-    if k not in _X_SINGLE:
-        raise ValueError(f"level must be in 2..5, got {k!r}")
+    check_level(k, 5)
     return _X_SINGLE[k](*lam)
 
 

@@ -23,14 +23,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .lattice import Weight, PHI_GEQ, check_dominant, dominant_rep
+from .lattice import Weight, PHI_GEQ, check_dominant, check_level, dominant_rep
 from .polyq import Poly, poly_add, monomial
 from .combo import Combination, CANONICAL, layered, pre_canonical
-
-
-def _check_level(i: int, lo: int, hi: int) -> None:
-    if not (isinstance(i, int) and lo <= i <= hi):
-        raise ValueError(f"level must be in {lo}..{hi}, got {i!r}")
 
 
 def tilde_h(w: Weight) -> Combination:
@@ -47,7 +42,7 @@ def tilde_h(w: Weight) -> Combination:
 def defn_precanonical(i: int, lam: Weight) -> Combination:
     """Definitional expansion of the level-i pre-canonical element in the
     canonical basis: signed sum over subsets of the roots of height >= i."""
-    _check_level(i, 2, 6)
+    check_level(i, 6)
     check_dominant(lam)
     roots = PHI_GEQ[i]
     n = len(roots)
@@ -80,7 +75,7 @@ def defn_precanonical(i: int, lam: Weight) -> Combination:
 def inverse_step(i: int, lam: Weight) -> Combination:
     """Expansion of the level-i element at lam in the level-(i+1) basis.
     Always one or two terms."""
-    _check_level(i, 2, 5)
+    check_level(i, 5)
     check_dominant(lam)
     a, b = lam
     terms: dict[Weight, Poly] = {lam: {0: 1}}
@@ -115,7 +110,7 @@ def _walk_cap(lam: Weight) -> int:
 def step_up(i: int, lam: Weight) -> Combination:
     """Expansion of the level-(i+1) element at lam in the level-i basis.
     Inverse of inverse_step; a single chain of monomial terms."""
-    _check_level(i, 2, 5)
+    check_level(i, 5)
     check_dominant(lam)
     a, b = lam
     if i == 5:

@@ -19,12 +19,10 @@ atomic() at the package level; the pre-canonical route is its oracle.
 
 from __future__ import annotations
 
-from functools import cache
-
-from .lattice import (Weight, GAMMA, check_dominant, check_level, gamma_sum,
-                      is_dominant, sub, x_I_member, x_set_member)
-from .polyq import Poly, iadd_terms, monomial, poly_add, pruned
-from .combo import Combination, CANONICAL, ATOMIC, adjusted_label, layered
+from .lattice import (GAMMA, X_SINGLE, Weight, check_dominant, check_level,
+                      gamma_sum, is_dominant, sub, x_I_member, x_set_member)
+from .polyq import Poly, iadd_product, iadd_terms, monomial, poly_add, pruned
+from .combo import ATOMIC, CANONICAL, Combination, adjusted_label, folded
 
 _INDEX_SUBSETS = tuple(
     tuple(i for i in (2, 3, 4, 5) if mask & (1 << (i - 2)))
@@ -48,16 +46,15 @@ def adjusted_expand_up(k: int, lam: Weight) -> Combination:
     inverse chain, walking down by gamma_k while membership in X_k holds."""
     check_level(k, 5)
     check_dominant(lam)
-    terms: dict[Weight, Poly] = {}
-    w = lam
+    member = X_SINGLE[k]
+    ga, gb = GAMMA[k]
+    a, b = lam
+    terms: dict[Weight, Poly] = {lam: {0: 1}}
     j = 0
-    while True:
-        terms[w] = {j: 1}
-        if x_set_member(k, w):
-            w = sub(w, GAMMA[k])
-            j += 1
-        else:
-            break
+    # membership keeps every step inside the dominant cone
+    while member(a, b):
+        a, b, j = a - ga, b - gb, j + 1
+        terms[(a, b)] = {j: 1}
     return Combination(adjusted_label(k), terms)
 
 
@@ -86,54 +83,46 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     return Combination(CANONICAL, acc)
 
 
-def _adjusted2_below(lam: Weight) -> Weight | None:
-    """The weight whose level-2 expansion the case split at lam reuses, or
-    None in the base case.  Steps descend in the coordinate sum."""
-    a, b = lam
-    if a >= 3 or a + b < 2:
-        return None
-    if a == 2:
-        return (0, b)
-    if a == 1:
-        return (1, b - 1)
-    return (0, b - 2)
+def _adjusted2_push(x: Combination) -> Combination:
+    """A combination of adjusted level-2 elements in the atomic basis.
+
+    The element at (a, b) is N(a, b), plus q^s times the element at below
+    = (0, b), (1, b-1) or (0, b-2) for a = 2, 1 or 0 (s = 4 for a = 0, else
+    2), plus q^k N(a+k, b-k) for 2-a <= k <= b when a < 2; it is N(a, b)
+    alone when a >= 3 or a + b < 2.  Every branch is manifestly positive.
+    Weights are visited in decreasing a + b, each handing q^s times its
+    merged coefficient down to below, so each is expanded once."""
+    pending: dict[int, dict] = {}
+    for (a, b), p in x.terms.items():
+        iadd_terms(pending.setdefault(a + b, {}), {(a, b): p})
+    out: dict[Weight, Poly] = {}
+    for s in range(max(pending, default=-1), -1, -1):
+        for (a, b), p in pending.pop(s, {}).items():
+            iadd_terms(out, {(a, b): p})
+            if a >= 3 or s < 2:
+                continue
+            below = (0, b) if a == 2 else (1, b - 1) if a == 1 else (0, b - 2)
+            iadd_terms(pending.setdefault(sum(below), {}), {below: p},
+                       4 if a == 0 else 2)
+            if a < 2:
+                iadd_product(out, p, {(a + k, b - k): {k: 1}
+                                      for k in range(2 - a, b + 1)})
+    return Combination(ATOMIC, pruned(out))
 
 
-@cache
 def adjusted2_in_atomic(lam: Weight) -> Combination:
-    """Adjusted level-2 element in the atomic basis.
-
-    Case split on the first coordinate; every branch is manifestly positive.
-    """
+    """Adjusted level-2 element at lam in the atomic basis."""
     check_dominant(lam)
-    below = _adjusted2_below(lam)
-    if below is None:
-        return Combination(ATOMIC, {lam: {0: 1}})
-    # Fill the memo from the base case upward, so that no call reaches more
-    # than one step down and the stack stays flat at any weight.
-    descent = [below]
-    while (w := _adjusted2_below(descent[-1])) is not None:
-        descent.append(w)
-    for w in reversed(descent):
-        adjusted2_in_atomic(w)
-    # a == 2: q^2 times the expansion at below.  a == 1 (b >= 1) and a == 0
-    # (b >= 2): q^2 resp. q^4 times it, plus q^k N(a+k, b-k) for k >= 2-a.
-    a, b = lam
-    terms: dict[Weight, Poly] = {lam: {0: 1}}
-    iadd_terms(terms, adjusted2_in_atomic(below).terms, 4 if a == 0 else 2)
-    if a < 2:
-        iadd_terms(terms, {(a + k, b - k): {k: 1} for k in range(2 - a, b + 1)})
-    return Combination(ATOMIC, pruned(terms))
+    return _adjusted2_push(Combination(adjusted_label(2), {lam: {0: 1}}))
 
 
-# Second atomic pipeline, the production route: expand the canonical
-# element down through the adjusted levels, then substitute the atomic
-# expansion of level 2.  Every step has non-negative coefficients, so
-# positivity holds by construction, and nothing cancels.  The pre-canonical
-# route must agree, which the verification sweep asserts.
+# Second atomic pipeline, the production route: push the canonical element
+# down through the adjusted levels, then expand the level-2 elements in the
+# atomic basis.  Every step has non-negative coefficients, so positivity
+# holds by construction, and nothing cancels.  The pre-canonical route must
+# agree, which the verification sweep asserts.
 
-_t3_atomic, _t4_atomic, _t5_atomic, atomic_second = layered(
-    adjusted2_in_atomic,
-    [lambda mu: adjusted_expand_up(2, mu), lambda mu: adjusted_expand_up(3, mu),
-     lambda mu: adjusted_expand_up(4, mu), lambda mu: adjusted_expand_up(5, mu)],
-    basis=ATOMIC)
+to_atomic, atomic_second = folded(
+    [lambda mu: adjusted_expand_up(5, mu), lambda mu: adjusted_expand_up(4, mu),
+     lambda mu: adjusted_expand_up(3, mu), lambda mu: adjusted_expand_up(2, mu)],
+    _adjusted2_push)

@@ -221,10 +221,19 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if code == 0 or args.command == "verify":
-        print(out)
-    else:
+    if code != 0 and args.command != "verify":
         print(out, file=sys.stderr)
+        return code
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Point stdout at the null device so that
+        # the flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -153,31 +153,33 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
     return Combination(out_basis, pruned(acc))
 
 
-def layered(base: Callable[[Weight], Combination],
-            chains: list[Callable[[Weight], Combination]],
-            basis: BasisLabel) -> tuple:
-    """Memoized layers of chain substitutions over a base expander: layer
-    k is mu -> substitute(chains[k-1](mu), layer k-1, basis=basis), with
-    layer 0 = base.  Returns the layers built on base, top last; the top
-    layer is the checked expansion of the canonical element in the atomic
-    basis.  Cached Combinations are shared; callers must not mutate them."""
-    *inner, top_chain = chains
-    layers = []
-    for chain in inner:
-        base = cache(lambda mu, chain=chain, lower=base:
-                     substitute(chain(mu), lower, basis=basis))
-        layers.append(base)
+def folded(chains: list[Callable[[Weight], Combination]],
+           base: Callable[[Combination], Combination]) -> tuple:
+    """One route to the atomic basis as a left fold.  expand(x) pushes x, in
+    the canonical basis, through one substitution per chain, top first, then
+    the base map.  Each level expands every weight once, so signed terms
+    cancel before they are expanded further, and nothing below the top is
+    kept.  Returns (expand, atomic); atomic(lam) is expand at the canonical
+    element at lam, memoized, checked by check_atomic and not to be mutated."""
+    def expand(x: Combination) -> Combination:
+        if not same_basis(x.basis, CANONICAL):
+            raise ValueError(f"cannot expand a combination in the {x.basis} basis")
+        if not x.terms:
+            return empty(ATOMIC)
+        for chain in chains:
+            x = substitute(x, chain)
+        return base(x)
 
     @cache
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
         check_dominant(lam)
-        x = Combination(ATOMIC, substitute(top_chain(lam), base, basis=basis).terms)
+        x = expand(Combination(CANONICAL, {lam: {0: 1}}))
         check_atomic(lam, x)
         return x
 
-    return (*layers, atomic)
+    return expand, atomic
 
 
 def check_atomic(lam: Weight, x: Combination) -> None:

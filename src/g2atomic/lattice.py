@@ -161,7 +161,7 @@ def orbit_size(mu: Weight) -> int:
 
 # Membership conditions for the single-index sets X_k: the weights where the
 # adjusted basis element at level k picks up its correction term.
-_X_SINGLE = {
+X_SINGLE = {
     2: lambda a, b: a >= 2 and b >= 1,
     3: lambda a, b: a >= 2,
     4: lambda a, b: a >= 3,
@@ -173,7 +173,7 @@ def x_set_member(k: int, lam: Weight) -> bool:
     """Whether lam lies in the level-k correction set X_k."""
     check_dominant(lam)
     check_level(k, 5)
-    return _X_SINGLE[k](*lam)
+    return X_SINGLE[k](*lam)
 
 
 def x_I_member(I: frozenset | set | tuple | list, lam: Weight) -> bool:

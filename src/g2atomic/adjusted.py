@@ -11,9 +11,10 @@ with tN^6 the canonical basis.  Unwinding the recursion across all four
 levels expresses an adjusted element as a signed sum of canonical elements
 over the sets X_I (adjusted_in_canonical).  In the other direction each
 level inverts to a chain with all-positive powers of q (adjusted_expand_up),
-and the level-2 adjusted elements expand positively into the atomic basis
-(adjusted2_in_atomic), which yields a manifestly positive expansion of the
-canonical basis into the atomic one (atomic_second).  This route serves
+the walk down by gamma_k along one link, and the level-2 adjusted elements
+expand positively into the atomic basis (adjusted2_in_atomic).  One push
+pass per level, then the level-2 map, gives a manifestly positive expansion
+of the canonical basis into the atomic one (atomic_second).  This route serves
 atomic() at the package level; the pre-canonical route is its oracle.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from .lattice import (GAMMA, X_SINGLE, Weight, check_dominant, check_level,
                       gamma_sum, is_dominant, sub, x_I_member, x_set_member)
 from .polyq import Poly, iadd_product, iadd_terms, monomial, poly_add, pruned
-from .combo import ATOMIC, CANONICAL, Combination, adjusted_label, folded
+from .combo import ATOMIC, CANONICAL, Combination, adjusted_label, folded, walk
 
 _INDEX_SUBSETS = tuple(
     tuple(i for i in (2, 3, 4, 5) if mask & (1 << (i - 2)))
@@ -41,21 +42,23 @@ def adjusted_step_down(k: int, lam: Weight) -> Combination:
     return Combination(adjusted_label(k + 1), terms)
 
 
+def _link(k: int):
+    """The level-k chain link: down by gamma_k while membership in X_k
+    holds, which keeps every step inside the dominant cone."""
+    member = X_SINGLE[k]
+    ga, gb = GAMMA[k]
+    return lambda a, b: ((a - ga, b - gb), 1, 1) if member(a, b) else None
+
+
+_LINKS = {k: _link(k) for k in (2, 3, 4, 5)}
+
+
 def adjusted_expand_up(k: int, lam: Weight) -> Combination:
     """Adjusted level-(k+1) element in the level-k adjusted basis: the
     inverse chain, walking down by gamma_k while membership in X_k holds."""
     check_level(k, 5)
     check_dominant(lam)
-    member = X_SINGLE[k]
-    ga, gb = GAMMA[k]
-    a, b = lam
-    terms: dict[Weight, Poly] = {lam: {0: 1}}
-    j = 0
-    # membership keeps every step inside the dominant cone
-    while member(a, b):
-        a, b, j = a - ga, b - gb, j + 1
-        terms[(a, b)] = {j: 1}
-    return Combination(adjusted_label(k), terms)
+    return walk(_LINKS[k], lam, adjusted_label(k))
 
 
 def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
@@ -83,8 +86,9 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     return Combination(CANONICAL, acc)
 
 
-def _adjusted2_push(x: Combination) -> Combination:
-    """A combination of adjusted level-2 elements in the atomic basis.
+def _adjusted2_push(terms: dict[Weight, Poly]) -> Combination:
+    """A combination of adjusted level-2 elements, given by its terms, in
+    the atomic basis.
 
     The element at (a, b) is N(a, b), plus q^s times the element at below
     = (0, b), (1, b-1) or (0, b-2) for a = 2, 1 or 0 (s = 4 for a = 0, else
@@ -93,7 +97,7 @@ def _adjusted2_push(x: Combination) -> Combination:
     Weights are visited in decreasing a + b, each handing q^s times its
     merged coefficient down to below, so each is expanded once."""
     pending: dict[int, dict] = {}
-    for (a, b), p in x.terms.items():
+    for (a, b), p in terms.items():
         iadd_terms(pending.setdefault(a + b, {}), {(a, b): p})
     out: dict[Weight, Poly] = {}
     for s in range(max(pending, default=-1), -1, -1):
@@ -113,7 +117,7 @@ def _adjusted2_push(x: Combination) -> Combination:
 def adjusted2_in_atomic(lam: Weight) -> Combination:
     """Adjusted level-2 element at lam in the atomic basis."""
     check_dominant(lam)
-    return _adjusted2_push(Combination(adjusted_label(2), {lam: {0: 1}}))
+    return _adjusted2_push({lam: {0: 1}})
 
 
 # Second atomic pipeline, the production route: push the canonical element
@@ -122,7 +126,5 @@ def adjusted2_in_atomic(lam: Weight) -> Combination:
 # holds by construction, and nothing cancels.  The pre-canonical route must
 # agree, which the verification sweep asserts.
 
-to_atomic, atomic_second = folded(
-    [lambda mu: adjusted_expand_up(5, mu), lambda mu: adjusted_expand_up(4, mu),
-     lambda mu: adjusted_expand_up(3, mu), lambda mu: adjusted_expand_up(2, mu)],
-    _adjusted2_push)
+to_atomic, atomic_second = folded([_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2]],
+                                  _adjusted2_push)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Optional
 
-from .lattice import (Weight, check_dominant, dominance_leq, is_dominant,
-                      to_root_coords)
-from .polyq import Poly, iadd_product, one, poly_add, poly_mul, pruned
+from .lattice import (Weight, check_dominant, dominance_leq, height,
+                      is_dominant, to_root_coords)
+from .polyq import Poly, iadd_product, iadd_scaled, one, poly_add, pruned
 
 _KINDS = ("canonical", "standard", "atomic", "precanonical", "adjusted")
 
@@ -118,12 +118,6 @@ def combo_add(x: Combination, y: Combination) -> Combination:
     return Combination(x.basis, terms)
 
 
-def combo_scale(p: Poly, x: Combination) -> Combination:
-    if not p:
-        return Combination(x.basis, {})
-    return Combination(x.basis, {w: poly_mul(p, r) for w, r in x.terms.items()})
-
-
 def substitute(x: Combination, expander: Callable[[Weight], Combination],
                basis: Optional[BasisLabel] = None) -> Combination:
     """Replace each indexing weight w of x by expander(w) and collect terms.
@@ -153,22 +147,84 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
     return Combination(out_basis, pruned(acc))
 
 
-def folded(chains: list[Callable[[Weight], Combination]],
-           base: Callable[[Combination], Combination]) -> tuple:
-    """One route to the atomic basis as a left fold.  expand(x) pushes x, in
-    the canonical basis, through one substitution per chain, top first, then
-    the base map.  Each level expands every weight once, so signed terms
-    cancel before they are expanded further, and nothing below the top is
-    kept.  Returns (expand, atomic); atomic(lam) is expand at the canonical
-    element at lam, memoized, checked by check_atomic and not to be mutated."""
+# A chain is given by its link: link(a, b) is ((a', b'), d, c) when the
+# chain at w = (a, b) is w + c*q^d*(the chain at (a', b')), and None when
+# the chain at w is w alone.  A link must lead to a dominant weight of
+# strictly lower height, so every chain ends.
+Link = Callable[[int, int], Optional[tuple[Weight, int, int]]]
+
+
+def _descend(w: Weight, u: Weight, h: int) -> int:
+    """Height of u, the successor of w, which has height h.  Raises
+    RuntimeError unless u is dominant and strictly lower than w."""
+    a, b = u
+    hu = 3 * a + 5 * b
+    if hu >= h or a < 0 or b < 0:
+        raise RuntimeError(f"chain link from {w!r} to {u!r} does not descend "
+                           f"in the dominant cone")
+    return hu
+
+
+def walk(link: Link, lam: Weight, basis: BasisLabel) -> Combination:
+    """The chain at lam in basis: lam with coefficient 1, then each
+    successor with the product of the link factors c*q^d met so far."""
+    terms: dict[Weight, Poly] = {}
+    w, e, c, h = lam, 0, 1, height(lam)
+    while True:
+        terms[w] = {e: c}
+        step = link(*w)
+        if step is None:
+            return Combination(basis, terms)
+        u, d, s = step
+        h = _descend(w, u, h)
+        w, e, c = u, e + d, c * s
+
+
+def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
+    """The terms of substitute(x, chain) for x with these terms, where chain
+    is the walk along link, computed one link at a time.
+
+    Weights are visited by decreasing height, kept in buckets keyed by
+    height.  Each weight's merged coefficient p, kept free of zeros by
+    iadd_scaled, is written out and handed once to its successor as
+    c*q^d*p.  That is one coefficient update per output monomial, and
+    signed terms cancel before they travel on.  terms is not mutated and
+    shares no polynomial with the result.  Raises RuntimeError if a link
+    does not descend (see _descend)."""
+    buckets: dict[int, dict[Weight, Poly]] = {}
+    for w, p in terms.items():
+        buckets.setdefault(height(w), {})[w] = dict(p)
+    out: dict[Weight, Poly] = {}
+    for h in range(max(buckets, default=-1), -1, -1):
+        for w, p in buckets.pop(h, {}).items():
+            if not p:
+                continue
+            out[w] = p
+            step = link(*w)
+            if step is not None:
+                u, d, c = step
+                bucket = buckets.setdefault(_descend(w, u, h), {})
+                iadd_scaled(bucket.setdefault(u, {}), p, d, c)
+    return out
+
+
+def folded(links: list[Link],
+           base: Callable[[dict[Weight, Poly]], Combination]) -> tuple:
+    """One route to the atomic basis as a left fold.  expand(x) pushes the
+    terms of x, in the canonical basis, through one push pass per chain
+    link, top first, then hands them to the base map, which returns the
+    atomic combination.  Each level expands every weight once, so signed
+    terms cancel before they are expanded further, and nothing below the
+    top is kept.  Returns (expand, atomic); atomic(lam) is expand at the
+    canonical element at lam, memoized, checked by check_atomic and not to
+    be mutated."""
     def expand(x: Combination) -> Combination:
         if not same_basis(x.basis, CANONICAL):
             raise ValueError(f"cannot expand a combination in the {x.basis} basis")
-        if not x.terms:
-            return empty(ATOMIC)
-        for chain in chains:
-            x = substitute(x, chain)
-        return base(x)
+        terms = x.terms
+        for link in links:
+            terms = push(terms, link)
+        return base(terms)
 
     @cache
     def atomic(lam: Weight) -> Combination:
@@ -213,12 +269,3 @@ def sorted_support(x: Combination, first: Optional[Weight] = None) -> list[Weigh
     if first is not None and first in x.terms:
         return [first] + rest
     return rest
-
-
-def validate(x: Combination) -> None:
-    """Assert the representation invariants (dominant keys, canonical
-    nonzero polynomials).  Test and debug helper."""
-    for w, p in x.terms.items():
-        assert is_dominant(w), f"non-dominant key {w!r}"
-        assert p, f"zero polynomial stored at {w!r}"
-        assert all(c != 0 for c in p.values()), f"zero coefficient at {w!r}"

@@ -95,16 +95,6 @@ def dominance_leq(mu: Weight, lam: Weight) -> bool:
     return 2 * da + 3 * db >= 0 and da + 2 * db >= 0
 
 
-def dot_reflect(i: int, w: Weight) -> Weight:
-    """Dot action of the simple reflection s_i."""
-    a, b = w
-    if i == 1:
-        return (-a - 2, a + b + 1)
-    if i == 2:
-        return (a + 3 * b + 3, -b - 2)
-    raise ValueError(f"simple reflection index must be 1 or 2, got {i!r}")
-
-
 # The dot orbit of any weight meets the closed dominant cone within l(w0) = 6
 # reflections; 12 is a safe internal bound.
 _REFLECTION_CAP = 12

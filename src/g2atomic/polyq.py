@@ -45,17 +45,6 @@ def poly_add(p: Poly, r: Poly) -> Poly:
     return out
 
 
-def poly_sub(p: Poly, r: Poly) -> Poly:
-    out = dict(p)
-    for e, c in r.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
 def poly_mul(p: Poly, r: Poly) -> Poly:
     out: Poly = {}
     for e1, c1 in p.items():
@@ -67,13 +56,6 @@ def poly_mul(p: Poly, r: Poly) -> Poly:
             else:
                 out.pop(e, None)
     return out
-
-
-def poly_scale_qpow(p: Poly, k: int, coeff: int = 1) -> Poly:
-    """coeff * q**k * p."""
-    if not coeff:
-        return {}
-    return {e + k: c * coeff for e, c in p.items()}
 
 
 def iadd_scaled(acc: Poly, p: Poly, k: int = 0, coeff: int = 1) -> None:
@@ -191,11 +173,6 @@ def is_nonnegative(p: Poly) -> bool:
 def degree(p: Poly):
     """Largest exponent, or None for the zero polynomial."""
     return max(p) if p else None
-
-
-def trailing_degree(p: Poly):
-    """Smallest exponent, or None for the zero polynomial."""
-    return min(p) if p else None
 
 
 def leading_coeff(p: Poly) -> int:

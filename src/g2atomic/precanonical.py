@@ -10,21 +10,22 @@ where tH is the straightening of a canonical element to a dominant index
 (zero for singular weights, a sign otherwise).  At level 6 the root set is
 empty, so N^6 is the canonical basis; at level 2 the family is the atomic
 basis.  Between consecutive levels the change of basis is given by two-term
-relations (inverse_step) whose inversions are single chains (step_up), so
-expanding the canonical basis into the atomic one is a composition of four
-chain substitutions, pushed forward from the canonical element.  The
-level-4 chain is signed; its terms cancel at each level before they are
-expanded further.  The route is kept as the independent oracle for the
-adjusted route, which serves atomic() at the package level.  Coefficients
-of the result are non-negative, the expansion is unitriangular, and its
-support lies below the indexing weight; atomic() checks all three.
+relations (inverse_step) whose inversions are single chains (step_up).
+Each chain is a walk along one link, so expanding the canonical basis into
+the atomic one is four push passes, one per level, run forward from the
+canonical element.  The level-4 chain is signed; its terms cancel at each
+level before they travel further.  The route is kept as the independent
+oracle for the adjusted route, which serves atomic() at the package level.
+Coefficients of the result are non-negative, the expansion is
+unitriangular, and its support lies below the indexing weight; atomic()
+checks all three.
 """
 
 from __future__ import annotations
 
 from .lattice import Weight, PHI_GEQ, check_dominant, check_level, dominant_rep
 from .polyq import Poly, poly_add, monomial
-from .combo import Combination, ATOMIC, CANONICAL, folded, pre_canonical
+from .combo import Combination, ATOMIC, CANONICAL, folded, pre_canonical, walk
 
 
 def tilde_h(w: Weight) -> Combination:
@@ -100,10 +101,37 @@ def inverse_step(i: int, lam: Weight) -> Combination:
     return Combination(pre_canonical(i + 1), terms)
 
 
-# step_up inverts the chains above.  Each walk visits pairwise distinct
-# weights, but a cheap cap guards against a typo ever making one cycle.
-def _walk_cap(lam: Weight) -> int:
-    return 4 * (lam[0] + lam[1]) + 16
+# step_up inverts the relations above.  Each level's chain is defined by
+# its link (see combo.Link): the next weight of the walk and the factor
+# c*q^d it picks up there.  Level 4 is the only signed chain.
+
+def _link5(a: int, b: int):
+    return ((a, b - 1), 1, 1) if b >= 1 else None
+
+
+def _link4(a: int, b: int):
+    if a >= 3:
+        return (a - 3, b + 1), 1, 1
+    if a == 1:
+        return (0, b), 1, -1
+    if a == 0 and b >= 1:
+        return (1, b - 1), 1, -1
+    return None  # a == 2 or the origin
+
+
+def _link3(a: int, b: int):
+    if a >= 1:
+        return (a - 1, b), 1, 1
+    if b >= 2:
+        return (2, b - 2), 2, 1
+    return None
+
+
+def _link2(a: int, b: int):
+    return ((a + 1, b - 1), 1, 1) if b >= 1 else None
+
+
+_LINKS = {5: _link5, 4: _link4, 3: _link3, 2: _link2}
 
 
 def step_up(i: int, lam: Weight) -> Combination:
@@ -111,58 +139,7 @@ def step_up(i: int, lam: Weight) -> Combination:
     Inverse of inverse_step; a single chain of monomial terms."""
     check_level(i, 5)
     check_dominant(lam)
-    a, b = lam
-    if i == 5:
-        terms = {(a, b - j): {j: 1} for j in range(b + 1)}
-        return Combination(pre_canonical(5), terms)
-    if i == 2:
-        terms = {(a + j, b - j): {j: 1} for j in range(b + 1)}
-        return Combination(pre_canonical(2), terms)
-    if i == 3:
-        terms = {}
-        e = 0
-        cap = _walk_cap(lam)
-        while True:
-            terms[(a, b)] = {e: 1}
-            if a >= 1:
-                a -= 1
-                e += 1
-            elif b >= 2:
-                a, b = 2, b - 2
-                e += 2
-            else:
-                break
-            cap -= 1
-            if cap < 0:
-                raise RuntimeError(f"chain walk from {lam!r} did not terminate")
-        return Combination(pre_canonical(3), terms)
-    # i == 4: the only chain with signs
-    terms = {}
-    e = 0
-    c = 1
-    cap = _walk_cap(lam)
-    while True:
-        terms[(a, b)] = {e: c}
-        if a >= 3:
-            a -= 3
-            b += 1
-            e += 1
-        elif a == 2:
-            break
-        elif a == 1:
-            a = 0
-            e += 1
-            c = -c
-        elif b >= 1:  # a == 0
-            a, b = 1, b - 1
-            e += 1
-            c = -c
-        else:
-            break
-        cap -= 1
-        if cap < 0:
-            raise RuntimeError(f"chain walk from {lam!r} did not terminate")
-    return Combination(pre_canonical(4), terms)
+    return walk(_LINKS[i], lam, pre_canonical(i))
 
 
 # Closed forms for the four step_up transitions, written as the explicit
@@ -246,10 +223,8 @@ def closed_form(which: str, lam: Weight):
 
 
 # Atomic pipeline, kept as the oracle for the adjusted route (which serves
-# production): the canonical combination pushed down the four step_up
-# chains; the level-2 basis is the atomic one.
+# production): the canonical combination pushed down the four chain links;
+# the level-2 basis is the atomic one.
 
-to_atomic, atomic = folded(
-    [lambda mu: step_up(5, mu), lambda mu: step_up(4, mu),
-     lambda mu: step_up(3, mu), lambda mu: step_up(2, mu)],
-    lambda x: Combination(ATOMIC, x.terms))
+to_atomic, atomic = folded([_link5, _link4, _link3, _link2],
+                           lambda terms: Combination(ATOMIC, terms))

@@ -17,11 +17,12 @@ from g2atomic.kostka import (dimension_by_orbits, freudenthal_multiplicity,
 from g2atomic.lattice import (X_I_CLOSED, dominance_leq, dominant_below,
                               dominant_box, height, x_I_member,
                               x_I_member_closed)
-from g2atomic.polyq import eval_at_one, degree, from_pairs, leading_coeff, poly_sub
+from g2atomic.polyq import eval_at_one, degree, from_pairs, leading_coeff
 from g2atomic.precanonical import (atomic, closed_form, defn_precanonical,
                                    inverse_step, step_up)
 
 from reference_data import REF_ATOMIC_24, REF_KF_69_32, REF_ORDER_24
+from test_polyq import poly_sub
 
 
 def _criterion(n, desc, budget, fn):

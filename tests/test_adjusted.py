@@ -11,12 +11,13 @@ from g2atomic.adjusted import (adjusted2_in_atomic, adjusted_expand_up,
                                adjusted_in_canonical, adjusted_step_down,
                                atomic_second)
 from g2atomic.combo import (CANONICAL, Combination, adjusted_label, single,
-                            substitute, validate)
+                            substitute)
 from g2atomic.lattice import (GAMMA, dominant_box, x_I_member, x_set_member)
-from g2atomic.polyq import poly_sub
 from g2atomic.precanonical import atomic, defn_precanonical
 
 from reference_data import REF_ATOMIC_24
+from test_combo import validate
+from test_polyq import poly_sub
 
 
 def test_step_down_examples():

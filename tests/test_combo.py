@@ -8,16 +8,34 @@ from hypothesis import example, given, strategies as st
 
 from g2atomic import adjusted, precanonical
 from g2atomic.adjusted import adjusted2_in_atomic
+from g2atomic.adjusted import adjusted_expand_up
 from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
                             Combination, adjusted_label, combo_add,
-                            combo_scale, display_key, empty, parse_basis,
-                            pre_canonical, same_basis, single, sorted_support,
-                            substitute, validate)
-from g2atomic.lattice import dominant_box
-from g2atomic.polyq import iadd_terms, poly_add, poly_mul, pruned
-from g2atomic.precanonical import atomic
+                            display_key, empty, parse_basis, pre_canonical,
+                            push, same_basis, single, sorted_support,
+                            substitute, walk)
+from g2atomic.lattice import GAMMA, X_SINGLE, dominant_box, is_dominant
+from g2atomic.polyq import Poly, iadd_terms, poly_add, poly_mul, pruned
+from g2atomic.precanonical import atomic, step_up
 
 from reference_data import REF_ORDER_24
+
+
+# Combination helpers that only the tests need.
+
+def combo_scale(p: Poly, x: Combination) -> Combination:
+    if not p:
+        return Combination(x.basis, {})
+    return Combination(x.basis, {w: poly_mul(p, r) for w, r in x.terms.items()})
+
+
+def validate(x: Combination) -> None:
+    """Assert the representation invariants (dominant keys, canonical
+    nonzero polynomials)."""
+    for w, p in x.terms.items():
+        assert is_dominant(w), f"non-dominant key {w!r}"
+        assert p, f"zero polynomial stored at {w!r}"
+        assert all(c != 0 for c in p.values()), f"zero coefficient at {w!r}"
 
 
 def test_label_validation():
@@ -170,6 +188,140 @@ def test_substitute_never_aliases_expander_output():
         for w in table:
             assert all(r is not expander(w).terms[u] for u, r in out.terms.items())
         assert table == snapshot
+
+
+# push against substitute: every chain level of both routes, as a link
+# and as the walk along it.
+_LINKS = ([(precanonical._LINKS[i], lambda w, i=i: step_up(i, w))
+           for i in (5, 4, 3, 2)]
+          + [(adjusted._LINKS[k], lambda w, k=k: adjusted_expand_up(k, w))
+             for k in (5, 4, 3, 2)])
+_LINK_IDS = [f"precanonical{i}" for i in (5, 4, 3, 2)] + \
+    [f"adjusted{k}" for k in (5, 4, 3, 2)]
+_BOX8 = dominant_box(8, 8)
+_polys8 = st.dictionaries(st.integers(0, 4), st.sampled_from([1, -1, 2, -3]),
+                          min_size=1, max_size=3)
+
+
+@st.composite
+def _pushed_terms(draw, link):
+    """Terms on the 8x8 box, some of whose weights carry a twin at their
+    successor, -c*q^d times their own coefficient, which cancels the term
+    they push there."""
+    terms = draw(st.dictionaries(st.sampled_from(_BOX8), _polys8, max_size=8))
+    for w in draw(st.lists(st.sampled_from(sorted(terms)), max_size=3)
+                  if terms else st.just([])):
+        step = link(*w)
+        if step is not None:
+            u, d, c = step
+            terms[u] = {e + d: -c * v for e, v in terms[w].items()}
+    return terms
+
+
+@pytest.mark.parametrize("link, chain", _LINKS, ids=_LINK_IDS)
+@given(data=st.data())
+def test_push_matches_substitute(link, chain, data):
+    terms = data.draw(_pushed_terms(link))
+    x = Combination(CANONICAL, terms)
+    snapshot = copy.deepcopy(terms)
+    got = push(x.terms, link)
+    assert got == substitute(x, chain, basis=chain((0, 0)).basis).terms
+    validate(Combination(STANDARD, got))
+    assert x.terms == snapshot
+    assert all(r is not p for r in got.values() for p in terms.values())
+
+
+@pytest.mark.parametrize("link", [link for link, _ in _LINKS], ids=_LINK_IDS)
+def test_push_cancels_and_empty(link):
+    assert push({}, link) == {}
+    # a twin at the successor cancels a whole chain below it
+    for w in _BOX8:
+        step = link(*w)
+        if step is not None:
+            u, d, c = step
+            p = {0: 1, 2: -3}
+            assert push({w: p, u: {e + d: -c * v for e, v in p.items()}},
+                        link) == {w: p}
+
+
+def test_push_rejects_links_that_do_not_descend():
+    flat = lambda a, b: ((a + 5, b - 3), 1, 1) if b >= 3 else None
+    up = lambda a, b: ((a + 1, b), 1, 1) if a < 4 else None
+    out = lambda a, b: ((a - 1, b), 1, 1) if b < 9 else None
+    for link, w in ((flat, (0, 3)), (up, (1, 1)), (out, (0, 2))):
+        with pytest.raises(RuntimeError):
+            push({w: {0: 1}}, link)
+        with pytest.raises(RuntimeError):
+            walk(link, w, STANDARD)
+
+
+def _step_up_reference(i, lam):
+    # The hand-written chain walks that step_up replaced.
+    a, b = lam
+    if i == 5:
+        return {(a, b - j): {j: 1} for j in range(b + 1)}
+    if i == 2:
+        return {(a + j, b - j): {j: 1} for j in range(b + 1)}
+    terms = {}
+    e = 0
+    if i == 3:
+        while True:
+            terms[(a, b)] = {e: 1}
+            if a >= 1:
+                a -= 1
+                e += 1
+            elif b >= 2:
+                a, b = 2, b - 2
+                e += 2
+            else:
+                return terms
+    c = 1
+    while True:
+        terms[(a, b)] = {e: c}
+        if a >= 3:
+            a -= 3
+            b += 1
+            e += 1
+        elif a == 2:
+            return terms
+        elif a == 1:
+            a = 0
+            e += 1
+            c = -c
+        elif b >= 1:
+            a, b = 1, b - 1
+            e += 1
+            c = -c
+        else:
+            return terms
+
+
+def _expand_up_reference(k, lam):
+    # The hand-written walk that adjusted_expand_up replaced.
+    member = X_SINGLE[k]
+    ga, gb = GAMMA[k]
+    a, b = lam
+    terms = {lam: {0: 1}}
+    j = 0
+    while member(a, b):
+        a, b, j = a - ga, b - gb, j + 1
+        terms[(a, b)] = {j: 1}
+    return terms
+
+
+def test_walks_match_hand_written_chains():
+    for lam in dominant_box(20, 20):
+        for i in (2, 3, 4, 5):
+            got = step_up(i, lam)
+            assert got.basis is pre_canonical(i)
+            assert got.terms == _step_up_reference(i, lam), (i, lam)
+            got = adjusted_expand_up(i, lam)
+            assert got.basis is adjusted_label(i)
+            assert got.terms == _expand_up_reference(i, lam), (i, lam)
+    for i, lam in ((1, (1, 1)), (6, (1, 1)), (3, (-1, 2))):
+        for chain in (step_up, adjusted_expand_up):
+            with pytest.raises(ValueError):
+                chain(i, lam)
 
 
 def test_sorted_support_examples():

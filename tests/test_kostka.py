@@ -14,9 +14,10 @@ from g2atomic.kostka import (atomic_to_standard, canonical_to_standard,
                              kostka_foulkes, multiplicity_table, weyl_dimension)
 from g2atomic.lattice import (dominance_leq, dominant_below, dominant_box,
                               height, linear_dominant, orbit_size)
-from g2atomic.polyq import degree, is_nonnegative, poly_scale_qpow, poly_sub
+from g2atomic.polyq import degree, is_nonnegative
 
 from reference_data import REF_KF_69_32
+from test_polyq import poly_scale_qpow, poly_sub
 
 
 def test_atomic_to_standard_examples():

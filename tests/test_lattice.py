@@ -9,13 +9,23 @@ import pytest
 
 from g2atomic.lattice import (GAMMA, PHI_GEQ, POSITIVE_ROOTS, RHO,
                               X_I_CLOSED, add, dominance_leq, dominant_below,
-                              dominant_box, dominant_rep, dot_reflect,
-                              gamma_sum, height, is_dominant, linear_dominant,
-                              orbit_size, sub, to_root_coords, x_I_member,
-                              x_I_member_closed, x_set_member)
+                              dominant_box, dominant_rep, gamma_sum, height,
+                              is_dominant, linear_dominant, orbit_size, sub,
+                              to_root_coords, x_I_member, x_I_member_closed,
+                              x_set_member)
 
 
 # independent straightening oracle: explore the whole dot orbit
+
+def dot_reflect(i, w):
+    """Dot action of the simple reflection s_i."""
+    a, b = w
+    if i == 1:
+        return (-a - 2, a + b + 1)
+    if i == 2:
+        return (a + 3 * b + 3, -b - 2)
+    raise ValueError(f"simple reflection index must be 1 or 2, got {i!r}")
+
 
 def orbit_rep_oracle(w):
     """Straighten w by exploring its full dot orbit.  Singular iff the

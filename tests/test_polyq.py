@@ -2,12 +2,36 @@
 
 from hypothesis import given, strategies as st
 
-from g2atomic.polyq import (degree, eval_at_one, from_pairs, is_nonnegative,
-                            leading_coeff, monomial, one, poly_add, poly_mul,
-                            poly_scale_qpow, poly_sub, to_pairs,
-                            trailing_degree, zero, iadd_scaled)
+from g2atomic.polyq import (Poly, degree, eval_at_one, from_pairs,
+                            is_nonnegative, leading_coeff, monomial, one,
+                            poly_add, poly_mul, to_pairs, zero, iadd_scaled)
 
 import pytest
+
+
+# Polynomial helpers that only the tests need.
+
+def poly_sub(p: Poly, r: Poly) -> Poly:
+    out = dict(p)
+    for e, c in r.items():
+        s = out.get(e, 0) - c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def poly_scale_qpow(p: Poly, k: int, coeff: int = 1) -> Poly:
+    """coeff * q**k * p."""
+    if not coeff:
+        return {}
+    return {e + k: c * coeff for e, c in p.items()}
+
+
+def trailing_degree(p: Poly):
+    """Smallest exponent, or None for the zero polynomial."""
+    return min(p) if p else None
 
 
 def test_arithmetic_examples():

@@ -6,13 +6,14 @@ import itertools
 import pytest
 
 from g2atomic.combo import (ATOMIC, CANONICAL, Combination, pre_canonical,
-                            single, substitute, validate)
+                            single, substitute)
 from g2atomic.lattice import PHI_GEQ, dominant_below, dominant_box
 from g2atomic.polyq import poly_add, poly_mul
 from g2atomic.precanonical import (atomic, closed_form, defn_precanonical,
                                    inverse_step, step_up, tilde_h)
 
 from reference_data import REF_ATOMIC_24, REF_ATOMIC_24_ZEROS
+from test_combo import validate
 from test_lattice import orbit_rep_oracle
 
 

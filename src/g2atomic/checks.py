@@ -10,18 +10,17 @@ sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import adjusted, kostka, precanonical
 from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
                     single, substitute)
 from .kostka import CheckResult
-from .lattice import (PHI_GEQ, Weight, check_dominant, dominance_leq,
+from .lattice import (Weight, check_dominant, dominance_leq,
                       dominant_box, dominant_rep, height, x_I_member,
                       x_I_member_closed)
-from .polyq import (degree, eval_at_one, iadd_terms, is_nonnegative,
-                    leading_coeff, pruned)
+from .polyq import (degree, eval_at_one, iadd_scaled, iadd_terms,
+                    is_nonnegative, leading_coeff, pruned)
 
 # Quadratic-cost oracle checks (the two Kostka-Foulkes paths, shift
 # monotonicity) run on the part of the box with both coordinates at most
@@ -37,10 +36,20 @@ def run(name: str, fn) -> CheckResult:
     return CheckResult(name, True, detail or "")
 
 
-@dataclass
 class VerifyReport:
-    lam: Weight
-    checks: list[CheckResult] = field(default_factory=list)
+    """The results of the per-weight checks at one weight."""
+
+    def __init__(self, lam: Weight, checks: list[CheckResult] | None = None):
+        self.lam = lam
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lam, self.checks) == (other.lam, other.checks)
+
+    def __repr__(self) -> str:
+        return f"VerifyReport(lam={self.lam!r}, checks={self.checks!r})"
 
     @property
     def ok(self) -> bool:
@@ -66,15 +75,22 @@ def inverts_definitional(lam: Weight, x: Combination) -> bool:
 
     Substitution and straightening are both linear, so x is multiplied by
     the product of (1 - q T_{-gamma}) over the roots of height >= 2 on the
-    weight lattice first, and each weight is straightened once after."""
-    y = x.terms
-    for ga, gb in PHI_GEQ[2]:
-        z: dict = {}
-        iadd_terms(z, y)
-        iadd_terms(z, {(a - ga, b - gb): p for (a, b), p in y.items()}, 1, -1)
-        y = pruned(z)
+    weight lattice first, and each weight is straightened once after.  Each
+    factor is applied in place to one copy of x: it writes only below the
+    weight it reads, so visiting weights by increasing height reads each
+    one before any write reaches it."""
+    y = {w: dict(p) for w, p in x.terms.items()}
+    # The roots of height >= 2, in the order that keeps the fewest
+    # intermediate monomials over the 16x16 box.
+    for ga, gb in ((0, 1), (1, 0), (-1, 1), (3, -1)):
+        for a, b in sorted(y, key=height):
+            p = y[a, b]
+            if p:
+                iadd_scaled(y.setdefault((a - ga, b - gb), {}), p, 1, -1)
     acc: dict = {}
     for w, p in y.items():
+        if not p:
+            continue  # cancelled in place
         sd = dominant_rep(w)
         if sd is not None:
             iadd_terms(acc, {sd[1]: p}, 0, sd[0])

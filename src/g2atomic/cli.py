@@ -18,16 +18,13 @@ same argv, byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 
-from . import adjusted, checks, kostka, precanonical
-from .combo import CANONICAL, Combination, check_atomic, pre_canonical
-from .lattice import Weight
+from . import adjusted
+from .combo import CANONICAL, pre_canonical
 from .polyq import to_pairs
-from .render import combination_from_json, render_combination, render_poly
+from .render import render_combination, render_poly
 
 _FORMATS = ("text", "json", "latex")
 
@@ -57,9 +54,6 @@ def _build_parser() -> _Parser:
                    help="which of the two equivalent pipelines to run; the "
                         "positive adjusted route is the default, the "
                         "pre-canonical route its oracle")
-    p.add_argument("--cache", metavar="PATH",
-                   help="JSON cache of expansions, keyed 'a,b'; the entry "
-                        "served is checked exactly")
 
     p = add("kf", "Kostka-Foulkes polynomial for lambda=(a, b), mu=(c, d)")
     for name in ("a", "b", "c", "d"):
@@ -81,80 +75,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Expansion cache for the atomic subcommand.  A cache file maps "a,b" keys
-# to rendered JSON objects.  Only the entry served is checked: structurally,
-# then exactly, by the definitional round trip, which only the exact
-# expansion passes.  Other entries are carried along unchecked.
-
-def _served(data: dict, key: str) -> Combination | None:
-    if key not in data:
-        return None
-    x, lam = combination_from_json(data[key])
-    if key != f"{lam[0]},{lam[1]}":
-        raise ValueError(f"cache key {key!r} does not match its weight")
-    check_atomic(lam, x)
-    if not checks.inverts_definitional(lam, x):
-        raise ValueError(f"cache entry {key!r} fails the definitional round trip")
-    return x
-
-
-def _load_cache(path: str) -> dict:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return {}
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ValueError("cache root must be a JSON object")
-    return data
-
-
-def _save_cache(path: str, data: dict) -> None:
-    """Write to a temporary file in the same directory, then rename it over
-    path, so that readers see the old file or the new one, never a part."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
+# Each command imports the modules only it uses, so that a call loads no
+# more of the package than it runs.
 
 def _atomic_command(args) -> tuple[int, str]:
     lam = (args.a, args.b)
-    route = (precanonical.atomic if args.method == "precanonical"
-             else adjusted.atomic_second)
-    if not args.cache:
-        return 0, render_combination(route(lam), CANONICAL, lam, args.format)
-    key = f"{lam[0]},{lam[1]}"
-    try:
-        data = _load_cache(args.cache)
-        x = _served(data, key)
-    except OSError as exc:
-        return 1, f"error: cannot read cache file {args.cache!r}: {exc.strerror}"
-    except ValueError as exc:
-        return 1, f"error: invalid cache file: {exc}"
-    if x is None:
-        x = route(lam)
-        data[key] = json.loads(render_combination(x, CANONICAL, lam, "json"))
-        try:
-            _save_cache(args.cache, data)
-        except OSError as exc:
-            return 1, f"error: cannot write cache file {args.cache!r}: {exc.strerror}"
-    return 0, render_combination(x, CANONICAL, lam, args.format)
+    if args.method == "precanonical":
+        from .precanonical import atomic as route
+    else:
+        route = adjusted.atomic_second
+    return 0, render_combination(route(lam), CANONICAL, lam, args.format)
 
 
 def _kf_command(args) -> tuple[int, str]:
+    from . import kostka
     lam, mu = (args.a, args.b), (args.c, args.d)
     p = kostka.kostka_foulkes(lam, mu)
     if args.format == "json":
+        import json
         obj = {"lambda": [lam[0], lam[1]], "mu": [mu[0], mu[1]],
                "poly": to_pairs(p)}
         return 0, json.dumps(obj)
@@ -162,6 +100,7 @@ def _kf_command(args) -> tuple[int, str]:
 
 
 def _standard_command(args) -> tuple[int, str]:
+    from . import kostka
     lam = (args.a, args.b)
     x = kostka.canonical_to_standard(lam)
     return 0, render_combination(x, CANONICAL, lam, args.format)
@@ -171,6 +110,7 @@ def _expand_command(args) -> tuple[int, str]:
     lam = (args.a, args.b)
     if not 2 <= args.level <= 6:
         return 1, "error: --level must be in 2..6"
+    from . import precanonical
     x = precanonical.defn_precanonical(args.level, lam)
     return 0, render_combination(x, pre_canonical(args.level), lam, args.format)
 
@@ -178,9 +118,11 @@ def _expand_command(args) -> tuple[int, str]:
 def _verify_command(args) -> tuple[int, str]:
     if args.max_a < 0 or args.max_b < 0:
         return 1, "error: sweep bounds must be non-negative"
+    from . import checks
     results = checks.sweep(args.max_a, args.max_b)
     ok = all(c.ok for c in results)
     if args.format == "json":
+        import json
         obj = {"max_a": args.max_a, "max_b": args.max_b,
                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                           for c in results],

@@ -9,7 +9,6 @@ basis, and labels compare accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Optional
 
@@ -20,19 +19,37 @@ from .polyq import Poly, iadd_product, iadd_scaled, one, poly_add, pruned
 _KINDS = ("canonical", "standard", "atomic", "precanonical", "adjusted")
 
 
-@dataclass(frozen=True)
 class BasisLabel:
-    kind: str
-    level: Optional[int] = None
+    """A basis family, with its level when the family takes one.  Immutable
+    and hashable."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind in ("precanonical", "adjusted"):
-            if self.level not in (2, 3, 4, 5, 6):
-                raise ValueError(f"{self.kind} level must be in 2..6, got {self.level!r}")
-        elif self.level is not None:
-            raise ValueError(f"{self.kind} basis takes no level")
+    def __init__(self, kind: str, level: Optional[int] = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown basis kind {kind!r}")
+        if kind in ("precanonical", "adjusted"):
+            if level not in (2, 3, 4, 5, 6):
+                raise ValueError(f"{kind} level must be in 2..6, got {level!r}")
+        elif level is not None:
+            raise ValueError(f"{kind} basis takes no level")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.level == other.level
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.level))
+
+    def __repr__(self) -> str:
+        return f"BasisLabel(kind={self.kind!r}, level={self.level!r})"
 
     def normalized(self) -> "BasisLabel":
         # Both parametrized families equal the canonical basis at level 6.
@@ -77,13 +94,18 @@ def parse_basis(s: str) -> BasisLabel:
     raise ValueError(f"unknown basis label {s!r}")
 
 
-@dataclass
 class Combination:
     """Sparse map from dominant weights to nonzero polynomials, plus a basis
-    label.  Treated as immutable by convention; cached instances are shared."""
+    label.  Treated as immutable by convention; cached instances are shared.
+    Unhashable."""
 
-    basis: BasisLabel
-    terms: dict[Weight, Poly] = field(default_factory=dict)
+    def __init__(self, basis: BasisLabel,
+                 terms: Optional[dict[Weight, Poly]] = None):
+        self.basis = basis
+        self.terms = {} if terms is None else terms
+
+    def __repr__(self) -> str:
+        return f"Combination(basis={self.basis!r}, terms={self.terms!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Combination):

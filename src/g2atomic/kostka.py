@@ -12,7 +12,6 @@ The checks module runs that comparison with the structural invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, dominance_leq,
@@ -138,8 +137,20 @@ def dimension_by_orbits(lam: Weight) -> int:
 
 # Defined here rather than in checks: the benchmark's tracer times each
 # verify check by hooking construction of kostka.CheckResult.
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    """The outcome of one named check, with a detail string."""
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.ok, self.detail)
+                == (other.name, other.ok, other.detail))
+
+    def __repr__(self) -> str:
+        return (f"CheckResult(name={self.name!r}, ok={self.ok!r}, "
+                f"detail={self.detail!r})")

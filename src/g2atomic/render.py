@@ -9,7 +9,6 @@ serializes by ascending exponent via polyq.to_pairs.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .combo import BasisLabel, Combination, parse_basis, sorted_support
@@ -22,69 +21,91 @@ class _Style(NamedTuple):
     sep: str              # between a coefficient and its basis symbol
     symbols: dict         # basis kind -> symbol
     level: str            # level of a parametrized basis, formatted with it
-    weight: str           # weight subscript, formatted with a and b
+    weight: tuple         # (before, after) the weight's coordinates "a,b"
 
 
 _STYLES = {
     "text": _Style(("q^", ""), " ",
                    {"canonical": "Hbar", "standard": "H", "atomic": "N",
                     "precanonical": "N", "adjusted": "Nt"},
-                   "{}", "({},{})"),
+                   "{}", ("(", ")")),
     "latex": _Style(("q^{", "}"), " \\, ",
                     {"canonical": r"\underline{\mathbf{H}}",
                      "standard": r"\mathbf{H}", "atomic": r"\mathbf{N}",
                      "precanonical": r"\mathbf{N}",
                      "adjusted": r"\widetilde{\mathbf{N}}"},
-                    "^{{{}}}", "_{{({},{})}}"),
+                    "^{{{}}}", ("_{(", ")}")),
 }
 
 
-def _signed(p: Poly, style: _Style):
-    """Each monomial m of p as "+ m" or "- m", by descending exponent."""
-    before, after = style.power
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        if e == 0:
-            body = str(abs(c))
-        else:
-            qq = "q" if e == 1 else f"{before}{e}{after}"
-            body = qq if c == 1 or c == -1 else f"{abs(c)}{qq}"
-        yield f"- {body}" if c < 0 else f"+ {body}"
+class _Table(dict):
+    """A dict that builds each missing value once, as make(key)."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _join(parts) -> str:
-    """Join signed parts into a sum with no leading "+"; "0" when empty."""
-    s = " ".join(parts)
-    if not s:
+class _Monomials:
+    """The pieces of the signed monomials of one rendering, each built once,
+    on first use.  unit[e] is q^e: "+ q^7", "+ q", "+ 1".  Any other c*q^e
+    is sign[c] + power[e]: "+ 2" + "q^7", "- " + "q", "+ 3" + ""; only -1
+    at e = 0 comes out short, as "- ".  Whole monomials are kept for the
+    unit coefficient alone, which fills atomic expansions: a Kostka-Foulkes
+    column has so many distinct (e, c) that keeping them all would hold
+    about a third of its monomials until the rendering ends."""
+
+    def __init__(self, style: _Style):
+        before, after = style.power
+        self.power = _Table(lambda e: "" if e == 0 else "q" if e == 1
+                            else f"{before}{e}{after}")
+        self.sign = _Table(lambda c: ("- " if c < 0 else "+ ")
+                           + ("" if c == 1 or c == -1 else str(abs(c))))
+        self.unit = _Table(lambda e: "+ " + (self.power[e] or "1"))
+
+
+def _lead(part: str) -> str:
+    """The first signed part of a sum, with no leading "+"."""
+    return part[2:] if part[0] == "+" else "-" + part[2:]
+
+
+def _sum(p: Poly, mono: _Monomials) -> str:
+    """p by descending exponent, with no leading "+"; "0" when p is zero."""
+    unit, sign, power = mono.unit, mono.sign, mono.power
+    parts = [unit[e] if p[e] == 1 else sign[p[e]] + power[e]
+             for e in sorted(p, reverse=True)]
+    if not parts:
         return "0"
-    return s[2:] if s[0] == "+" else "-" + s[2:]
+    if parts[-1] == "- ":
+        parts[-1] = "- 1"
+    parts[0] = _lead(parts[0])
+    return " ".join(parts)
 
 
-def _symbol(basis: BasisLabel, w: Weight, style: _Style) -> str:
+def _symbol(basis: BasisLabel, style: _Style) -> tuple[str, str]:
+    """The symbol of basis around its weight's coordinates: (before, after)."""
     label = basis.normalized()
     level = "" if label.level is None else style.level.format(label.level)
-    return style.symbols[label.kind] + level + style.weight.format(w[0], w[1])
-
-
-def _term(p: Poly, symbol: str, style: _Style) -> str:
-    """One signed term of a combination; a unit coefficient is omitted."""
-    if len(p) == 1:
-        (part,) = _signed(p, style)
-        return part[:2] + symbol if part[2:] == "1" else f"{part}{style.sep}{symbol}"
-    return f"+ ({_join(_signed(p, style))}){style.sep}{symbol}"
+    return style.symbols[label.kind] + level + style.weight[0], style.weight[1]
 
 
 def render_poly(p: Poly, fmt: str) -> str:
     """A polynomial in text or LaTeX."""
-    return _join(_signed(p, _STYLES[fmt]))
+    return _sum(p, _Monomials(_STYLES[fmt]))
 
 
 def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
                        fmt: str) -> str:
     """One-line equation: the element named by (lhs_basis, lam) expanded
-    in the basis of x, support in display order."""
+    in the basis of x, support in display order.  In text and LaTeX a
+    unit coefficient is omitted."""
     order = sorted_support(x, first=lam)
     if fmt == "json":
+        import json
         obj = {
             "basis": str(x.basis.normalized()),
             "weight": [lam[0], lam[1]],
@@ -93,8 +114,27 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
         }
         return json.dumps(obj)
     style = _STYLES[fmt]
-    rhs = _join(_term(x.terms[w], _symbol(x.basis, w, style), style) for w in order)
-    return f"{_symbol(lhs_basis, lam, style)} = {rhs}"
+    mono, sep, terms = _Monomials(style), style.sep, x.terms
+    sign, power = mono.sign, mono.power
+    before, after = _symbol(x.basis, style)
+    lhs_before, lhs_after = _symbol(lhs_basis, style)
+    # One list and one join for the whole line, which can be megabytes.
+    parts = [f"{lhs_before}{lam[0]},{lam[1]}{lhs_after} ="]
+    for w in order:
+        p = terms[w]
+        if len(p) == 1:
+            ((e, c),) = p.items()
+            coeff = sign[c] + power[e]
+            if len(coeff) > 2:  # a unit constant is its sign alone
+                coeff += sep
+        else:
+            coeff = f"+ ({_sum(p, mono)}){sep}"
+        parts.append(f"{coeff}{before}{w[0]},{w[1]}{after}")
+    if len(parts) == 1:
+        parts.append("0")
+    else:
+        parts[1] = _lead(parts[1])
+    return " ".join(parts)
 
 
 def combination_from_json(obj) -> tuple[Combination, Weight]:

@@ -180,7 +180,7 @@ def test_criterion_10_determinism_and_roundtrip():
         for cmd in cmds:
             a, b = _cli(*cmd), _cli(*cmd)
             assert a.stdout == b.stdout and a.stdout, cmd
-        from g2atomic.cli import combination_from_json, render_combination
+        from g2atomic.render import combination_from_json, render_combination
         for cmd in cmds[:1] + cmds[4:6]:
             out = _cli(*cmd).stdout.decode()
             obj = json.loads(out)

@@ -1,22 +1,17 @@
-"""Command-line front end: rendering, JSON schema, exit codes, cache."""
+"""Command-line front end: rendering, JSON schema, exit codes, import path."""
 
-import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
 
-import pytest
-from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
-
 from g2atomic import checks
-from g2atomic.adjusted import atomic_second
-from g2atomic.cli import combination_from_json, main, render_combination
+from g2atomic.cli import main
 from g2atomic.combo import CANONICAL
 from g2atomic.kostka import kostka_foulkes
 from g2atomic.polyq import from_pairs
+from g2atomic.render import combination_from_json, render_combination
 
 from reference_data import REF_ATOMIC_24, REF_KF_69_32, REF_ORDER_24
 
@@ -223,131 +218,6 @@ def test_error_exits(capsys):
     assert out == "" and err != ""
 
 
-def test_cache_roundtrip(tmp_path, capsys):
-    path = tmp_path / "cache.json"
-    code, out1, _ = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
-    assert code == 0
-    data = json.loads(path.read_text())
-    assert "2,4" in data
-    code, out2, _ = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
-    assert code == 0 and out2 == out1
-    # second weight appends to the same file
-    run_cli(capsys, "atomic", "1", "0", "--cache", str(path))
-    data = json.loads(path.read_text())
-    assert set(data) == {"2,4", "1,0"}
-
-
-def test_cache_corruption_detected(tmp_path, capsys):
-    path = tmp_path / "cache.json"
-    run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
-    data = json.loads(path.read_text())
-    data["2,4"]["terms"][0]["poly"][0][1] = 5
-    path.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
-    assert code == 1
-    assert "invalid cache file" in err
-    path.write_text("not json at all")
-    code, out, err = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
-    assert code == 1
-    # Only the entry served is checked: a malformed "1,0" entry fails a hit
-    # on 1,0 and leaves a hit on 2,4 intact.
-    code, out, _ = run_cli(capsys, "atomic", "2", "4", "--format", "json")
-    path.write_text(json.dumps({"1,0": [1, 2], "2,4": json.loads(out)}))
-    code, out, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: invalid cache file: ") and err.count("\n") == 1
-    code, out, err = run_cli(capsys, "atomic", "2", "4", "--cache", str(path))
-    assert (code, out, err) == (0, run_cli(capsys, "atomic", "2", "4")[1], "")
-
-
-def _three_entry_cache(path, capsys):
-    for a, b in [(0, 0), (1, 0), (0, 1)]:
-        assert run_cli(capsys, "atomic", str(a), str(b), "--cache", str(path))[0] == 0
-    return json.loads(path.read_text())
-
-
-def _set_poly(entry, weight, poly):
-    (term,) = [t for t in entry["terms"] if t["weight"] == weight]
-    term["poly"] = poly
-
-
-@pytest.mark.parametrize("key, corrupt", [
-    ("1,0", lambda e: e["terms"][0].update(poly=[[0, 7]])),
-    ("1,0", lambda e: e.update(basis="standard")),
-    ("1,0", lambda e: e.update(weight=[0, 1])),
-    # unitriangular, supported below (0,1) and positive, but wrong: only the
-    # definitional round trip rejects it
-    ("0,1", lambda e: _set_poly(e, [0, 0], [[1, 2]])),
-], ids=["coefficient", "basis", "weight", "positive-coefficient"])
-def test_cache_served_entry_checked(tmp_path, capsys, key, corrupt):
-    path = tmp_path / "cache.json"
-    data = _three_entry_cache(path, capsys)
-    corrupt(data[key])
-    path.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "atomic", *key.split(","), "--cache", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: invalid cache file: ") and err.count("\n") == 1
-
-
-def test_cache_io_errors(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(tmp_path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: cannot read cache file ") and err.count("\n") == 1
-    missing = tmp_path / "no-such-dir" / "cache.json"
-    code, out, err = run_cli(capsys, "atomic", "1", "0", "--cache", str(missing))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: cannot write cache file ") and err.count("\n") == 1
-    # a successful write leaves only the cache file behind
-    path = tmp_path / "cache.json"
-    assert run_cli(capsys, "atomic", "1", "0", "--cache", str(path))[0] == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
-
-
-_FUZZ_WEIGHTS = [(0, 0), (1, 0), (0, 1), (2, 1)]
-
-
-@functools.cache
-def _valid_cache() -> bytes:
-    data = {f"{a},{b}": json.loads(render_combination(
-                atomic_second((a, b)), CANONICAL, (a, b), "json"))
-            for a, b in _FUZZ_WEIGHTS}
-    return json.dumps(data, sort_keys=True).encode()
-
-
-@st.composite
-def _mutated_cache(draw):
-    raw = bytearray(_valid_cache())
-    for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(["flip", "delete", "insert", "truncate"]))
-        i = draw(st.integers(0, len(raw)))
-        if op == "flip" and i < len(raw):
-            raw[i] ^= draw(st.integers(1, 255))
-        elif op == "delete":
-            del raw[i:i + draw(st.integers(1, 8))]
-        elif op == "insert":
-            raw[i:i] = draw(st.binary(min_size=1, max_size=8))
-        elif op == "truncate":
-            del raw[i:]
-    return bytes(raw)
-
-
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(raw=b"[" * 100000 + b"]" * 100000, weight=(1, 0))
-@given(raw=_mutated_cache(), weight=st.sampled_from(_FUZZ_WEIGHTS))
-def test_cache_fuzz(tmp_path, capsys, raw, weight):
-    # Any cache file either serves the exact expansion or exits 1 with a
-    # one-line message; it never ends in a traceback.
-    path = tmp_path / "cache.json"
-    path.write_bytes(raw)
-    argv = ["atomic", str(weight[0]), str(weight[1])]
-    code, out, err = run_cli(capsys, *argv, "--cache", str(path))
-    assert code in (0, 1)
-    assert err.count("\n") <= 1
-    if code == 0:
-        assert out == run_cli(capsys, *argv)[1]
-
-
 def test_verify_reports_failing_check(monkeypatch, capsys):
     def boom(box):
         raise AssertionError("boom")
@@ -423,3 +293,24 @@ def test_atomic_a_heavy_peak_memory():
     assert proc.returncode == 0
     assert out.startswith(b"Hbar(300,1) = N(300,1) + ")
     assert usage.ru_maxrss < 150 * 1024  # kilobytes on Linux
+
+
+def test_import_path_is_lean():
+    # The CLI module loads only what `atomic` runs; the package resolves its
+    # public names on first use.
+    code = """
+import sys
+before = set(sys.modules)
+import g2atomic.cli
+loaded = [m for m in ("g2atomic.checks", "g2atomic.kostka",
+                      "g2atomic.precanonical", "dataclasses")
+          if m in sys.modules and m not in before]
+assert not loaded, loaded
+import g2atomic
+for name in g2atomic.__all__:
+    getattr(g2atomic, name)
+from g2atomic import atomic, kostka_foulkes, verify
+assert g2atomic.atomic is g2atomic.adjusted.atomic_second is atomic
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

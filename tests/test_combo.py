@@ -69,6 +69,26 @@ def test_label_strings_roundtrip():
         parse_basis("borel")
 
 
+def test_value_semantics():
+    # Labels are immutable values usable as dict keys; combinations compare
+    # by value and are unhashable; both read back from their repr.
+    label = BasisLabel("precanonical", 3)
+    assert label == pre_canonical(3) and hash(label) == hash(pre_canonical(3))
+    assert label != BasisLabel("adjusted", 3) and label != ("precanonical", 3)
+    assert {label: 1}[BasisLabel("precanonical", 3)] == 1
+    with pytest.raises(AttributeError):
+        label.level = 4
+    with pytest.raises(AttributeError):
+        del label.kind
+    assert copy.deepcopy(label) == label
+    x = Combination(ATOMIC, {(1, 0): {0: 1}})
+    assert repr(x) == ("Combination(basis=BasisLabel(kind='atomic', level=None), "
+                       "terms={(1, 0): {0: 1}})")
+    assert eval(repr(x)) == x and Combination(ATOMIC).terms == {}
+    with pytest.raises(TypeError):
+        hash(x)
+
+
 def test_combo_add_examples():
     lam = (1, 1)
     assert combo_add(single(CANONICAL, lam), single(CANONICAL, lam, {0: -1})) \

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from g2atomic import adjusted, checks, kostka, precanonical
-from g2atomic.checks import verify
+from g2atomic.checks import VerifyReport, verify
 from g2atomic.combo import ATOMIC, CANONICAL, STANDARD, Combination, substitute
-from g2atomic.kostka import (atomic_to_standard, canonical_to_standard,
-                             dimension_by_orbits, freudenthal_multiplicity,
-                             kostka_foulkes, multiplicity_table, weyl_dimension)
-from g2atomic.lattice import (dominance_leq, dominant_below, dominant_box,
-                              height, linear_dominant, orbit_size)
-from g2atomic.polyq import degree, is_nonnegative
+from g2atomic.kostka import (CheckResult, atomic_to_standard,
+                             canonical_to_standard, dimension_by_orbits,
+                             freudenthal_multiplicity, kostka_foulkes,
+                             multiplicity_table, weyl_dimension)
+from g2atomic.lattice import (PHI_GEQ, dominance_leq, dominant_below,
+                              dominant_box, dominant_rep, height,
+                              linear_dominant, orbit_size)
+from g2atomic.polyq import degree, iadd_terms, is_nonnegative, pruned
 
 from reference_data import REF_KF_69_32
 from test_polyq import poly_scale_qpow, poly_sub
@@ -161,6 +163,61 @@ def test_inverts_definitional_matches_substitute(lam, edit):
     assert want == (edit is None or edit[2] == 0)
 
 
+def _inverts_definitional_copying(lam, x):
+    # The round trip before it ran in place: four full copies of the
+    # expansion, one per root, kept as the reference.
+    y = x.terms
+    for ga, gb in PHI_GEQ[2]:
+        z: dict = {}
+        iadd_terms(z, y)
+        iadd_terms(z, {(a - ga, b - gb): p for (a, b), p in y.items()}, 1, -1)
+        y = pruned(z)
+    acc: dict = {}
+    for w, p in y.items():
+        sd = dominant_rep(w)
+        if sd is not None:
+            iadd_terms(acc, {sd[1]: p}, 0, sd[0])
+    return pruned(acc) == {lam: {0: 1}}
+
+
+_edits = st.one_of(
+    st.none(),
+    st.tuples(st.just("change"), st.integers(0, 99), st.integers(0, 9),
+              st.sampled_from([-2, -1, 1, 3])),
+    st.tuples(st.just("add"), st.sampled_from(dominant_box(9, 9)),
+              st.integers(0, 40), st.sampled_from([-1, 1, 2])),
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+)
+
+
+@given(st.sampled_from(dominant_box(8, 8)), _edits)
+@example((3, 3), ("drop", 0))  # the top term dropped
+@example((0, 2), ("add", (4, 4), 0, 1))  # a term above the top
+def test_inverts_definitional_in_place_matches_copying(lam, edit):
+    # True expansions, and the same with a coefficient changed, a term
+    # added or a term dropped: the in-place round trip gives the verdict of
+    # the copying one and leaves its input as it was.
+    terms = {w: dict(p) for w, p in adjusted.atomic_second(lam).terms.items()}
+    support = sorted(terms)
+    if edit is not None and edit[0] == "change":
+        p = terms[support[edit[1] % len(support)]]
+        e = sorted(p)[edit[2] % len(p)]
+        p[e] += edit[3]
+    elif edit is not None and edit[0] == "add":
+        _, w, e, c = edit
+        p = terms.setdefault(w, {})
+        p[e] = p.get(e, 0) + c
+    elif edit is not None:
+        del terms[support[edit[1] % len(support)]]
+    terms = {w: {e: c for e, c in p.items() if c} for w, p in terms.items()}
+    x = Combination(ATOMIC, {w: p for w, p in terms.items() if p})
+    before = {w: dict(p) for w, p in x.terms.items()}
+    got = checks.inverts_definitional(lam, x)
+    assert x.terms == before
+    assert got == _inverts_definitional_copying(lam, x)
+    assert got == (edit is None)  # every edit changes x
+
+
 def test_triangularity():
     for lam in dominant_box(5, 5):
         for mu in dominant_box(5, 5):
@@ -179,6 +236,24 @@ def test_verify_reports():
         assert "cross-approach" in names
         assert "kostka-at-one" in names
         assert len(report.checks) == 7
+
+
+def test_check_results_compare_by_value():
+    a, b = CheckResult("c", True), CheckResult("c", True, "")
+    assert a == b and a != CheckResult("c", False)
+    assert repr(a) == "CheckResult(name='c', ok=True, detail='')"
+    report = VerifyReport((1, 0), [a])
+    assert report == VerifyReport((1, 0), [b]) and report.ok
+    assert repr(report) == f"VerifyReport(lam=(1, 0), checks=[{a!r}])"
+    assert VerifyReport((0, 0)).checks == [] and VerifyReport((0, 0)).ok
+
+    class Hooked(CheckResult):  # how a tracer hooks construction
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+
+    hooked = Hooked("c", True, detail="d")
+    assert (hooked.name, hooked.ok, hooked.detail) == ("c", True, "d")
+    assert hooked == Hooked("c", True, "d") and hooked != CheckResult("c", True, "d")
 
 
 def test_verify_reports_failure(monkeypatch):

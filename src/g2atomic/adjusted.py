@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .lattice import (GAMMA, X_SINGLE, Weight, check_dominant, check_level,
                       gamma_sum, is_dominant, sub, x_I_member, x_set_member)
-from .polyq import Poly, iadd_product, iadd_terms, monomial, poly_add, pruned
+from .polyq import Poly, iadd_scaled
 from .combo import ATOMIC, CANONICAL, Combination, adjusted_label, folded, walk
 
 _INDEX_SUBSETS = tuple(
@@ -77,13 +77,8 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
         # membership guarantees the shifted weight stays dominant
         if not is_dominant(w):
             raise RuntimeError(f"index set {I!r} left the dominant cone at {lam!r}")
-        size = len(I)
-        cur = poly_add(acc.get(w, {}), monomial(size, 1 if size % 2 == 0 else -1))
-        if cur:
-            acc[w] = cur
-        else:
-            acc.pop(w, None)
-    return Combination(CANONICAL, acc)
+        iadd_scaled(acc.setdefault(w, {}), {len(I): (-1) ** len(I)})
+    return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
 
 
 def _adjusted2_push(terms: dict[Weight, Poly]) -> Combination:
@@ -98,20 +93,20 @@ def _adjusted2_push(terms: dict[Weight, Poly]) -> Combination:
     merged coefficient down to below, so each is expanded once."""
     pending: dict[int, dict] = {}
     for (a, b), p in terms.items():
-        iadd_terms(pending.setdefault(a + b, {}), {(a, b): p})
+        pending.setdefault(a + b, {})[a, b] = dict(p)
     out: dict[Weight, Poly] = {}
     for s in range(max(pending, default=-1), -1, -1):
         for (a, b), p in pending.pop(s, {}).items():
-            iadd_terms(out, {(a, b): p})
+            iadd_scaled(out.setdefault((a, b), {}), p)
             if a >= 3 or s < 2:
                 continue
             below = (0, b) if a == 2 else (1, b - 1) if a == 1 else (0, b - 2)
-            iadd_terms(pending.setdefault(sum(below), {}), {below: p},
-                       4 if a == 0 else 2)
+            iadd_scaled(pending.setdefault(sum(below), {}).setdefault(below, {}),
+                        p, 4 if a == 0 else 2)
             if a < 2:
-                iadd_product(out, p, {(a + k, b - k): {k: 1}
-                                      for k in range(2 - a, b + 1)})
-    return Combination(ATOMIC, pruned(out))
+                for k in range(2 - a, b + 1):
+                    iadd_scaled(out.setdefault((a + k, b - k), {}), p, k)
+    return Combination(ATOMIC, {w: p for w, p in out.items() if p})
 
 
 def adjusted2_in_atomic(lam: Weight) -> Combination:

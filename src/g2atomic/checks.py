@@ -19,8 +19,7 @@ from .kostka import CheckResult
 from .lattice import (Weight, check_dominant, dominance_leq,
                       dominant_box, dominant_rep, height, x_I_member,
                       x_I_member_closed)
-from .polyq import (degree, eval_at_one, iadd_scaled, iadd_terms,
-                    is_nonnegative, leading_coeff, pruned)
+from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coeff
 
 # Quadratic-cost oracle checks (the two Kostka-Foulkes paths, shift
 # monotonicity) run on the part of the box with both coordinates at most
@@ -93,8 +92,8 @@ def inverts_definitional(lam: Weight, x: Combination) -> bool:
             continue  # cancelled in place
         sd = dominant_rep(w)
         if sd is not None:
-            iadd_terms(acc, {sd[1]: p}, 0, sd[0])
-    return pruned(acc) == {lam: {0: 1}}
+            iadd_scaled(acc.setdefault(sd[1], {}), p, 0, sd[0])
+    return {w: p for w, p in acc.items() if p} == {lam: {0: 1}}
 
 
 def definitional_roundtrip(lam: Weight) -> None:
@@ -213,12 +212,14 @@ def _canonical_consistency(box, down, in_canonical) -> str:
 
 
 def closed_forms(box) -> str:
-    step_up, closed_form = precanonical.step_up, precanonical.closed_form
+    step_up = precanonical.step_up
     for lam in box:
-        for which, i in (("6to5", 5), ("3to2", 2), ("4to3", 3)):
-            if closed_form(which, lam) != step_up(i, lam):
+        for which, fn, i in (("6to5", precanonical.closed_form_6to5, 5),
+                             ("3to2", precanonical.closed_form_3to2, 2),
+                             ("4to3", precanonical.closed_form_4to3, 3)):
+            if fn(lam) != step_up(i, lam):
                 raise AssertionError(f"{which} disagrees at {lam!r}")
-        p4, p3 = closed_form("5to4", lam)
+        p4, p3 = precanonical.closed_form_5to4(lam)
         lhs = substitute(step_up(4, lam), lambda w: step_up(3, w),
                          basis=pre_canonical(3))
         rhs = substitute(p4, lambda w: step_up(3, w), basis=pre_canonical(3))
@@ -237,8 +238,7 @@ def even_column_closed_form(box) -> str:
         for i in range(1, m + 1):
             for j in range(1, 2 * m - 2 * i + 2):
                 w = (j + 1, 2 * m - 2 * i - j + 1)
-                want.setdefault(w, {})
-                want[w][4 * i + j - 3] = want[w].get(4 * i + j - 3, 0) + 1
+                iadd_scaled(want.setdefault(w, {}), {4 * i + j - 3: 1})
         got = substitute(step_up(4, (0, 2 * m)),
                          lambda u: substitute(step_up(3, u),
                                               lambda v: step_up(2, v),
@@ -275,15 +275,11 @@ def correction_identity(box) -> str:
         elif a == 1:
             want = shifted((1, b - 1), 2)
             for k in range(1, b + 1):
-                w = (1 + k, b - k)
-                want.setdefault(w, {})
-                want[w][k] = want[w].get(k, 0) + 1
+                iadd_scaled(want.setdefault((1 + k, b - k), {}), {k: 1})
         else:
             want = shifted((0, b - 2), 4)
             for k in range(2, b + 1):
-                w = (k, b - k)
-                want.setdefault(w, {})
-                want[w][k] = want[w].get(k, 0) + 1
+                iadd_scaled(want.setdefault((k, b - k), {}), {k: 1})
         if diff != want:
             raise AssertionError(f"correction identity fails at {lam!r}")
     return f"{len(box)} weights"

@@ -12,9 +12,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Optional
 
-from .lattice import (Weight, check_dominant, dominance_leq, height,
-                      is_dominant, to_root_coords)
-from .polyq import Poly, iadd_product, iadd_scaled, one, poly_add, pruned
+from .lattice import Weight, check_dominant, dominance_leq, height, is_dominant
+from .polyq import Poly, iadd_scaled, one
 
 _KINDS = ("canonical", "standard", "atomic", "precanonical", "adjusted")
 
@@ -112,13 +111,6 @@ class Combination:
             return NotImplemented
         return same_basis(self.basis, other.basis) and self.terms == other.terms
 
-    def coeff(self, w: Weight) -> Poly:
-        return self.terms.get(w, {})
-
-
-def empty(basis: BasisLabel) -> Combination:
-    return Combination(basis, {})
-
 
 def single(basis: BasisLabel, w: Weight, p: Optional[Poly] = None) -> Combination:
     check_dominant(w)
@@ -132,12 +124,8 @@ def combo_add(x: Combination, y: Combination) -> Combination:
         raise ValueError(f"basis mismatch: {x.basis} vs {y.basis}")
     terms = {w: dict(p) for w, p in x.terms.items()}
     for w, p in y.terms.items():
-        s = poly_add(terms.get(w, {}), p)
-        if s:
-            terms[w] = s
-        else:
-            terms.pop(w, None)
-    return Combination(x.basis, terms)
+        iadd_scaled(terms.setdefault(w, {}), p)
+    return Combination(x.basis, {w: p for w, p in terms.items() if p})
 
 
 def substitute(x: Combination, expander: Callable[[Weight], Combination],
@@ -150,10 +138,9 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
 
     Cost model: expander is called once per weight of x, and the work is
     one coefficient update per (monomial of x's polynomial at w) x
-    (monomial of expander(w)), counted before any cancellation.  The sum is
-    collected by polyq.iadd_product, zeros included, and pruned once at the
-    end.  Neither x nor any expander output is mutated or shared with the
-    result.
+    (monomial of expander(w)), counted before any cancellation, each made by
+    polyq.iadd_scaled.  Neither x nor any expander output is mutated or
+    shared with the result.
     """
     out_basis = basis
     acc: dict[Weight, Poly] = {}
@@ -163,10 +150,13 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
             out_basis = sub.basis
         elif sub.basis is not out_basis and not same_basis(out_basis, sub.basis):
             raise ValueError(f"basis mismatch: {out_basis} vs {sub.basis}")
-        iadd_product(acc, p, sub.terms)
+        for u, r in sub.terms.items():
+            tgt = acc.setdefault(u, {})
+            for k, c in p.items():
+                iadd_scaled(tgt, r, k, c)
     if out_basis is None:
         raise ValueError("cannot infer result basis from an empty combination")
-    return Combination(out_basis, pruned(acc))
+    return Combination(out_basis, {u: r for u, r in acc.items() if r})
 
 
 # A chain is given by its link: link(a, b) is ((a', b'), d, c) when the
@@ -277,10 +267,10 @@ def check_atomic(lam: Weight, x: Combination) -> None:
 
 
 def display_key(w: Weight):
-    """Sort key for rendering: decreasing height, then decreasing first and
-    second root coordinates.  A total order on weights."""
-    r1, r2 = to_root_coords(w)
-    return (-(r1 + r2), -r1, -r2)
+    """Sort key for rendering: decreasing height, then decreasing first root
+    coordinate.  The two fix the weight, so this is a total order."""
+    a, b = w
+    return (-(3 * a + 5 * b), -(2 * a + 3 * b))
 
 
 def sorted_support(x: Combination, first: Optional[Weight] = None) -> list[Weight]:

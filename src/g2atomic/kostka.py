@@ -4,7 +4,12 @@ The atomic element at a dominant weight expands into the standard basis with
 pure q-power coefficients, one for every dominant weight below it, with
 exponent the height of the difference.  Composing with the atomic expansion
 of the canonical basis gives the full triangular array of generalized
-Kostka-Foulkes polynomials.  Specializing q to 1 must reproduce dominant
+Kostka-Foulkes polynomials: the coefficient at mu sums q**height(nu - mu)
+times the atomic coefficient over every nu above mu, that is, over the
+quadrant of root coordinates at and above those of mu.  One column of the
+array is two running sums over that grid, along each row and then down
+each column (canonical_to_standard); kostka_foulkes sums one entry
+directly, as a second path.  Specializing q to 1 must reproduce dominant
 weight multiplicities of the irreducible representation, which an
 independent Freudenthal recursion computes from nothing but the root data.
 The checks module runs that comparison with the structural invariants.
@@ -15,9 +20,10 @@ from __future__ import annotations
 from functools import cache
 
 from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, dominance_leq,
-                      dominant_below, height, linear_dominant, orbit_size)
+                      dominant_below, height, linear_dominant, orbit_size,
+                      to_root_coords)
 from .polyq import Poly, iadd_scaled
-from .combo import Combination, STANDARD, substitute
+from .combo import Combination, STANDARD
 # The positive adjusted route serves every expansion here; the pre-canonical
 # route is the cross-approach oracle.
 from .adjusted import atomic_second as atomic
@@ -35,11 +41,38 @@ def atomic_to_standard(lam: Weight) -> Combination:
 @cache
 def canonical_to_standard(lam: Weight) -> Combination:
     """Canonical element in the standard basis.  The coefficient at mu is
-    the generalized Kostka-Foulkes polynomial for (lam, mu)."""
-    out = substitute(atomic(lam), atomic_to_standard, basis=STANDARD)
-    if out.terms.get(lam) != {0: 1}:
+    the generalized Kostka-Foulkes polynomial for (lam, mu).
+
+    With a(r1, r2) the atomic coefficient at the weight of root coordinates
+    (r1, r2), a step of one in either coordinate changes the height by one,
+    and the coefficient at mu is G(rc mu), where, row by row from the top
+    row r2 and column r1 down,
+
+        S(r1, r2) = a(r1, r2) + q * S(r1 + 1, r2),
+        G(r1, r2) = S(r1, r2) + q * G(r1, r2 + 1).
+
+    Both are kept multiplied by q**(r1 + r2), so that each step adds into
+    the running sum without shifting it: S takes q**(r1 + r2) * a(r1, r2),
+    and G takes S.  One row of G is kept, and the factor comes off at each
+    dominant mu."""
+    a = {to_root_coords(nu): p for nu, p in atomic(lam).terms.items()}
+    top1, top2 = to_root_coords(lam)
+    terms: dict[Weight, Poly] = {}
+    g_row: dict[int, Poly] = {}  # first root coordinate -> G on this row
+    for r2 in range(top2, -1, -1):
+        s: Poly = {}
+        # a vanishes past r1 = min(top1, 2 * r2), and no dominant weight on
+        # this row or below has r1 > 2 * r2, so G is not needed there
+        for r1 in range(min(top1, 2 * r2), -1, -1):
+            h = r1 + r2
+            iadd_scaled(s, a.get((r1, r2), {}), h)
+            g = g_row.setdefault(r1, {})
+            iadd_scaled(g, s)
+            if 2 * r1 >= 3 * r2:  # a dominant weight mu, at rc mu = (r1, r2)
+                terms[2 * r1 - 3 * r2, 2 * r2 - r1] = {e - h: c for e, c in g.items()}
+    if terms.get(lam) != {0: 1}:
         raise RuntimeError(f"standard expansion at {lam!r} is not unitriangular")
-    return out
+    return Combination(STANDARD, terms)
 
 
 def kostka_foulkes(lam: Weight, mu: Weight) -> Poly:

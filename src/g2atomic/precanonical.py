@@ -24,7 +24,7 @@ checks all three.
 from __future__ import annotations
 
 from .lattice import Weight, PHI_GEQ, check_dominant, check_level, dominant_rep
-from .polyq import Poly, poly_add, monomial
+from .polyq import Poly, iadd_scaled
 from .combo import Combination, ATOMIC, CANONICAL, folded, pre_canonical, walk
 
 
@@ -63,13 +63,8 @@ def defn_precanonical(i: int, lam: Weight) -> Combination:
         if sd is None:
             continue
         sign, rep = sd
-        coeff = sign if size % 2 == 0 else -sign
-        cur = poly_add(acc.get(rep, {}), monomial(size, coeff))
-        if cur:
-            acc[rep] = cur
-        else:
-            acc.pop(rep, None)
-    return Combination(CANONICAL, acc)
+        iadd_scaled(acc.setdefault(rep, {}), {size: (-1) ** size * sign})
+    return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
 
 
 def inverse_step(i: int, lam: Weight) -> Combination:
@@ -201,25 +196,6 @@ def closed_form_4to3(lam: Weight) -> Combination:
         terms[(1, b - 2 * i)] = {base + 1: 1}
         terms[(0, b - 2 * i)] = {base + 2: 1}
     return Combination(pre_canonical(3), terms)
-
-
-_CLOSED_FORMS = {
-    "6to5": closed_form_6to5,
-    "3to2": closed_form_3to2,
-    "5to4": closed_form_5to4,
-    "4to3": closed_form_4to3,
-}
-
-
-def closed_form(which: str, lam: Weight):
-    """Dispatch over the four named transitions.  "5to4" returns a pair
-    (level-4 part, level-3 part); the others return one Combination."""
-    try:
-        fn = _CLOSED_FORMS[which]
-    except KeyError:
-        raise ValueError(f"unknown closed form {which!r}; expected one of "
-                         f"{sorted(_CLOSED_FORMS)}") from None
-    return fn(lam)
 
 
 # Atomic pipeline, kept as the oracle for the adjusted route (which serves

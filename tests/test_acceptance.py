@@ -18,11 +18,12 @@ from g2atomic.lattice import (X_I_CLOSED, dominance_leq, dominant_below,
                               dominant_box, height, x_I_member,
                               x_I_member_closed)
 from g2atomic.polyq import eval_at_one, degree, from_pairs, leading_coeff
-from g2atomic.precanonical import (atomic, closed_form, defn_precanonical,
-                                   inverse_step, step_up)
+from g2atomic.precanonical import (atomic, closed_form_3to2, closed_form_4to3,
+                                   closed_form_5to4, closed_form_6to5,
+                                   defn_precanonical, inverse_step, step_up)
 
 from reference_data import REF_ATOMIC_24, REF_KF_69_32, REF_ORDER_24
-from test_polyq import poly_sub
+from test_polyq import poly_add, poly_sub
 
 
 def _criterion(n, desc, budget, fn):
@@ -97,12 +98,11 @@ def test_criterion_05_definitional_roundtrip():
 def test_criterion_06_closed_form_oracles():
     def run():
         from g2atomic.combo import pre_canonical
-        from g2atomic.polyq import poly_add
         for lam in dominant_box(10, 10):
-            assert closed_form("6to5", lam) == step_up(5, lam)
-            assert closed_form("3to2", lam) == step_up(2, lam)
-            assert closed_form("4to3", lam) == step_up(3, lam)
-            part4, part3 = closed_form("5to4", lam)
+            assert closed_form_6to5(lam) == step_up(5, lam)
+            assert closed_form_3to2(lam) == step_up(2, lam)
+            assert closed_form_4to3(lam) == step_up(3, lam)
+            part4, part3 = closed_form_5to4(lam)
             lift = substitute(part3, lambda w: inverse_step(3, w),
                               basis=pre_canonical(4))
             merged = {w: dict(p) for w, p in part4.terms.items()}

@@ -11,14 +11,15 @@ from g2atomic.adjusted import adjusted2_in_atomic
 from g2atomic.adjusted import adjusted_expand_up
 from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
                             Combination, adjusted_label, combo_add,
-                            display_key, empty, parse_basis, pre_canonical,
+                            display_key, parse_basis, pre_canonical,
                             push, same_basis, single, sorted_support,
                             substitute, walk)
 from g2atomic.lattice import GAMMA, X_SINGLE, dominant_box, is_dominant
-from g2atomic.polyq import Poly, iadd_terms, poly_add, poly_mul, pruned
+from g2atomic.polyq import Poly
 from g2atomic.precanonical import atomic, step_up
 
 from reference_data import REF_ORDER_24
+from test_polyq import poly_add, poly_mul, poly_scale_qpow
 
 
 # Combination helpers that only the tests need.
@@ -92,7 +93,7 @@ def test_value_semantics():
 def test_combo_add_examples():
     lam = (1, 1)
     assert combo_add(single(CANONICAL, lam), single(CANONICAL, lam, {0: -1})) \
-        == empty(CANONICAL)
+        == Combination(CANONICAL)
     two = combo_add(single(STANDARD, (2, 0)), single(STANDARD, (1, 0), {1: 1}))
     assert two.terms == {(2, 0): {0: 1}, (1, 0): {1: 1}}
     with pytest.raises(ValueError):
@@ -102,7 +103,7 @@ def test_combo_add_examples():
 def test_combo_scale_example():
     x = single(ATOMIC, (1, 0), {0: 1, 1: 1})
     assert combo_scale({1: 1}, x).terms == {(1, 0): {1: 1, 2: 1}}
-    assert combo_scale({}, x) == empty(ATOMIC)
+    assert combo_scale({}, x) == Combination(ATOMIC)
 
 
 def test_single_rejects_nondominant():
@@ -114,10 +115,10 @@ def test_substitute_identity_and_empty():
     x = Combination(CANONICAL, {(2, 0): {0: 1}, (0, 1): {1: 3}})
     ident = substitute(x, lambda w: single(CANONICAL, w))
     assert ident == x
-    assert substitute(empty(CANONICAL), lambda w: single(ATOMIC, w),
-                      basis=ATOMIC) == empty(ATOMIC)
+    assert substitute(Combination(CANONICAL), lambda w: single(ATOMIC, w),
+                      basis=ATOMIC) == Combination(ATOMIC)
     with pytest.raises(ValueError):
-        substitute(empty(CANONICAL), lambda w: single(ATOMIC, w))
+        substitute(Combination(CANONICAL), lambda w: single(ATOMIC, w))
 
 
 def test_substitute_checks_expander_bases():
@@ -152,8 +153,8 @@ def test_substitute_is_linear():
             == combo_scale(p, substitute(x, expander, basis=STANDARD))
 
 
-# Kernel inputs: monomials and multi-term polynomials, coefficients +-1 and
-# others, exponent 0 among the shifts.
+# Inputs to substitute: monomials and multi-term polynomials, coefficients
+# +-1 and others, exponent 0 among the shifts.
 _BOX = dominant_box(1, 1)
 _polys = st.dictionaries(st.integers(0, 3), st.sampled_from([1, -1, 2, -3]),
                          min_size=1, max_size=3)
@@ -429,10 +430,14 @@ def _adjusted2_recursive(lam):
         return Combination(ATOMIC, {lam: {0: 1}})
     a, b = lam
     terms = {lam: {0: 1}}
-    iadd_terms(terms, _adjusted2_recursive(below).terms, 4 if a == 0 else 2)
+    for u, p in _adjusted2_recursive(below).terms.items():
+        terms[u] = poly_add(terms.get(u, {}),
+                            poly_scale_qpow(p, 4 if a == 0 else 2))
     if a < 2:
-        iadd_terms(terms, {(a + k, b - k): {k: 1} for k in range(2 - a, b + 1)})
-    return Combination(ATOMIC, pruned(terms))
+        for k in range(2 - a, b + 1):
+            u = (a + k, b - k)
+            terms[u] = poly_add(terms.get(u, {}), {k: 1})
+    return Combination(ATOMIC, {u: p for u, p in terms.items() if p})
 
 
 def test_adjusted2_forward_matches_recursion():

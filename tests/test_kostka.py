@@ -4,7 +4,7 @@ independent Freudenthal / Weyl-dimension oracles."""
 from functools import partial
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2atomic import adjusted, checks, kostka, precanonical
 from g2atomic.checks import VerifyReport, verify
@@ -16,10 +16,10 @@ from g2atomic.kostka import (CheckResult, atomic_to_standard,
 from g2atomic.lattice import (PHI_GEQ, dominance_leq, dominant_below,
                               dominant_box, dominant_rep, height,
                               linear_dominant, orbit_size)
-from g2atomic.polyq import degree, iadd_terms, is_nonnegative, pruned
+from g2atomic.polyq import degree, is_nonnegative
 
 from reference_data import REF_KF_69_32
-from test_polyq import poly_scale_qpow, poly_sub
+from test_polyq import poly_add, poly_scale_qpow, poly_sub
 
 
 def test_atomic_to_standard_examples():
@@ -47,6 +47,41 @@ def test_canonical_to_standard_examples():
         assert canonical_to_standard(lam).terms[lam] == {0: 1}
     assert canonical_to_standard((0, 1)).terms[(0, 0)] == {1: 1, 5: 1}
     assert canonical_to_standard((6, 9)).terms[(3, 2)] == REF_KF_69_32
+
+
+def _column_reference(x):
+    # The column term by term: every atomic element of x replaced by its
+    # standard expansion.
+    return substitute(x, atomic_to_standard, basis=STANDARD)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(dominant_box(12, 12)),
+       st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 30),
+                          st.integers(-3, 3)), max_size=4))
+# Lopsided weights, where the grid of root coordinates is far from square.
+# (1, 60) is left out: the reference alone takes about 12 s there.
+@example((0, 40), [])
+@example((40, 0), [])
+@example((60, 1), [])
+@example((1, 30), [])
+def test_canonical_to_standard_matches_substitute(lam, edits):
+    # Real atomic expansions, and the same with coefficients edited below
+    # the top (negative ones included): the quadrant sums give the
+    # term-by-term substitution.
+    terms = {w: dict(p) for w, p in adjusted.atomic_second(lam).terms.items()}
+    below = [w for w in dominant_below(lam) if w != lam]
+    for i, e, d in edits:
+        if below:
+            p = terms.setdefault(below[i % len(below)], {})
+            p[e] = p.get(e, 0) + d
+            if not p[e]:
+                del p[e]
+    x = Combination(ATOMIC, {w: p for w, p in terms.items() if p})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kostka, "atomic", lambda w: x)
+        got = canonical_to_standard.__wrapped__(lam)
+    assert got == _column_reference(x)
 
 
 def test_kostka_foulkes_examples():
@@ -168,16 +203,17 @@ def _inverts_definitional_copying(lam, x):
     # expansion, one per root, kept as the reference.
     y = x.terms
     for ga, gb in PHI_GEQ[2]:
-        z: dict = {}
-        iadd_terms(z, y)
-        iadd_terms(z, {(a - ga, b - gb): p for (a, b), p in y.items()}, 1, -1)
-        y = pruned(z)
+        z = dict(y)
+        for (a, b), p in y.items():
+            u = (a - ga, b - gb)
+            z[u] = poly_add(z.get(u, {}), poly_scale_qpow(p, 1, -1))
+        y = {w: p for w, p in z.items() if p}
     acc: dict = {}
     for w, p in y.items():
         sd = dominant_rep(w)
         if sd is not None:
-            iadd_terms(acc, {sd[1]: p}, 0, sd[0])
-    return pruned(acc) == {lam: {0: 1}}
+            acc[sd[1]] = poly_add(acc.get(sd[1], {}), poly_scale_qpow(p, 0, sd[0]))
+    return {w: p for w, p in acc.items() if p} == {lam: {0: 1}}
 
 
 _edits = st.one_of(

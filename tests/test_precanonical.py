@@ -8,13 +8,15 @@ import pytest
 from g2atomic.combo import (ATOMIC, CANONICAL, Combination, pre_canonical,
                             single, substitute)
 from g2atomic.lattice import PHI_GEQ, dominant_below, dominant_box
-from g2atomic.polyq import poly_add, poly_mul
-from g2atomic.precanonical import (atomic, closed_form, defn_precanonical,
-                                   inverse_step, step_up, tilde_h)
+from g2atomic.precanonical import (atomic, closed_form_3to2, closed_form_4to3,
+                                   closed_form_5to4, closed_form_6to5,
+                                   defn_precanonical, inverse_step, step_up,
+                                   tilde_h)
 
 from reference_data import REF_ATOMIC_24, REF_ATOMIC_24_ZEROS
 from test_combo import validate
 from test_lattice import orbit_rep_oracle
+from test_polyq import poly_add
 
 
 def defn_oracle(i, lam):
@@ -116,30 +118,28 @@ def test_inverse_forward_roundtrip():
 
 
 def test_closed_form_examples():
-    part4, part3 = closed_form("5to4", (1, 0))
+    part4, part3 = closed_form_5to4((1, 0))
     assert part4.terms == {}
     assert part3.terms == {(1, 0): {0: 1}}
     for a in range(4):
-        assert closed_form("4to3", (a, 0)).terms == {
+        assert closed_form_4to3((a, 0)).terms == {
             (a - i, 0): {i: 1} for i in range(a + 1)}
-    assert closed_form("3to2", (0, 1)).terms == {(0, 1): {0: 1}, (1, 0): {1: 1}}
-    assert closed_form("6to5", (2, 2)).terms == {
+    assert closed_form_3to2((0, 1)).terms == {(0, 1): {0: 1}, (1, 0): {1: 1}}
+    assert closed_form_6to5((2, 2)).terms == {
         (2, 2): {0: 1}, (2, 1): {1: 1}, (2, 0): {2: 1}}
-    with pytest.raises(ValueError):
-        closed_form("5to2", (0, 0))
 
 
 def test_closed_forms_match_step_up():
     for lam in dominant_box(10, 10):
-        assert closed_form("6to5", lam) == step_up(5, lam)
-        assert closed_form("3to2", lam) == step_up(2, lam)
-        assert closed_form("4to3", lam) == step_up(3, lam)
+        assert closed_form_6to5(lam) == step_up(5, lam)
+        assert closed_form_3to2(lam) == step_up(2, lam)
+        assert closed_form_4to3(lam) == step_up(3, lam)
 
 
 def test_split_closed_form_matches_step_up():
     # compare in the level-3 basis and in the level-4 basis
     for lam in dominant_box(10, 10):
-        part4, part3 = closed_form("5to4", lam)
+        part4, part3 = closed_form_5to4(lam)
         walk = step_up(4, lam)
         lhs3 = substitute(walk, lambda w: step_up(3, w), basis=pre_canonical(3))
         rhs3 = substitute(part4, lambda w: step_up(3, w), basis=pre_canonical(3))

@@ -20,15 +20,11 @@ atomic() at the package level; the pre-canonical route is its oracle.
 
 from __future__ import annotations
 
-from .lattice import (GAMMA, X_SINGLE, Weight, check_dominant, check_level,
-                      gamma_sum, is_dominant, sub, x_I_member, x_set_member)
+from .lattice import (GAMMA, INDEX_SUBSETS, X_SINGLE, Weight, check_dominant,
+                      check_level, gamma_sum, is_dominant, sub, x_I_member,
+                      x_set_member)
 from .polyq import Poly, iadd_scaled
 from .combo import ATOMIC, CANONICAL, Combination, adjusted_label, folded, walk
-
-_INDEX_SUBSETS = tuple(
-    tuple(i for i in (2, 3, 4, 5) if mask & (1 << (i - 2)))
-    for mask in range(16)
-)
 
 
 def adjusted_step_down(k: int, lam: Weight) -> Combination:
@@ -68,7 +64,7 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     check_level(k, 6)
     check_dominant(lam)
     acc: dict[Weight, Poly] = {}
-    for I in _INDEX_SUBSETS:
+    for I in INDEX_SUBSETS:
         if I and I[0] < k:
             continue
         if not x_I_member(I, lam):

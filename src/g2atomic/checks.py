@@ -16,9 +16,8 @@ from . import adjusted, kostka, precanonical
 from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
                     single, substitute)
 from .kostka import CheckResult
-from .lattice import (Weight, check_dominant, dominance_leq,
-                      dominant_box, dominant_rep, height, x_I_member,
-                      x_I_member_closed)
+from .lattice import (INDEX_SUBSETS, Weight, check_dominant, dominance_leq,
+                      dominant_box, height, x_I_member, x_I_member_closed)
 from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coeff
 
 # Quadratic-cost oracle checks (the two Kostka-Foulkes paths, shift
@@ -67,33 +66,20 @@ def cross_approach(lam: Weight) -> None:
         raise AssertionError(f"the two atomic routes disagree at {lam!r}")
 
 
+# The roots of height >= 2, in the order that keeps the fewest intermediate
+# monomials over the 16x16 box.
+ORDER = ((0, 1), (1, 0), (-1, 1), (3, -1))
+
+
 def inverts_definitional(lam: Weight, x: Combination) -> bool:
     """Whether x, in the atomic basis, is the expansion of the canonical
     element at lam: substituting the definitional expansion of each atomic
     element must give back exactly that canonical element.
 
-    Substitution and straightening are both linear, so x is multiplied by
-    the product of (1 - q T_{-gamma}) over the roots of height >= 2 on the
-    weight lattice first, and each weight is straightened once after.  Each
-    factor is applied in place to one copy of x: it writes only below the
-    weight it reads, so visiting weights by increasing height reads each
-    one before any write reaches it."""
-    y = {w: dict(p) for w, p in x.terms.items()}
-    # The roots of height >= 2, in the order that keeps the fewest
-    # intermediate monomials over the 16x16 box.
-    for ga, gb in ((0, 1), (1, 0), (-1, 1), (3, -1)):
-        for a, b in sorted(y, key=height):
-            p = y[a, b]
-            if p:
-                iadd_scaled(y.setdefault((a - ga, b - gb), {}), p, 1, -1)
-    acc: dict = {}
-    for w, p in y.items():
-        if not p:
-            continue  # cancelled in place
-        sd = dominant_rep(w)
-        if sd is not None:
-            iadd_scaled(acc.setdefault(sd[1], {}), p, 0, sd[0])
-    return {w: p for w, p in acc.items() if p} == {lam: {0: 1}}
+    Substitution and straightening are both linear, so the whole of x goes
+    through precanonical.straightened once, the kernel that defines each
+    atomic element, instead of one expansion per term."""
+    return precanonical.straightened(x.terms, ORDER).terms == {lam: {0: 1}}
 
 
 def definitional_roundtrip(lam: Weight) -> None:
@@ -286,10 +272,8 @@ def correction_identity(box) -> str:
 
 
 def membership_tables(box) -> str:
-    subsets = [tuple(i for i in (2, 3, 4, 5) if m & (1 << (i - 2)))
-               for m in range(16)]
     for lam in box:
-        for I in subsets:
+        for I in INDEX_SUBSETS:
             if x_I_member(I, lam) != x_I_member_closed(I, lam):
                 raise AssertionError(f"membership tables disagree for "
                                      f"{I!r} at {lam!r}")

@@ -68,7 +68,7 @@ def canonical_to_standard(lam: Weight) -> Combination:
             iadd_scaled(s, a.get((r1, r2), {}), h)
             g = g_row.setdefault(r1, {})
             iadd_scaled(g, s)
-            if 2 * r1 >= 3 * r2:  # a dominant weight mu, at rc mu = (r1, r2)
+            if g and 2 * r1 >= 3 * r2:  # a dominant mu, at rc mu = (r1, r2)
                 terms[2 * r1 - 3 * r2, 2 * r2 - r1] = {e - h: c for e, c in g.items()}
     if terms.get(lam) != {0: 1}:
         raise RuntimeError(f"standard expansion at {lam!r} is not unitriangular")

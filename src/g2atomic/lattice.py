@@ -41,20 +41,12 @@ POSITIVE_ROOTS: tuple[tuple[Weight, RootCoords, int], ...] = (
 )
 
 # The unique positive root of each height 2..5.
-GAMMA: dict[int, Weight] = {2: (-1, 1), 3: (1, 0), 4: (3, -1), 5: (0, 1)}
+GAMMA: dict[int, Weight] = {h: w for w, _, h in POSITIVE_ROOTS if h >= 2}
 
 # Roots of height >= i, for signed subset sums.  Empty from level 6 on.
 PHI_GEQ: dict[int, tuple[Weight, ...]] = {
-    2: ((-1, 1), (1, 0), (3, -1), (0, 1)),
-    3: ((1, 0), (3, -1), (0, 1)),
-    4: ((3, -1), (0, 1)),
-    5: ((0, 1),),
-    6: (),
+    i: tuple(w for w, _, h in POSITIVE_ROOTS if h >= i) for i in range(2, 7)
 }
-
-
-def add(u: Weight, w: Weight) -> Weight:
-    return (u[0] + w[0], u[1] + w[1])
 
 
 def sub(u: Weight, w: Weight) -> Weight:
@@ -181,6 +173,12 @@ def x_I_member(I: frozenset | set | tuple | list, lam: Weight) -> bool:
         w = sub(w, GAMMA[i])
     return True
 
+
+# The 16 subsets of {2,3,4,5} as ascending tuples, in bitmask order.
+INDEX_SUBSETS = tuple(
+    tuple(i for i in (2, 3, 4, 5) if mask & (1 << (i - 2)))
+    for mask in range(16)
+)
 
 # Closed-form membership conditions for every subset of {2,3,4,5}, used only
 # as a cross-check of the recursion above.  Keys are frozensets; values take

@@ -7,11 +7,14 @@ height >= i, of straightened canonical elements
     N^i(lam) = sum over I subset of Phi(>=i) of (-q)^|I| * tH(lam - sum I),
 
 where tH is the straightening of a canonical element to a dominant index
-(zero for singular weights, a sign otherwise).  At level 6 the root set is
-empty, so N^6 is the canonical basis; at level 2 the family is the atomic
-basis.  Between consecutive levels the change of basis is given by two-term
-relations (inverse_step) whose inversions are single chains (step_up).
-Each chain is a walk along one link, so expanding the canonical basis into
+(zero for singular weights, a sign otherwise).  The subset sum is the
+product of (1 - q T_{-gamma}) over those roots, taken before straightening,
+so one kernel (straightened) computes it, tH itself and the definitional
+round trip of the checks.  At level 6 the root set is empty, so N^6 is the
+canonical basis; at level 2 the family is the atomic basis.  Between
+consecutive levels the change of basis is given by two-term relations
+(inverse_step) whose inversions are single chains (step_up).  Each chain
+is a walk along one link, so expanding the canonical basis into
 the atomic one is four push passes, one per level, run forward from the
 canonical element.  The level-4 chain is signed; its terms cancel at each
 level before they travel further.  The route is kept as the independent
@@ -23,20 +26,41 @@ checks all three.
 
 from __future__ import annotations
 
-from .lattice import Weight, PHI_GEQ, check_dominant, check_level, dominant_rep
+from .lattice import (Weight, PHI_GEQ, check_dominant, check_level,
+                      dominant_rep, height)
 from .polyq import Poly, iadd_scaled
 from .combo import Combination, ATOMIC, CANONICAL, folded, pre_canonical, walk
+
+
+def straightened(terms: dict[Weight, Poly], roots) -> Combination:
+    """The terms, read as canonical elements at arbitrary weights, times
+    the product of (1 - q T_{-gamma}) over the roots, straightened.
+
+    Each factor is applied in place to one copy of the terms: it writes
+    only below the weight it reads, so visiting weights by increasing
+    height reads each one before any write reaches it.  Each weight that
+    did not cancel is then straightened once."""
+    y = {w: dict(p) for w, p in terms.items()}
+    for ga, gb in roots:
+        for a, b in sorted(y, key=height):
+            p = y[a, b]
+            if p:
+                iadd_scaled(y.setdefault((a - ga, b - gb), {}), p, 1, -1)
+    acc: dict[Weight, Poly] = {}
+    for w, p in y.items():
+        if not p:
+            continue  # cancelled in place
+        sd = dominant_rep(w)
+        if sd is not None:
+            iadd_scaled(acc.setdefault(sd[1], {}), p, 0, sd[0])
+    return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
 
 
 def tilde_h(w: Weight) -> Combination:
     """Straightened canonical element for an arbitrary weight: zero when w
     is singular, otherwise a sign times the canonical element at the
     dominant representative of the dot orbit."""
-    sd = dominant_rep(w)
-    if sd is None:
-        return Combination(CANONICAL, {})
-    sign, rep = sd
-    return Combination(CANONICAL, {rep: {0: sign}})
+    return straightened({w: {0: 1}}, ())
 
 
 def defn_precanonical(i: int, lam: Weight) -> Combination:
@@ -44,27 +68,7 @@ def defn_precanonical(i: int, lam: Weight) -> Combination:
     canonical basis: signed sum over subsets of the roots of height >= i."""
     check_level(i, 6)
     check_dominant(lam)
-    roots = PHI_GEQ[i]
-    n = len(roots)
-    acc: dict[Weight, Poly] = {}
-    for mask in range(1 << n):
-        sa, sb = lam
-        size = 0
-        m = mask
-        j = 0
-        while m:
-            if m & 1:
-                sa -= roots[j][0]
-                sb -= roots[j][1]
-                size += 1
-            m >>= 1
-            j += 1
-        sd = dominant_rep((sa, sb))
-        if sd is None:
-            continue
-        sign, rep = sd
-        iadd_scaled(acc.setdefault(rep, {}), {size: (-1) ** size * sign})
-    return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
+    return straightened({lam: {0: 1}}, PHI_GEQ[i])
 
 
 def inverse_step(i: int, lam: Weight) -> Combination:

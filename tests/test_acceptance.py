@@ -23,6 +23,7 @@ from g2atomic.precanonical import (atomic, closed_form_3to2, closed_form_4to3,
                                    defn_precanonical, inverse_step, step_up)
 
 from reference_data import REF_ATOMIC_24, REF_KF_69_32, REF_ORDER_24
+from test_combo import validate
 from test_polyq import poly_add, poly_sub
 
 
@@ -76,6 +77,7 @@ def test_criterion_03_positivity_sweep():
             for w, p in x.terms.items():
                 assert dominance_leq(w, lam)
                 assert all(c > 0 for c in p.values()), (lam, w)
+            validate(x)
     _criterion(3, "atomic coefficients non-negative for a,b <= 12", 60.0, run)
 
 
@@ -91,6 +93,7 @@ def test_criterion_05_definitional_roundtrip():
         for lam in dominant_box(10, 10):
             back = substitute(atomic(lam), lambda w: defn_precanonical(2, w))
             assert back.terms == {lam: {0: 1}}, lam
+            assert back.basis == CANONICAL, lam
     _criterion(5, "definitional expansion inverts atomic for a,b <= 10",
                120.0, run)
 

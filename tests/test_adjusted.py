@@ -13,7 +13,7 @@ from g2atomic.adjusted import (adjusted2_in_atomic, adjusted_expand_up,
 from g2atomic.combo import (CANONICAL, Combination, adjusted_label, single,
                             substitute)
 from g2atomic.lattice import (GAMMA, dominant_box, x_I_member, x_set_member)
-from g2atomic.precanonical import atomic, defn_precanonical
+from g2atomic.precanonical import defn_precanonical
 
 from reference_data import REF_ATOMIC_24
 from test_combo import validate
@@ -174,11 +174,6 @@ def test_atomic_second_examples():
     assert atomic_second((2, 4)).terms == REF_ATOMIC_24
     with pytest.raises(ValueError):
         atomic_second((-1, 4))
-
-
-def test_cross_approach_equality():
-    for lam in dominant_box(12, 12):
-        assert atomic_second(lam) == atomic(lam), lam
 
 
 def test_atomic_second_validates():

@@ -105,6 +105,20 @@ GOLDEN_STDOUT = {
     "expand --level 6 2 3 --format json": "e0e066c2e144f609b383ac96ec019e0af2a91531dbcbf688c0836fe33153d2bc",
     "expand --level 6 2 3 --format latex": "31911cba724505aae79f38a4257c087f1fd2aba575d057b4dd9380d79a6552ca",
     "verify --max-a 4 --max-b 4 --format text": "17dd0839aeb815994d91e3f32f7f0bf9a9c48f6f1e7938845ced8797a118112f",
+    # walls: weights whose straightening gives signs and cancels terms,
+    # recorded before the definitional expansion moved onto one kernel
+    "expand --level 2 0 0 --format text": "1a408981a55d4ace9ca15e81766ee367829bbe85663d6bb8b3fe3a1cda8e48f0",
+    "expand --level 2 1 0 --format text": "096642d23fa0485b9d8aca11fe09742479f81e3544a95e0af485ab87d340f0aa",
+    "expand --level 2 0 1 --format text": "a1577722709fb5735c57b679c78bb144482acb532d94fe3e05f2622e2c69f4f2",
+    "expand --level 2 3 0 --format text": "92b2f2aab8bc83697bc3d0d4ed45cb8499988802f04d814f4bf9b8e69e8f782c",
+    "expand --level 3 0 0 --format text": "f01dbc649a9f22eca244546c7597814739108f363efcd057fd726c1432ed3214",
+    "expand --level 3 1 0 --format text": "965ce8dc6518a562dfbc9f23a74352942a426e45952f71e433369e9abe90c921",
+    "expand --level 3 0 1 --format text": "3e8cda2db34f4cafd35b6f1c3f26261793e66e309b4af20081ef6523abc91a02",
+    "expand --level 3 3 0 --format text": "13dd6e908176e9fb43c4120cdace2388be28b5fb9b2a9719be391698a537f93c",
+    "expand --level 4 0 0 --format text": "0860038c941758c4804b3fd4d24b2917804c2574003c5182f0d0c338f5136731",
+    "expand --level 4 1 0 --format text": "d9aaecfa8a3aab3bfae6883a99d31efe6d351e64438fd4b996da976e264ef4cb",
+    "expand --level 4 0 1 --format text": "10a02964194d9ece32e47e903d9ace93f67d206ff194026c20a886c4705a7e6f",
+    "expand --level 4 3 0 --format text": "e5c59d3a97e6fce51af69857238b13ca43d6224e06b3e23b896e6c0573da32fd",
 }
 
 

@@ -19,6 +19,7 @@ from g2atomic.lattice import (PHI_GEQ, dominance_leq, dominant_below,
 from g2atomic.polyq import degree, is_nonnegative
 
 from reference_data import REF_KF_69_32
+from test_precanonical import defn_oracle
 from test_polyq import poly_add, poly_scale_qpow, poly_sub
 
 
@@ -65,6 +66,7 @@ def _column_reference(x):
 @example((40, 0), [])
 @example((60, 1), [])
 @example((1, 30), [])
+@example((2, 0), [(8, 1, -1)])  # the column cancels to zero at (0, 1)
 def test_canonical_to_standard_matches_substitute(lam, edits):
     # Real atomic expansions, and the same with coefficients edited below
     # the top (negative ones included): the quadrant sums give the
@@ -182,7 +184,7 @@ def test_monotone_check_matches_reference(lam, edits):
 def test_inverts_definitional_matches_substitute(lam, edit):
     # Real expansions, and the same with one coefficient edited at any
     # dominant weight below lam: the factored check gives the verdict of
-    # substituting the definitional expansion term by term.
+    # substituting the independent definitional oracle term by term.
     terms = {w: dict(p) for w, p in adjusted.atomic_second(lam).terms.items()}
     if edit is not None:
         i, e, d = edit
@@ -192,7 +194,7 @@ def test_inverts_definitional_matches_substitute(lam, edit):
         terms = {w: {f: c for f, c in r.items() if c} for w, r in terms.items()}
         terms = {w: r for w, r in terms.items() if r}
     x = Combination(ATOMIC, terms)
-    want = substitute(x, lambda w: precanonical.defn_precanonical(2, w),
+    want = substitute(x, lambda w: Combination(CANONICAL, defn_oracle(2, w)),
                       basis=CANONICAL).terms == {lam: {0: 1}}
     assert checks.inverts_definitional(lam, x) == want
     assert want == (edit is None or edit[2] == 0)

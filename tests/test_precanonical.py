@@ -4,19 +4,21 @@ oracle, inverse/forward round trips, closed-form agreement, positivity."""
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from g2atomic import checks
 from g2atomic.combo import (ATOMIC, CANONICAL, Combination, pre_canonical,
                             single, substitute)
 from g2atomic.lattice import PHI_GEQ, dominant_below, dominant_box
 from g2atomic.precanonical import (atomic, closed_form_3to2, closed_form_4to3,
                                    closed_form_5to4, closed_form_6to5,
                                    defn_precanonical, inverse_step, step_up,
-                                   tilde_h)
+                                   straightened, tilde_h)
 
 from reference_data import REF_ATOMIC_24, REF_ATOMIC_24_ZEROS
 from test_combo import validate
-from test_lattice import orbit_rep_oracle
-from test_polyq import poly_add
+from test_lattice import dot_reflect, orbit_rep_oracle
+from test_polyq import poly_add, poly_scale_qpow
 
 
 def defn_oracle(i, lam):
@@ -69,6 +71,43 @@ def test_defn_against_independent_oracle():
             got = defn_precanonical(i, lam)
             assert got.terms == defn_oracle(i, lam), (i, lam)
             validate(got)
+
+
+# A term: a weight on either side of the walls, a monomial c*q^e, and
+# whether to add its twin, the dot reflection with the same coefficient.
+# A twin straightens to the negative, so with no roots the pair cancels.
+_terms = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                            st.integers(0, 5), st.sampled_from([1, -1, 2, -3]),
+                            st.sampled_from([None, 1, 2])),
+                  max_size=6)
+
+
+@given(st.sampled_from([2, 3, 4, 5, 6]), _terms)
+@example(2, [(3, 0, 0, 1, None), (1, 0, 1, 2, None)])
+@example(3, [(2, -3, 0, -3, 1), (0, 1, 2, 1, 2)])
+@example(6, [(4, -3, 1, 2, 1), (1, 2, 0, -1, 2)])  # twins cancel to zero
+def test_straightened_matches_oracle_on_sums(i, raw):
+    # The kernel on a multi-term input is the coefficient-weighted sum of
+    # the subset-sum oracle at each weight, and leaves its input as it was.
+    terms = {}
+    for a, b, e, c, twin in raw:
+        for w in [(a, b)] + ([dot_reflect(twin, (a, b))] if twin else []):
+            terms[w] = poly_add(terms.get(w, {}), {e: c})
+    terms = {w: p for w, p in terms.items() if p}
+    before = {w: dict(p) for w, p in terms.items()}
+    want = {}
+    for w, p in terms.items():
+        for rep, r in defn_oracle(i, w).items():
+            for e, c in p.items():
+                want[rep] = poly_add(want.get(rep, {}), poly_scale_qpow(r, e, c))
+    want = {w: p for w, p in want.items() if p}
+    got = straightened(terms, PHI_GEQ[i])
+    assert got.basis == CANONICAL
+    assert got.terms == want
+    assert terms == before
+    validate(got)
+    if i == 2:  # the round-trip check's root order gives the same product
+        assert straightened(terms, checks.ORDER) == got
 
 
 def test_inverse_step_examples():
@@ -185,24 +224,6 @@ def test_atomic_examples():
     assert atomic((2, 4)).basis == ATOMIC
     with pytest.raises(ValueError):
         atomic((0, -1))
-
-
-def test_atomic_positivity_triangularity_sweep():
-    from g2atomic.lattice import dominance_leq
-    for lam in dominant_box(12, 12):
-        x = atomic(lam)
-        assert x.terms[lam] == {0: 1}
-        for w, p in x.terms.items():
-            assert dominance_leq(w, lam)
-            assert all(c > 0 for c in p.values()), (lam, w)
-        validate(x)
-
-
-def test_definitional_roundtrip():
-    for lam in dominant_box(10, 10):
-        back = substitute(atomic(lam), lambda w: defn_precanonical(2, w))
-        assert back.terms == {lam: {0: 1}}, lam
-        assert back.basis == CANONICAL
 
 
 def test_even_column_closed_form():

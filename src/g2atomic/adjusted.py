@@ -21,21 +21,19 @@ atomic() at the package level; the pre-canonical route is its oracle.
 from __future__ import annotations
 
 from .lattice import (GAMMA, INDEX_SUBSETS, X_SINGLE, Weight, check_dominant,
-                      check_level, gamma_sum, is_dominant, sub, x_I_member,
-                      x_set_member)
+                      check_level, gamma_sum, is_dominant, sub, x_I_member)
 from .polyq import Poly, iadd_scaled
-from .combo import ATOMIC, CANONICAL, Combination, adjusted_label, folded, walk
+from .combo import (ATOMIC, CANONICAL, Combination, adjusted_label, folded,
+                    relation, walk)
 
 
 def adjusted_step_down(k: int, lam: Weight) -> Combination:
     """Adjusted level-k element in the level-(k+1) adjusted basis: the
-    defining one- or two-term relation."""
+    defining one- or two-term relation, whose inverse is the chain
+    adjusted_expand_up(k, lam)."""
     check_level(k, 5)
     check_dominant(lam)
-    terms: dict[Weight, Poly] = {lam: {0: 1}}
-    if x_set_member(k, lam):
-        terms[sub(lam, GAMMA[k])] = {1: -1}
-    return Combination(adjusted_label(k + 1), terms)
+    return relation(_LINKS[k], lam, adjusted_label(k + 1))
 
 
 def _link(k: int):

@@ -10,7 +10,7 @@ sees every call.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 from . import adjusted, kostka, precanonical
 from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
@@ -186,7 +186,9 @@ def _step_roundtrips(box, up, down) -> str:
 
 def _canonical_consistency(box, down, in_canonical) -> str:
     """Stepping down from level i+1 agrees with the canonical-basis
-    expansion at level i, for i in 2..5."""
+    expansion at level i, for i in 2..5.  Each expansion is computed once
+    per run, though the terms of several relations name it."""
+    in_canonical = cache(in_canonical)
     for lam in box:
         for i in (2, 3, 4, 5):
             via = substitute(down(i, lam), lambda w: in_canonical(i + 1, w),
@@ -320,6 +322,8 @@ BOX_CHECKS = [
 
 def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     """Run every box check over the dominant weights with a <= max_a and
-    b <= max_b."""
+    b <= max_b.  Raises ValueError if either bound is negative."""
+    if max_a < 0 or max_b < 0:
+        raise ValueError("sweep bounds must be non-negative")
     box = dominant_box(max_a, max_b)
     return [run(name, partial(fn, box)) for name, fn in BOX_CHECKS]

@@ -109,15 +109,13 @@ def _standard_command(args) -> tuple[int, str]:
 def _expand_command(args) -> tuple[int, str]:
     lam = (args.a, args.b)
     if not 2 <= args.level <= 6:
-        return 1, "error: --level must be in 2..6"
+        raise ValueError("--level must be in 2..6")
     from . import precanonical
     x = precanonical.defn_precanonical(args.level, lam)
     return 0, render_combination(x, pre_canonical(args.level), lam, args.format)
 
 
 def _verify_command(args) -> tuple[int, str]:
-    if args.max_a < 0 or args.max_b < 0:
-        return 1, "error: sweep bounds must be non-negative"
     from . import checks
     results = checks.sweep(args.max_a, args.max_b)
     ok = all(c.ok for c in results)
@@ -163,9 +161,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if code != 0 and args.command != "verify":
-        print(out, file=sys.stderr)
-        return code
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return 1
     try:
         print(out)
         sys.stdout.flush()

@@ -192,6 +192,19 @@ def walk(link: Link, lam: Weight, basis: BasisLabel) -> Combination:
         w, e, c = u, e + d, c * s
 
 
+def relation(link: Link, lam: Weight, basis: BasisLabel) -> Combination:
+    """The two-term element in basis whose chain is walk(link, lam, .): lam
+    with coefficient 1, minus c*q^d at the successor when link leads on.
+    Raises RuntimeError if the link does not descend (see _descend)."""
+    terms: dict[Weight, Poly] = {lam: {0: 1}}
+    step = link(*lam)
+    if step is not None:
+        u, d, c = step
+        _descend(lam, u, height(lam))
+        terms[u] = {d: -c}
+    return Combination(basis, terms)
+
+
 def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
     """The terms of substitute(x, chain) for x with these terms, where chain
     is the walk along link, computed one link at a time.

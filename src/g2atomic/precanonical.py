@@ -11,17 +11,17 @@ where tH is the straightening of a canonical element to a dominant index
 product of (1 - q T_{-gamma}) over those roots, taken before straightening,
 so one kernel (straightened) computes it, tH itself and the definitional
 round trip of the checks.  At level 6 the root set is empty, so N^6 is the
-canonical basis; at level 2 the family is the atomic basis.  Between
-consecutive levels the change of basis is given by two-term relations
-(inverse_step) whose inversions are single chains (step_up).  Each chain
-is a walk along one link, so expanding the canonical basis into
-the atomic one is four push passes, one per level, run forward from the
-canonical element.  The level-4 chain is signed; its terms cancel at each
-level before they travel further.  The route is kept as the independent
-oracle for the adjusted route, which serves atomic() at the package level.
-Coefficients of the result are non-negative, the expansion is
-unitriangular, and its support lies below the indexing weight; atomic()
-checks all three.
+canonical basis; at level 2 the family is the atomic basis.  Each change
+of basis between consecutive levels is written once, as a link (see
+combo.Link): step_up walks it, a single chain, and inverse_step is the
+two-term relation that the chain inverts (combo.relation).  Expanding the
+canonical basis into the atomic one is four push passes over the links,
+one per level, run forward from the canonical element.  The level-4 chain
+is signed; its terms cancel at each level before they travel further.  The
+route is kept as the independent oracle for the adjusted route, which
+serves atomic() at the package level.  Coefficients of the result are
+non-negative, the expansion is unitriangular, and its support lies below
+the indexing weight; atomic() checks all three.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from __future__ import annotations
 from .lattice import (Weight, PHI_GEQ, check_dominant, check_level,
                       dominant_rep, height)
 from .polyq import Poly, iadd_scaled
-from .combo import Combination, ATOMIC, CANONICAL, folded, pre_canonical, walk
+from .combo import (Combination, ATOMIC, CANONICAL, folded, pre_canonical,
+                    relation, walk)
 
 
 def straightened(terms: dict[Weight, Poly], roots) -> Combination:
@@ -72,37 +73,17 @@ def defn_precanonical(i: int, lam: Weight) -> Combination:
 
 
 def inverse_step(i: int, lam: Weight) -> Combination:
-    """Expansion of the level-i element at lam in the level-(i+1) basis.
-    Always one or two terms."""
+    """Expansion of the level-i element at lam in the level-(i+1) basis:
+    the two-term relation whose inverse is the chain step_up(i, lam)."""
     check_level(i, 5)
     check_dominant(lam)
-    a, b = lam
-    terms: dict[Weight, Poly] = {lam: {0: 1}}
-    if i == 5:
-        if b >= 1:
-            terms[(a, b - 1)] = {1: -1}
-    elif i == 4:
-        if a >= 3:
-            terms[(a - 3, b + 1)] = {1: -1}
-        elif a == 1:
-            terms[(0, b)] = {1: 1}
-        elif a == 0 and b >= 1:
-            terms[(1, b - 1)] = {1: 1}
-        # a == 2 and the origin need no correction term
-    elif i == 3:
-        if a >= 1:
-            terms[(a - 1, b)] = {1: -1}
-        elif b >= 2:
-            terms[(2, b - 2)] = {2: -1}
-    else:  # i == 2
-        if b >= 1:
-            terms[(a + 1, b - 1)] = {1: -1}
-    return Combination(pre_canonical(i + 1), terms)
+    return relation(_LINKS[i], lam, pre_canonical(i + 1))
 
 
-# step_up inverts the relations above.  Each level's chain is defined by
-# its link (see combo.Link): the next weight of the walk and the factor
-# c*q^d it picks up there.  Level 4 is the only signed chain.
+# Each level's chain is defined by its link (see combo.Link): the next
+# weight of the walk and the factor c*q^d it picks up there.  step_up walks
+# the chain and inverse_step is its two-term relation.  Level 4 is the only
+# signed chain.
 
 def _link5(a: int, b: int):
     return ((a, b - 1), 1, 1) if b >= 1 else None

@@ -35,7 +35,7 @@ def test_step_down_examples():
 
 
 def test_step_down_matches_membership_and_gamma():
-    for lam in dominant_box(8, 8):
+    for lam in dominant_box(20, 20):
         for k in (2, 3, 4, 5):
             x = adjusted_step_down(k, lam)
             if x_set_member(k, lam):

@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 
-from g2atomic import checks
+import pytest
+
+from g2atomic import checks, cli
 from g2atomic.cli import main
 from g2atomic.combo import CANONICAL
 from g2atomic.kostka import kostka_foulkes
@@ -230,6 +232,27 @@ def test_error_exits(capsys):
     assert run_cli(capsys)[0] == 1
     code, out, err = run_cli(capsys, "atomic", "-1", "2")
     assert out == "" and err != ""
+
+
+def test_domain_errors_go_to_stderr(capsys):
+    for argv, msg in ((["verify", "--max-a", "-1"], "sweep bounds must be non-negative"),
+                      (["verify", "--max-b", "-3", "--format", "json"],
+                       "sweep bounds must be non-negative"),
+                      (["expand", "--level", "9", "1", "1"], "--level must be in 2..6")):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {msg}\n"), argv
+    with pytest.raises(ValueError, match="sweep bounds must be non-negative"):
+        checks.sweep(-1, 0)
+
+
+def test_memory_error_exits_with_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "atomic", exhausted)
+    code, out, err = run_cli(capsys, "atomic", "300", "300")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_reports_failing_check(monkeypatch, capsys):

@@ -12,8 +12,8 @@ from g2atomic.adjusted import adjusted_expand_up
 from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
                             Combination, adjusted_label, combo_add,
                             display_key, parse_basis, pre_canonical,
-                            push, same_basis, single, sorted_support,
-                            substitute, walk)
+                            push, relation, same_basis, single,
+                            sorted_support, substitute, walk)
 from g2atomic.lattice import GAMMA, X_SINGLE, dominant_box, is_dominant
 from g2atomic.polyq import Poly
 from g2atomic.precanonical import atomic, step_up
@@ -274,6 +274,8 @@ def test_push_rejects_links_that_do_not_descend():
             push({w: {0: 1}}, link)
         with pytest.raises(RuntimeError):
             walk(link, w, STANDARD)
+        with pytest.raises(RuntimeError):
+            relation(link, w, STANDARD)
 
 
 def _step_up_reference(i, lam):

@@ -11,11 +11,11 @@ with tN^6 the canonical basis.  Unwinding the recursion across all four
 levels expresses an adjusted element as a signed sum of canonical elements
 over the sets X_I (adjusted_in_canonical).  In the other direction each
 level inverts to a chain with all-positive powers of q (adjusted_expand_up),
-the walk down by gamma_k along one link, and the level-2 adjusted elements
-expand positively into the atomic basis (adjusted2_in_atomic).  One push
-pass per level, then the level-2 map, gives a manifestly positive expansion
-of the canonical basis into the atomic one (atomic_second).  This route serves
-atomic() at the package level; the pre-canonical route is its oracle.
+the walk down by gamma_k along one link.  A level-2 adjusted element is,
+in the atomic basis, a fifth chain, the level-2 correction, with a tail
+of atomic terms at each weight (adjusted2_in_atomic).  Five push passes,
+then the tails, expand the canonical basis positively into the atomic one
+(atomic_second), the route of atomic(); the pre-canonical route is its oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .lattice import (GAMMA, INDEX_SUBSETS, X_SINGLE, Weight, check_dominant,
                       check_level, gamma_sum, is_dominant, sub, x_I_member)
 from .polyq import Poly, iadd_scaled
 from .combo import (ATOMIC, CANONICAL, Combination, adjusted_label, folded,
-                    relation, walk)
+                    push, relation, walk)
 
 
 def adjusted_step_down(k: int, lam: Weight) -> Combination:
@@ -75,45 +75,37 @@ def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
 
 
-def _adjusted2_push(terms: dict[Weight, Poly]) -> Combination:
-    """A combination of adjusted level-2 elements, given by its terms, in
-    the atomic basis.
+def _link2(a: int, b: int):
+    """The level-2 correction link: (2, b) to (0, b) and (1, b) to (1, b-1)
+    with q^2, (0, b) to (0, b-2) with q^4, none once a >= 3 or a + b < 2."""
+    if a >= 3 or a + b < 2:
+        return None
+    if a == 0:
+        return (0, b - 2), 4, 1
+    return ((0, b) if a == 2 else (1, b - 1)), 2, 1
 
-    The element at (a, b) is N(a, b), plus q^s times the element at below
-    = (0, b), (1, b-1) or (0, b-2) for a = 2, 1 or 0 (s = 4 for a = 0, else
-    2), plus q^k N(a+k, b-k) for 2-a <= k <= b when a < 2; it is N(a, b)
-    alone when a >= 3 or a + b < 2.  Every branch is manifestly positive.
-    Weights are visited in decreasing a + b, each handing q^s times its
-    merged coefficient down to below, so each is expanded once."""
-    pending: dict[int, dict] = {}
-    for (a, b), p in terms.items():
-        pending.setdefault(a + b, {})[a, b] = dict(p)
-    out: dict[Weight, Poly] = {}
-    for s in range(max(pending, default=-1), -1, -1):
-        for (a, b), p in pending.pop(s, {}).items():
-            iadd_scaled(out.setdefault((a, b), {}), p)
-            if a >= 3 or s < 2:
-                continue
-            below = (0, b) if a == 2 else (1, b - 1) if a == 1 else (0, b - 2)
-            iadd_scaled(pending.setdefault(sum(below), {}).setdefault(below, {}),
-                        p, 4 if a == 0 else 2)
-            if a < 2:
-                for k in range(2 - a, b + 1):
-                    iadd_scaled(out.setdefault((a + k, b - k), {}), p, k)
-    return Combination(ATOMIC, {w: p for w, p in out.items() if p})
+
+def _tails(terms: dict[Weight, Poly]) -> Combination:
+    """Terms pushed along _link2, in the atomic basis: adds, in place,
+    q^k N(a+k, b-k) for 2-a <= k <= b at each weight with a < 2.  Tails land
+    only where a >= 2, so one snapshot of the a < 2 terms orders the pass."""
+    for (a, b), p in [(w, p) for w, p in terms.items() if w[0] < 2]:
+        for k in range(2 - a, b + 1):
+            iadd_scaled(terms.setdefault((a + k, b - k), {}), p, k)
+    return Combination(ATOMIC, {w: p for w, p in terms.items() if p})
 
 
 def adjusted2_in_atomic(lam: Weight) -> Combination:
-    """Adjusted level-2 element at lam in the atomic basis."""
+    """Adjusted level-2 element at lam in the atomic basis: the chain along
+    _link2, each weight with its tail.  Every term is manifestly positive."""
     check_dominant(lam)
-    return _adjusted2_push({lam: {0: 1}})
+    return _tails(push({lam: {0: 1}}, _link2))
 
 
-# Second atomic pipeline, the production route: push the canonical element
-# down through the adjusted levels, then expand the level-2 elements in the
-# atomic basis.  Every step has non-negative coefficients, so positivity
-# holds by construction, and nothing cancels.  The pre-canonical route must
-# agree, which the verification sweep asserts.
+# Second atomic pipeline, the production route: the canonical element pushed
+# down the adjusted levels and the level-2 correction, then the tails.  Every
+# step is non-negative, so positivity holds by construction and nothing
+# cancels; the verification sweep checks it against the pre-canonical route.
 
-to_atomic, atomic_second = folded([_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2]],
-                                  _adjusted2_push)
+to_atomic, atomic_second = folded(
+    [_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2], _link2], _tails)

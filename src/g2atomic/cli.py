@@ -150,12 +150,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    for name in ("a", "b", "c", "d"):
-        v = getattr(args, name, None)
-        if v is not None and v < 0:
-            print(f"error: coordinates must be non-negative, got {v}",
-                  file=sys.stderr)
-            return 1
     try:
         code, out = _COMMANDS[args.command](args)
     except ValueError as exc:

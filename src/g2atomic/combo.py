@@ -220,7 +220,8 @@ def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
     for w, p in terms.items():
         buckets.setdefault(height(w), {})[w] = dict(p)
     out: dict[Weight, Poly] = {}
-    for h in range(max(buckets, default=-1), -1, -1):
+    h = max(buckets, default=0)
+    while buckets:
         for w, p in buckets.pop(h, {}).items():
             if not p:
                 continue
@@ -230,15 +231,17 @@ def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
                 u, d, c = step
                 bucket = buckets.setdefault(_descend(w, u, h), {})
                 iadd_scaled(bucket.setdefault(u, {}), p, d, c)
+        h -= 1
     return out
 
 
 def folded(links: list[Link],
            base: Callable[[dict[Weight, Poly]], Combination]) -> tuple:
     """One route to the atomic basis as a left fold.  expand(x) pushes the
-    terms of x, in the canonical basis, through one push pass per chain
-    link, top first, then hands them to the base map, which returns the
-    atomic combination.  Each level expands every weight once, so signed
+    terms of x, in the canonical basis at dominant weights (else ValueError),
+    through one push pass per chain link, top first, then hands them, fresh
+    from the last push and so free to mutate, to the base map, which returns
+    the atomic combination.  Each level expands every weight once, so signed
     terms cancel before they are expanded further, and nothing below the
     top is kept.  Returns (expand, atomic); atomic(lam) is expand at the
     canonical element at lam, memoized, checked by check_atomic and not to
@@ -247,6 +250,8 @@ def folded(links: list[Link],
         if not same_basis(x.basis, CANONICAL):
             raise ValueError(f"cannot expand a combination in the {x.basis} basis")
         terms = x.terms
+        for w in terms:
+            check_dominant(w)
         for link in links:
             terms = push(terms, link)
         return base(terms)
@@ -255,7 +260,6 @@ def folded(links: list[Link],
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
-        check_dominant(lam)
         x = expand(Combination(CANONICAL, {lam: {0: 1}}))
         check_atomic(lam, x)
         return x

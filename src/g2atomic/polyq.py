@@ -61,12 +61,13 @@ def to_pairs(p: Poly) -> list[list[int]]:
 
 
 def from_pairs(pairs) -> Poly:
-    """Inverse of to_pairs.  Rejects duplicate exponents and zero
-    coefficients so that serialized form stays canonical."""
+    """Inverse of to_pairs.  Rejects entries other than ints (bools too),
+    duplicate exponents and zero coefficients, so that serialized form
+    stays canonical."""
     out: Poly = {}
     for e, c in pairs:
-        e = int(e)
-        c = int(c)
+        if type(e) is not int or type(c) is not int:
+            raise ValueError(f"serialized pair {[e, c]!r} is not two ints")
         if c == 0:
             raise ValueError("zero coefficient in serialized polynomial")
         if e in out:

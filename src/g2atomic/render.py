@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .combo import BasisLabel, Combination, parse_basis, sorted_support
-from .lattice import Weight
+from .lattice import Weight, check_dominant
 from .polyq import Poly, from_pairs, to_pairs
 
 
@@ -137,18 +137,26 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
     return " ".join(parts)
 
 
+def _weight(v) -> Weight:
+    a, b = v
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"serialized weight {v!r} is not two ints")
+    check_dominant((a, b))
+    return a, b
+
+
 def combination_from_json(obj) -> tuple[Combination, Weight]:
     """Inverse of the JSON rendering; returns the combination and the
     designated weight.  Malformed input raises ValueError."""
     try:
         basis = parse_basis(obj["basis"])
-        lam = (int(obj["weight"][0]), int(obj["weight"][1]))
+        lam = _weight(obj["weight"])
         terms = {}
         for entry in obj["terms"]:
-            w = (int(entry["weight"][0]), int(entry["weight"][1]))
+            w = _weight(entry["weight"])
             if w in terms:
                 raise ValueError(f"duplicate weight {w!r} in serialized combination")
             terms[w] = from_pairs(entry["poly"])
-    except (AttributeError, KeyError, IndexError, OverflowError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed serialized combination: {exc!r}") from None
     return Combination(basis, terms), lam

@@ -121,6 +121,12 @@ GOLDEN_STDOUT = {
     "expand --level 4 1 0 --format text": "d9aaecfa8a3aab3bfae6883a99d31efe6d351e64438fd4b996da976e264ef4cb",
     "expand --level 4 0 1 --format text": "10a02964194d9ece32e47e903d9ace93f67d206ff194026c20a886c4705a7e6f",
     "expand --level 4 3 0 --format text": "e5c59d3a97e6fce51af69857238b13ca43d6224e06b3e23b896e6c0573da32fd",
+    # walls: large outputs, recorded before the level-2 correction became a
+    # chain link; the text hash equals benchmarks/golden.json
+    "atomic 300 1 --format text": "490c7f8064efcd08b87e4ca3f08232ccdaf6c1c0b7009ba1944e5d9e503f98a2",
+    "atomic 0 100 --format json": "cecb7b0b7e0e8fe13dc2483d98a27adb7e27de93a6b987985db845369d6dcbb1",
+    "atomic 300 1 --format json": "69953a4dc2c6ea6b25eb712be3d5671fa451006ae470f69cebfdaf879491c862",
+    "standard 30 30 --format json": "e3b310261b08eddab022c2b8ff73cc76f7651a7f8525d77a780f3488bea739e1",
 }
 
 
@@ -238,7 +244,10 @@ def test_domain_errors_go_to_stderr(capsys):
     for argv, msg in ((["verify", "--max-a", "-1"], "sweep bounds must be non-negative"),
                       (["verify", "--max-b", "-3", "--format", "json"],
                        "sweep bounds must be non-negative"),
-                      (["expand", "--level", "9", "1", "1"], "--level must be in 2..6")):
+                      (["expand", "--level", "9", "1", "1"], "--level must be in 2..6"),
+                      (["atomic", "-1", "2"], "weight (-1, 2) is not dominant"),
+                      (["kf", "1", "1", "0", "-3"], "weight (0, -3) is not dominant"),
+                      (["standard", "4", "-1"], "weight (4, -1) is not dominant")):
         assert run_cli(capsys, *argv) == (1, "", f"error: {msg}\n"), argv
     with pytest.raises(ValueError, match="sweep bounds must be non-negative"):
         checks.sweep(-1, 0)

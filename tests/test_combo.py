@@ -1,6 +1,7 @@
 """Basis labels, combination arithmetic, substitution, display order."""
 
 import copy
+import re
 from functools import cache
 
 import pytest
@@ -410,6 +411,14 @@ def test_fold_rejects_other_bases():
     for to_atomic, _ in _ROUTES:
         with pytest.raises(ValueError):
             to_atomic(single(ATOMIC, (1, 0)))
+
+
+def test_fold_rejects_weights_outside_the_cone():
+    for to_atomic, _ in _ROUTES:
+        for w in [(-1, 0), (5, -1), (0, -3)]:
+            x = Combination(CANONICAL, {(2, 2): {0: 1}, w: {1: 1}})
+            with pytest.raises(ValueError, match=re.escape(f"weight {w!r} is not dominant")):
+                to_atomic(x)
 
 
 def _adjusted2_below(lam):

@@ -133,6 +133,11 @@ def test_from_pairs_rejects_noncanonical():
         from_pairs([[0, 0]])
     with pytest.raises(ValueError):
         from_pairs([[1, 2], [1, 3]])
+    # floats are not truncated, strings not parsed, bools not read as ints
+    for pairs in ([[1.5, 2.9]], [[1, 2.0]], [["7", 1]], [[1, "7"]],
+                  [[True, 1]], [[1, True]], [[1, None]]):
+        with pytest.raises(ValueError, match="not two ints"):
+            from_pairs(pairs)
 
 
 @given(polys, polys, st.integers(0, 4), st.integers(-3, 3))

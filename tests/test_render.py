@@ -1,9 +1,12 @@
-"""The one-pass renderer against the generator-based renderer it replaced."""
+"""The one-pass renderer against the generator-based renderer it replaced,
+and the JSON inverse on malformed input."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from g2atomic.combo import BasisLabel, Combination, sorted_support
-from g2atomic.render import render_combination, render_poly
+from g2atomic.combo import ATOMIC, BasisLabel, Combination, sorted_support
+from g2atomic.render import (combination_from_json, render_combination,
+                             render_poly)
 
 
 # The renderer as it was before it built monomials from per-call tables,
@@ -98,3 +101,37 @@ def test_render_poly_zero_and_negative_lead():
             assert render_poly(p, fmt) == _join(_signed(p, _OLD_STYLES[fmt]))
     assert render_poly({3: -1, 0: 2}, "text") == "-q^3 + 2"
     assert render_poly({1: -4, 0: -1}, "latex") == "-4q - 1"
+
+
+def _serialized(weight=(2, 1), term_weight=(1, 1), poly=((0, 1),)):
+    return {"basis": "atomic", "weight": list(weight),
+            "terms": [{"weight": list(term_weight), "poly": [list(e) for e in poly]}]}
+
+
+def test_combination_from_json_rejects_malformed():
+    x, lam = combination_from_json(_serialized())
+    assert (x, lam) == (Combination(ATOMIC, {(1, 1): {0: 1}}), (2, 1))
+    for obj in [
+        _serialized(poly=[(1.5, 2.9)]),      # floats are not truncated
+        _serialized(poly=[(1, 2.0)]),
+        _serialized(poly=[("7", 1)]),        # nor strings parsed
+        _serialized(poly=[(1, True)]),       # nor bools read as ints
+        _serialized(poly=[(1, 0)]),
+        _serialized(poly=[(1, 2), (1, 3)]),
+        _serialized(poly=[(1, 2, 3)]),
+        _serialized(term_weight=(1.9, 0)),
+        _serialized(term_weight=("7", 0)),
+        _serialized(term_weight=(True, 0)),
+        _serialized(term_weight=(-3, 0)),    # not dominant
+        _serialized(term_weight=(1, 2, 3)),
+        _serialized(weight=(0, -1)),
+        _serialized(weight=(2.0, 1)),
+        {"basis": "atomic", "weight": [2, 1], "terms": [{"weight": [1, 1]}]},
+        {"basis": "borel", "weight": [2, 1], "terms": []},
+        {"basis": 7, "weight": [2, 1], "terms": []},
+        {"weight": [2, 1], "terms": []},
+        {"basis": "atomic", "weight": 5, "terms": []},
+        [],
+    ]:
+        with pytest.raises(ValueError):
+            combination_from_json(obj)

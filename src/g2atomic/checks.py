@@ -1,11 +1,13 @@
 """Invariant checks: one runner and two ordered registries.
 
 A check is a (name, fn) pair; fn raises on failure and may return a detail
-string, and run() turns it into a CheckResult.  verify() runs WEIGHT_CHECKS
-on one weight; sweep() runs BOX_CHECKS over a box, and box checks that
-re-check a per-weight invariant call the same body.  Library functions are
-looked up on their modules at call time, so a tracing wrapper bound there
-sees every call.
+string, and run() turns it into a CheckResult.  The registries are two
+pinned views: verify() runs WEIGHT_CHECKS on one weight, sweep() runs
+BOX_CHECKS over a box.  _each_weight is the one loop that runs per-weight
+bodies over a box; only the canonical-consistency checks (a memo per run),
+the even column (over m) and the two Kostka-Foulkes paths (over pairs)
+take the box.  Library functions are looked up on their modules at call
+time, so a tracing wrapper bound there sees every call.
 """
 
 from __future__ import annotations
@@ -156,32 +158,31 @@ def verify(lam: Weight) -> VerifyReport:
     return VerifyReport(lam, [run(name, partial(fn, lam)) for name, fn in WEIGHT_CHECKS])
 
 
-# Box checks.  Each takes the box as a list of weights in dominant_box order.
+# Box checks take the box as a list of weights in dominant_box order.
 
 def _small(box: list[Weight]) -> list[Weight]:
     return [w for w in box if w[0] <= SMALL and w[1] <= SMALL]
 
 
-def _each_weight(*bodies, small=False):
-    """A box check running each per-weight body on every weight."""
+def _each_weight(*bodies, small=False, suffix=""):
+    """A box check running each per-weight body on every weight; suffix
+    ends its detail, as in " x 4 levels"."""
     def check(box):
         weights = _small(box) if small else box
         for lam in weights:
             for body in bodies:
                 body(lam)
-        return f"{len(weights)} weights"
+        return f"{len(weights)} weights{suffix}"
     return check
 
 
-def _step_roundtrips(box, up, down) -> str:
+def _step_roundtrip(lam, up, down) -> None:
     """up(i, .) and down(i, .) invert each other at levels 2..5."""
-    for lam in box:
-        for i in (2, 3, 4, 5):
-            f = substitute(down(i, lam), lambda w: up(i, w))
-            g = substitute(up(i, lam), lambda w: down(i, w))
-            if f.terms != {lam: {0: 1}} or g.terms != {lam: {0: 1}}:
-                raise AssertionError(f"level {i} round trip fails at {lam!r}")
-    return f"{len(box)} weights x 4 levels"
+    for i in (2, 3, 4, 5):
+        f = substitute(down(i, lam), lambda w: up(i, w))
+        g = substitute(up(i, lam), lambda w: down(i, w))
+        if f.terms != {lam: {0: 1}} or g.terms != {lam: {0: 1}}:
+            raise AssertionError(f"level {i} round trip fails at {lam!r}")
 
 
 def _canonical_consistency(box, down, in_canonical) -> str:
@@ -199,21 +200,19 @@ def _canonical_consistency(box, down, in_canonical) -> str:
     return f"{len(box)} weights x 4 levels"
 
 
-def closed_forms(box) -> str:
+def closed_forms(lam: Weight) -> None:
     step_up = precanonical.step_up
-    for lam in box:
-        for which, fn, i in (("6to5", precanonical.closed_form_6to5, 5),
-                             ("3to2", precanonical.closed_form_3to2, 2),
-                             ("4to3", precanonical.closed_form_4to3, 3)):
-            if fn(lam) != step_up(i, lam):
-                raise AssertionError(f"{which} disagrees at {lam!r}")
-        p4, p3 = precanonical.closed_form_5to4(lam)
-        lhs = substitute(step_up(4, lam), lambda w: step_up(3, w),
-                         basis=pre_canonical(3))
-        rhs = substitute(p4, lambda w: step_up(3, w), basis=pre_canonical(3))
-        if lhs != combo_add(rhs, p3):
-            raise AssertionError(f"5to4 disagrees at {lam!r}")
-    return f"{len(box)} weights"
+    for which, fn, i in (("6to5", precanonical.closed_form_6to5, 5),
+                         ("3to2", precanonical.closed_form_3to2, 2),
+                         ("4to3", precanonical.closed_form_4to3, 3)):
+        if fn(lam) != step_up(i, lam):
+            raise AssertionError(f"{which} disagrees at {lam!r}")
+    p4, p3 = precanonical.closed_form_5to4(lam)
+    lhs = substitute(step_up(4, lam), lambda w: step_up(3, w),
+                     basis=pre_canonical(3))
+    rhs = substitute(p4, lambda w: step_up(3, w), basis=pre_canonical(3))
+    if lhs != combo_add(rhs, p3):
+        raise AssertionError(f"5to4 disagrees at {lam!r}")
 
 
 def even_column_closed_form(box) -> str:
@@ -237,49 +236,43 @@ def even_column_closed_form(box) -> str:
     return f"m <= {top}"
 
 
-def adjusted2_consistency(box) -> str:
-    for lam in box:
-        via = precanonical.to_atomic(adjusted.adjusted_in_canonical(2, lam))
-        if via != adjusted.adjusted2_in_atomic(lam):
-            raise AssertionError(f"level-2 atomic expansion disagrees at {lam!r}")
-    return f"{len(box)} weights"
+def adjusted2_consistency(lam: Weight) -> None:
+    via = precanonical.to_atomic(adjusted.adjusted_in_canonical(2, lam))
+    if via != adjusted.adjusted2_in_atomic(lam):
+        raise AssertionError(f"level-2 atomic expansion disagrees at {lam!r}")
 
 
-def correction_identity(box) -> str:
+def correction_identity(lam: Weight) -> None:
     # the level-2 adjusted element minus the atomic element, in the atomic
     # basis, case split on the indexing weight
     def shifted(w, k):
         return {u: {e + k: c for e, c in p.items()}
                 for u, p in adjusted.adjusted2_in_atomic(w).terms.items()}
 
-    for lam in box:
-        a, b = lam
-        diff = combo_add(adjusted.adjusted2_in_atomic(lam),
-                         single(ATOMIC, lam, {0: -1})).terms
-        if a >= 3 or a + b < 2:
-            want: dict = {}
-        elif a == 2:
-            want = shifted((0, b), 2)
-        elif a == 1:
-            want = shifted((1, b - 1), 2)
-            for k in range(1, b + 1):
-                iadd_scaled(want.setdefault((1 + k, b - k), {}), {k: 1})
-        else:
-            want = shifted((0, b - 2), 4)
-            for k in range(2, b + 1):
-                iadd_scaled(want.setdefault((k, b - k), {}), {k: 1})
-        if diff != want:
-            raise AssertionError(f"correction identity fails at {lam!r}")
-    return f"{len(box)} weights"
+    a, b = lam
+    diff = combo_add(adjusted.adjusted2_in_atomic(lam),
+                     single(ATOMIC, lam, {0: -1})).terms
+    if a >= 3 or a + b < 2:
+        want: dict = {}
+    elif a == 2:
+        want = shifted((0, b), 2)
+    elif a == 1:
+        want = shifted((1, b - 1), 2)
+        for k in range(1, b + 1):
+            iadd_scaled(want.setdefault((1 + k, b - k), {}), {k: 1})
+    else:
+        want = shifted((0, b - 2), 4)
+        for k in range(2, b + 1):
+            iadd_scaled(want.setdefault((k, b - k), {}), {k: 1})
+    if diff != want:
+        raise AssertionError(f"correction identity fails at {lam!r}")
 
 
-def membership_tables(box) -> str:
-    for lam in box:
-        for I in INDEX_SUBSETS:
-            if x_I_member(I, lam) != x_I_member_closed(I, lam):
-                raise AssertionError(f"membership tables disagree for "
-                                     f"{I!r} at {lam!r}")
-    return f"{len(box)} weights x 16 subsets"
+def membership_tables(lam: Weight) -> None:
+    for I in INDEX_SUBSETS:
+        if x_I_member(I, lam) != x_I_member_closed(I, lam):
+            raise AssertionError(f"membership tables disagree for "
+                                 f"{I!r} at {lam!r}")
 
 
 def kf_two_paths(box) -> str:
@@ -295,25 +288,29 @@ def kf_two_paths(box) -> str:
 
 
 BOX_CHECKS = [
-    ("precanonical.step-roundtrips",
-     lambda box: _step_roundtrips(box, precanonical.step_up, precanonical.inverse_step)),
-    ("precanonical.closed-forms", closed_forms),
+    ("precanonical.step-roundtrips", _each_weight(
+        lambda lam: _step_roundtrip(lam, precanonical.step_up,
+                                    precanonical.inverse_step),
+        suffix=" x 4 levels")),
+    ("precanonical.closed-forms", _each_weight(closed_forms)),
     ("precanonical.definitional-consistency",
      lambda box: _canonical_consistency(box, precanonical.inverse_step,
                                         precanonical.defn_precanonical)),
     ("precanonical.definitional-roundtrip", _each_weight(definitional_roundtrip)),
     ("precanonical.positivity", _each_weight(positivity)),
     ("precanonical.even-column-closed-form", even_column_closed_form),
-    ("adjusted.step-roundtrips",
-     lambda box: _step_roundtrips(box, adjusted.adjusted_expand_up,
-                                  adjusted.adjusted_step_down)),
+    ("adjusted.step-roundtrips", _each_weight(
+        lambda lam: _step_roundtrip(lam, adjusted.adjusted_expand_up,
+                                    adjusted.adjusted_step_down),
+        suffix=" x 4 levels")),
     ("adjusted.canonical-consistency",
      lambda box: _canonical_consistency(box, adjusted.adjusted_step_down,
                                         adjusted.adjusted_in_canonical)),
-    ("adjusted.atomic-consistency", adjusted2_consistency),
-    ("adjusted.correction-identity", correction_identity),
+    ("adjusted.atomic-consistency", _each_weight(adjusted2_consistency)),
+    ("adjusted.correction-identity", _each_weight(correction_identity)),
     ("adjusted.cross-approach", _each_weight(cross_approach)),
-    ("lattice.membership-tables", membership_tables),
+    ("lattice.membership-tables",
+     _each_weight(membership_tables, suffix=" x 16 subsets")),
     ("kostka.two-paths", kf_two_paths),
     ("kostka.at-one-vs-freudenthal", _each_weight(at_one, dimension, small=True)),
     ("kostka.monic-and-monotone", _each_weight(monic, monotone, small=True)),

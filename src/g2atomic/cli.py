@@ -23,8 +23,7 @@ import sys
 
 from . import adjusted
 from .combo import CANONICAL, pre_canonical
-from .polyq import to_pairs
-from .render import render_combination, render_poly
+from .render import json_pairs, render_combination, render_poly
 
 _FORMATS = ("text", "json", "latex")
 
@@ -92,10 +91,8 @@ def _kf_command(args) -> tuple[int, str]:
     lam, mu = (args.a, args.b), (args.c, args.d)
     p = kostka.kostka_foulkes(lam, mu)
     if args.format == "json":
-        import json
-        obj = {"lambda": [lam[0], lam[1]], "mu": [mu[0], mu[1]],
-               "poly": to_pairs(p)}
-        return 0, json.dumps(obj)
+        return 0, (f'{{"lambda": [{lam[0]}, {lam[1]}], "mu": [{mu[0]}, {mu[1]}], '
+                   f'"poly": {json_pairs(p)}}}')
     return 0, render_poly(p, args.format)
 
 

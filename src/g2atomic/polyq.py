@@ -55,19 +55,21 @@ def leading_coeff(p: Poly) -> int:
     return p[max(p)] if p else 0
 
 
-def to_pairs(p: Poly) -> list[list[int]]:
-    """Serialize as [exponent, coefficient] pairs, ascending exponent."""
-    return [[e, p[e]] for e in sorted(p)]
+def two_ints(field: str, v) -> tuple[int, int]:
+    """v, a serialized weight or pair, as exactly two ints (not bools)."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2
+            and type(v[0]) is int and type(v[1]) is int):
+        raise ValueError(f"serialized {field} {v!r} is not two ints")
+    return v[0], v[1]
 
 
 def from_pairs(pairs) -> Poly:
-    """Inverse of to_pairs.  Rejects entries other than ints (bools too),
-    duplicate exponents and zero coefficients, so that serialized form
-    stays canonical."""
+    """Inverse of the JSON [exponent, coefficient] pairs.  Rejects entries
+    other than two ints, duplicate exponents and zero coefficients, so that
+    serialized form stays canonical."""
     out: Poly = {}
-    for e, c in pairs:
-        if type(e) is not int or type(c) is not int:
-            raise ValueError(f"serialized pair {[e, c]!r} is not two ints")
+    for pair in pairs:
+        e, c = two_ints("pair", pair)
         if c == 0:
             raise ValueError("zero coefficient in serialized polynomial")
         if e in out:

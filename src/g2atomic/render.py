@@ -3,8 +3,8 @@
 Text and LaTeX share one renderer driven by a style table; they differ
 only in its entries: the exponent format, the separator between a
 coefficient and its basis symbol, and the symbols with their level and
-weight markup.  Both render polynomials by descending exponent; JSON
-serializes by ascending exponent via polyq.to_pairs.
+weight markup.  Both render polynomials by descending exponent; JSON is
+written directly, in json.dumps' layout, with pairs by ascending exponent.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .combo import BasisLabel, Combination, parse_basis, sorted_support
 from .lattice import Weight, check_dominant
-from .polyq import Poly, from_pairs, to_pairs
+from .polyq import Poly, from_pairs, two_ints
 
 
 class _Style(NamedTuple):
@@ -93,6 +93,11 @@ def _symbol(basis: BasisLabel, style: _Style) -> tuple[str, str]:
     return style.symbols[label.kind] + level + style.weight[0], style.weight[1]
 
 
+def json_pairs(p: Poly) -> str:
+    """p as a JSON list of [exponent, coefficient] pairs, ascending exponent."""
+    return "[" + ", ".join([f"[{e}, {p[e]}]" for e in sorted(p)]) + "]"
+
+
 def render_poly(p: Poly, fmt: str) -> str:
     """A polynomial in text or LaTeX."""
     return _sum(p, _Monomials(_STYLES[fmt]))
@@ -105,14 +110,10 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
     unit coefficient is omitted."""
     order = sorted_support(x, first=lam)
     if fmt == "json":
-        import json
-        obj = {
-            "basis": str(x.basis.normalized()),
-            "weight": [lam[0], lam[1]],
-            "terms": [{"weight": [w[0], w[1]], "poly": to_pairs(x.terms[w])}
-                      for w in order],
-        }
-        return json.dumps(obj)
+        terms = ", ".join([f'{{"weight": [{w[0]}, {w[1]}], '
+                           f'"poly": {json_pairs(x.terms[w])}}}' for w in order])
+        return (f'{{"basis": "{x.basis.normalized()}", '
+                f'"weight": [{lam[0]}, {lam[1]}], "terms": [{terms}]}}')
     style = _STYLES[fmt]
     mono, sep, terms = _Monomials(style), style.sep, x.terms
     sign, power = mono.sign, mono.power
@@ -138,11 +139,9 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
 
 
 def _weight(v) -> Weight:
-    a, b = v
-    if type(a) is not int or type(b) is not int:
-        raise ValueError(f"serialized weight {v!r} is not two ints")
-    check_dominant((a, b))
-    return a, b
+    lam = two_ints("weight", v)
+    check_dominant(lam)
+    return lam
 
 
 def combination_from_json(obj) -> tuple[Combination, Weight]:
@@ -156,6 +155,8 @@ def combination_from_json(obj) -> tuple[Combination, Weight]:
             w = _weight(entry["weight"])
             if w in terms:
                 raise ValueError(f"duplicate weight {w!r} in serialized combination")
+            if not entry["poly"]:
+                raise ValueError(f"empty poly at {w!r} in serialized combination")
             terms[w] = from_pairs(entry["poly"])
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed serialized combination: {exc!r}") from None

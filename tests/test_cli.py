@@ -168,6 +168,18 @@ def test_kf_json(capsys):
     assert json.loads(out)["poly"] == [[2, 1], [4, 1], [6, 1]]
 
 
+@pytest.mark.parametrize("argv", [("6", "9", "3", "2"), ("2", "0", "0", "0"),
+                                  ("1", "2", "9", "9"), ("4", "4", "0", "0")])
+def test_kf_json_matches_json_dumps(capsys, argv):
+    # the line is written directly; json.dumps of the object is its reference
+    a, b, c, d = map(int, argv)
+    p = kostka_foulkes((a, b), (c, d))
+    want = json.dumps({"lambda": [a, b], "mu": [c, d],
+                       "poly": [[e, p[e]] for e in sorted(p)]})
+    code, out, _ = run_cli(capsys, "kf", *argv, "--format", "json")
+    assert code == 0 and out == want + "\n"
+
+
 def test_standard_text(capsys):
     code, out, _ = run_cli(capsys, "standard", "0", "1")
     assert code == 0

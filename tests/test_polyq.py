@@ -1,15 +1,21 @@
 """Polynomial arithmetic: frozen examples, ring axioms, canonical form."""
 
+import re
+
 from hypothesis import given, strategies as st
 
 from g2atomic.polyq import (Poly, degree, eval_at_one, from_pairs,
-                            iadd_scaled, is_nonnegative, leading_coeff, one,
-                            to_pairs)
+                            iadd_scaled, is_nonnegative, leading_coeff, one)
 
 import pytest
 
 
 # Polynomial helpers that only the tests need.
+
+def to_pairs(p: Poly) -> list[list[int]]:
+    """[exponent, coefficient] pairs, ascending exponent."""
+    return [[e, p[e]] for e in sorted(p)]
+
 
 def poly_add(p: Poly, r: Poly) -> Poly:
     out = dict(p)
@@ -137,6 +143,14 @@ def test_from_pairs_rejects_noncanonical():
     for pairs in ([[1.5, 2.9]], [[1, 2.0]], [["7", 1]], [[1, "7"]],
                   [[True, 1]], [[1, True]], [[1, None]]):
         with pytest.raises(ValueError, match="not two ints"):
+            from_pairs(pairs)
+
+
+def test_from_pairs_names_a_pair_of_the_wrong_length():
+    for pairs, shown in (([[0, 1, 2]], "[0, 1, 2]"), ([[3]], "[3]"),
+                         ([[]], "[]"), ([7], "7")):
+        with pytest.raises(ValueError, match=re.escape(f"serialized pair {shown} "
+                                                       "is not two ints")):
             from_pairs(pairs)
 
 

@@ -1,12 +1,16 @@
 """The one-pass renderer against the generator-based renderer it replaced,
-and the JSON inverse on malformed input."""
+the direct JSON writer against the json.dumps tree it replaced, and the
+JSON inverse on malformed input."""
+
+import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from g2atomic.combo import ATOMIC, BasisLabel, Combination, sorted_support
-from g2atomic.render import (combination_from_json, render_combination,
-                             render_poly)
+from g2atomic.render import (combination_from_json, json_pairs,
+                             render_combination, render_poly)
 
 
 # The renderer as it was before it built monomials from per-call tables,
@@ -87,6 +91,38 @@ def test_render_combination_matches_old_renderer(basis, lhs_basis, lam, at_lam,
     assert render_combination(x, lhs_basis, lam, fmt) == want
 
 
+# The JSON writer as it was before it wrote the line directly, kept as the
+# reference: an object tree of [exponent, coefficient] lists for json.dumps.
+
+def _old_pairs(p):
+    return [[e, p[e]] for e in sorted(p)]
+
+
+def _old_json(x, lam, order):
+    return json.dumps({
+        "basis": str(x.basis.normalized()),
+        "weight": [lam[0], lam[1]],
+        "terms": [{"weight": [w[0], w[1]], "poly": _old_pairs(x.terms[w])}
+                  for w in order],
+    })
+
+
+@given(_labels, _labels, _weights, st.one_of(st.none(), _polys),
+       st.dictionaries(_weights, _polys, max_size=12))
+def test_render_json_matches_old_writer(basis, lhs_basis, lam, at_lam, terms):
+    if at_lam is not None:
+        terms[lam] = at_lam
+    x = Combination(basis, terms)
+    want = _old_json(x, lam, sorted_support(x, first=lam))
+    assert render_combination(x, lhs_basis, lam, "json") == want
+
+
+@given(st.dictionaries(st.integers(0, 40), st.integers(-10**20, 10**20).filter(bool),
+                       max_size=6))
+def test_json_pairs_matches_json_dumps(p):
+    assert json_pairs(p) == json.dumps(_old_pairs(p))
+
+
 @given(st.dictionaries(st.integers(0, 14), st.integers(-20, 20).filter(bool),
                        max_size=6),
        st.sampled_from(["text", "latex"]))
@@ -135,3 +171,16 @@ def test_combination_from_json_rejects_malformed():
     ]:
         with pytest.raises(ValueError):
             combination_from_json(obj)
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_serialized(weight=(1, 2, 3)), "serialized weight [1, 2, 3] is not two ints"),
+    (_serialized(weight=(4,)), "serialized weight [4] is not two ints"),
+    (_serialized(term_weight=(1, 1, 0)), "serialized weight [1, 1, 0] is not two ints"),
+    (_serialized(poly=[(0, 1, 2)]), "serialized pair [0, 1, 2] is not two ints"),
+    (_serialized(poly=[(0,)]), "serialized pair [0] is not two ints"),
+    (_serialized(poly=[]), "empty poly at (1, 1)"),
+])
+def test_combination_from_json_names_the_bad_field(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        combination_from_json(obj)

@@ -11,8 +11,8 @@ Subcommands:
                           run every invariant over a sweep (defaults 8)
 
 Each subcommand takes --format text|json|latex.  Exit codes: 0 success,
-1 usage or domain error, 2 verification failure.  Output is deterministic:
-same argv, byte-identical output.
+1 usage, domain or output error, 2 verification failure.  Output is
+deterministic: same argv, byte-identical output.
 """
 
 from __future__ import annotations
@@ -158,9 +158,13 @@ def main(argv=None) -> int:
     try:
         print(out)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed early.  Point stdout at the null device so that
-        # the flush at interpreter exit does not fail again.
+    except OSError as exc:
+        # A reader that closed early ends the call quietly; any other write
+        # error (a full disk, say) gets one line.  Either way, point stdout
+        # at the null device so that the flush at interpreter exit does not
+        # fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -245,7 +245,16 @@ def folded(links: list[Link],
     terms cancel before they are expanded further, and nothing below the
     top is kept.  Returns (expand, atomic); atomic(lam) is expand at the
     canonical element at lam, memoized, checked by check_atomic and not to
-    be mutated."""
+    be mutated.
+
+    The fold is linear, so when the top chain at lam reaches, with factor
+    c*q^e, a weight u whose atomic expansion is memoized, atomic(lam) is the
+    fold of the chain cut before u plus c*q^e*atomic(u).  atomic walks the
+    top chain only down to the first such u, pushes that part through the
+    other links and the base map, and adds it into a shifted copy of
+    atomic(u).  A box walked with b ascending thus folds one weight per
+    entry; a lone weight has no memoized neighbour and folds its whole
+    chain.  The memo keeps only the expansions that callers asked for."""
     def expand(x: Combination) -> Combination:
         if not same_basis(x.basis, CANONICAL):
             raise ValueError(f"cannot expand a combination in the {x.basis} basis")
@@ -256,12 +265,39 @@ def folded(links: list[Link],
             terms = push(terms, link)
         return base(terms)
 
+    # The expansions already returned by atomic, the same objects as in its
+    # cache, which offers no membership test.  atomic.cache_clear() leaves
+    # them here; nothing in the package clears the cache.
+    done: dict[Weight, Combination] = {}
+
     @cache
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
-        x = expand(Combination(CANONICAL, {lam: {0: 1}}))
+        check_dominant(lam)
+        terms: dict[Weight, Poly] = {}
+        below = None
+        for w, p in walk(links[0], lam, CANONICAL).terms.items():
+            below = done.get(w)
+            if below is not None:
+                break
+            terms[w] = p
+        for link in links[1:]:
+            terms = push(terms, link)
+        x = base(terms)
+        if below is not None:
+            # p is c*q^e, the factor of the top chain at below's weight.
+            (e, c), = p.items()
+            out = {u: {k + e: c * v for k, v in r.items()}
+                   for u, r in below.terms.items()}
+            for u, r in x.terms.items():
+                acc = out.setdefault(u, {})
+                iadd_scaled(acc, r)
+                if not acc:
+                    del out[u]
+            x = Combination(x.basis, out)
         check_atomic(lam, x)
+        done[lam] = x
         return x
 
     return expand, atomic

@@ -338,6 +338,18 @@ def test_closed_stdout_pipe_exits_quietly():
     assert (proc.wait(), err) == (1, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_ends_in_one_line():
+    # /dev/full fails every write with ENOSPC, which must end the call like
+    # any other error: exit 1 and one line on stderr.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "g2atomic.cli",
+                               "atomic", "2", "4"],
+                              stdout=full, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (
+        1, b"error: cannot write output: [Errno 28] No space left on device\n")
+
+
 def test_atomic_a_heavy_peak_memory():
     # The fold keeps no expansion below the top, so peak memory follows
     # the output, about 30 MB.

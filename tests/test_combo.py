@@ -1,13 +1,14 @@
 """Basis labels, combination arithmetic, substitution, display order."""
 
 import copy
+import random
 import re
 from functools import cache
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from g2atomic import adjusted, precanonical
+from g2atomic import adjusted, combo, precanonical
 from g2atomic.adjusted import adjusted2_in_atomic
 from g2atomic.adjusted import adjusted_expand_up
 from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
@@ -419,6 +420,70 @@ def test_fold_rejects_weights_outside_the_cone():
             x = Combination(CANONICAL, {(2, 2): {0: 1}, w: {1: 1}})
             with pytest.raises(ValueError, match=re.escape(f"weight {w!r} is not dominant")):
                 to_atomic(x)
+
+
+def _fresh_folds():
+    """(name, expand, atomic) for new folds of both routes, which no other
+    test can have warmed, and for the pre-canonical route under a top link
+    with factor 2q, so that the reused neighbour comes with a coefficient
+    other than 1."""
+    pre = [precanonical._LINKS[i] for i in (5, 4, 3, 2)]
+    adj = [adjusted._LINKS[k] for k in (5, 4, 3, 2)] + [adjusted._link2]
+    doubled = lambda a, b: ((a, b - 1), 1, 2) if b >= 1 else None
+    as_atomic = lambda terms: Combination(ATOMIC, terms)
+    return [("precanonical", *combo.folded(pre, as_atomic)),
+            ("adjusted", *combo.folded(adj, adjusted._tails)),
+            ("doubled-top", *combo.folded([doubled] + pre[1:], as_atomic))]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_reused_neighbours_do_not_show(order):
+    # atomic(a, b) adds its new part into a shifted copy of the memoized
+    # expansion it meets first on the top chain.  Ascending b reuses
+    # (a, b-1), descending reuses nothing, and a shuffle reuses neighbours
+    # several steps down, with higher shifts.
+    box = dominant_box(9, 9)
+    if order == "descending":
+        box.reverse()
+    elif order == "shuffled":
+        random.Random(14).shuffle(box)
+    for name, to_atomic, atomic_at in _fresh_folds():
+        seen = {}
+        for lam in box:
+            below = [seen[w] for w in walk(precanonical._link5, lam, CANONICAL).terms
+                     if w in seen]
+            before = [copy.deepcopy(x.terms) for x in below]
+            got = atomic_at(lam)
+            assert got == to_atomic(single(CANONICAL, lam)), (name, lam)
+            validate(got)
+            assert [x.terms for x in below] == before, (name, lam)
+            shared = {id(p) for x in below for p in x.terms.values()}
+            assert not shared & {id(p) for p in got.terms.values()}, (name, lam)
+            seen[lam] = got
+
+
+def test_expansion_starts_from_its_memoized_neighbour(monkeypatch):
+    # Without a memoized neighbour the whole top chain is pushed on; with
+    # (a, b-1) memoized, only lam itself is.  The sweep's box lists
+    # (a, b-1) before (a, b), so every b >= 1 of the box takes the short way.
+    box = dominant_box(16, 16)
+    rank = {w: i for i, w in enumerate(box)}
+    assert all(rank[(a, b - 1)] < rank[(a, b)] for a, b in box if b >= 1)
+    for name, _, atomic_at in _fresh_folds():
+        pushed = []
+
+        def recording_push(terms, link, push=combo.push):
+            pushed.append(list(terms))
+            return push(terms, link)
+
+        with monkeypatch.context() as m:
+            m.setattr(combo, "push", recording_push)
+            atomic_at((3, 5))
+            assert pushed[0] == [(3, 5), (3, 4), (3, 3), (3, 2), (3, 1), (3, 0)], name
+            pushed.clear()
+            atomic_at((3, 6))
+            assert pushed[0] == [(3, 6)], name
+        assert atomic_at.cache_info().currsize == 2, name
 
 
 def _adjusted2_below(lam):

@@ -31,6 +31,8 @@ SMALL = 6
 def run(name: str, fn) -> CheckResult:
     try:
         detail = fn()
+    except MemoryError:
+        raise
     except Exception as exc:  # noqa: BLE001 - a failed check is reported, not raised
         return CheckResult(name, False, str(exc))
     return CheckResult(name, True, detail or "")
@@ -153,7 +155,8 @@ def verify(lam: Weight) -> VerifyReport:
     atomic expansion, agreement of the two expansion routes, the
     definitional round trip, the q=1 multiplicity oracle, dimension by
     orbits, monic top degrees, and the shift monotonicity of the
-    Kostka-Foulkes array.  Failures are reported, never raised."""
+    Kostka-Foulkes array.  Failures are reported, not raised; running out
+    of memory raises MemoryError."""
     check_dominant(lam)
     return VerifyReport(lam, [run(name, partial(fn, lam)) for name, fn in WEIGHT_CHECKS])
 
@@ -319,7 +322,8 @@ BOX_CHECKS = [
 
 def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     """Run every box check over the dominant weights with a <= max_a and
-    b <= max_b.  Raises ValueError if either bound is negative."""
+    b <= max_b.  Raises ValueError if either bound is negative, and
+    MemoryError if a check runs out of memory."""
     if max_a < 0 or max_b < 0:
         raise ValueError("sweep bounds must be non-negative")
     box = dominant_box(max_a, max_b)

@@ -3,8 +3,9 @@
 A Combination is a finite sum of basis elements indexed by dominant weights,
 with Laurent-polynomial coefficients.  The basis label records which family
 the indexing elements belong to; mixing labels in arithmetic is a usage
-error.  Level 6 of either parametrized family coincides with the canonical
-basis, and labels compare accordingly.
+error.  There is one label object per basis, so labels compare by identity.
+Level 6 of either parametrized family is the canonical basis, and its label
+is CANONICAL.
 """
 
 from __future__ import annotations
@@ -15,23 +16,22 @@ from typing import Callable, Optional
 from .lattice import Weight, check_dominant, dominance_leq, height, is_dominant
 from .polyq import Poly, iadd_scaled, one
 
-_KINDS = ("canonical", "standard", "atomic", "precanonical", "adjusted")
-
 
 class BasisLabel:
-    """A basis family, with its level when the family takes one.  Immutable
-    and hashable."""
+    """A basis family, with its level when the family takes one.  There is
+    one object per basis: BasisLabel(kind, level) returns it from a fixed
+    table, and copies and pickles return it too, so labels compare by
+    identity.  Level 6 of either parametrized family is CANONICAL.
+    Immutable and hashable."""
 
-    def __init__(self, kind: str, level: Optional[int] = None):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown basis kind {kind!r}")
-        if kind in ("precanonical", "adjusted"):
-            if level not in (2, 3, 4, 5, 6):
-                raise ValueError(f"{kind} level must be in 2..6, got {level!r}")
-        elif level is not None:
-            raise ValueError(f"{kind} basis takes no level")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "level", level)
+    def __new__(cls, kind: str, level: Optional[int] = None):
+        try:
+            return _LABELS[kind, level]
+        except (KeyError, TypeError):
+            raise ValueError(f"no basis {kind!r} at level {level!r}") from None
+
+    def __reduce__(self):
+        return BasisLabel, (self.kind, self.level)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -39,22 +39,8 @@ class BasisLabel:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.level == other.level
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.level))
-
     def __repr__(self) -> str:
         return f"BasisLabel(kind={self.kind!r}, level={self.level!r})"
-
-    def normalized(self) -> "BasisLabel":
-        # Both parametrized families equal the canonical basis at level 6.
-        if self.level == 6:
-            return CANONICAL
-        return self
 
     def __str__(self) -> str:
         if self.level is None:
@@ -62,35 +48,36 @@ class BasisLabel:
         return f"{self.kind}({self.level})"
 
 
-CANONICAL = BasisLabel("canonical")
-STANDARD = BasisLabel("standard")
-ATOMIC = BasisLabel("atomic")
+def _label(kind: str, level: Optional[int] = None) -> BasisLabel:
+    label = object.__new__(BasisLabel)
+    label.__dict__.update(kind=kind, level=level)
+    return label
 
 
-# One label object per level, so that substitute's identity test usually
-# settles a basis check without comparing labels.
-@cache
+CANONICAL, STANDARD, ATOMIC = map(_label, ("canonical", "standard", "atomic"))
+
+# Every basis, keyed by (kind, level) and by its string.  Level 6 of either
+# family maps to CANONICAL and has no string of its own.
+_LABELS = {(x.kind, None): x for x in (CANONICAL, STANDARD, ATOMIC)}
+_LABELS.update({(kind, i): CANONICAL if i == 6 else _label(kind, i)
+                for kind in ("precanonical", "adjusted") for i in (2, 3, 4, 5, 6)})
+_LABELS.update({str(x): x for x in _LABELS.values()})
+
+
 def pre_canonical(i: int) -> BasisLabel:
     return BasisLabel("precanonical", i)
 
 
-@cache
 def adjusted_label(k: int) -> BasisLabel:
     return BasisLabel("adjusted", k)
 
 
-def same_basis(x: BasisLabel, y: BasisLabel) -> bool:
-    return x.normalized() == y.normalized()
-
-
 def parse_basis(s: str) -> BasisLabel:
     """Inverse of str(label)."""
-    if s in ("canonical", "standard", "atomic"):
-        return BasisLabel(s)
-    for kind in ("precanonical", "adjusted"):
-        if s.startswith(kind + "(") and s.endswith(")"):
-            return BasisLabel(kind, int(s[len(kind) + 1:-1]))
-    raise ValueError(f"unknown basis label {s!r}")
+    label = _LABELS.get(s) if isinstance(s, str) else None
+    if label is None:
+        raise ValueError(f"unknown basis label {s!r}")
+    return label
 
 
 class Combination:
@@ -109,7 +96,7 @@ class Combination:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Combination):
             return NotImplemented
-        return same_basis(self.basis, other.basis) and self.terms == other.terms
+        return self.basis is other.basis and self.terms == other.terms
 
 
 def single(basis: BasisLabel, w: Weight, p: Optional[Poly] = None) -> Combination:
@@ -120,7 +107,7 @@ def single(basis: BasisLabel, w: Weight, p: Optional[Poly] = None) -> Combinatio
 
 
 def combo_add(x: Combination, y: Combination) -> Combination:
-    if not same_basis(x.basis, y.basis):
+    if x.basis is not y.basis:
         raise ValueError(f"basis mismatch: {x.basis} vs {y.basis}")
     terms = {w: dict(p) for w, p in x.terms.items()}
     for w, p in y.terms.items():
@@ -148,7 +135,7 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
         sub = expander(w)
         if out_basis is None:
             out_basis = sub.basis
-        elif sub.basis is not out_basis and not same_basis(out_basis, sub.basis):
+        elif sub.basis is not out_basis:
             raise ValueError(f"basis mismatch: {out_basis} vs {sub.basis}")
         for u, r in sub.terms.items():
             tgt = acc.setdefault(u, {})
@@ -256,7 +243,7 @@ def folded(links: list[Link],
     entry; a lone weight has no memoized neighbour and folds its whole
     chain.  The memo keeps only the expansions that callers asked for."""
     def expand(x: Combination) -> Combination:
-        if not same_basis(x.basis, CANONICAL):
+        if x.basis is not CANONICAL:
             raise ValueError(f"cannot expand a combination in the {x.basis} basis")
         terms = x.terms
         for w in terms:
@@ -307,7 +294,7 @@ def check_atomic(lam: Weight, x: Combination) -> None:
     """Raise ValueError unless x is an expansion of the canonical element at
     lam in the atomic basis: unitriangular, supported on dominant weights
     below lam, with nonzero coefficients in N[q]."""
-    if not same_basis(x.basis, ATOMIC):
+    if x.basis is not ATOMIC:
         raise ValueError(f"expansion at {lam!r} is in the {x.basis} basis, not atomic")
     if x.terms.get(lam) != {0: 1}:
         raise ValueError(f"atomic expansion at {lam!r} is not unitriangular")

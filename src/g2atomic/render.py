@@ -88,9 +88,8 @@ def _sum(p: Poly, mono: _Monomials) -> str:
 
 def _symbol(basis: BasisLabel, style: _Style) -> tuple[str, str]:
     """The symbol of basis around its weight's coordinates: (before, after)."""
-    label = basis.normalized()
-    level = "" if label.level is None else style.level.format(label.level)
-    return style.symbols[label.kind] + level + style.weight[0], style.weight[1]
+    level = "" if basis.level is None else style.level.format(basis.level)
+    return style.symbols[basis.kind] + level + style.weight[0], style.weight[1]
 
 
 def json_pairs(p: Poly) -> str:
@@ -112,7 +111,7 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
     if fmt == "json":
         terms = ", ".join([f'{{"weight": [{w[0]}, {w[1]}], '
                            f'"poly": {json_pairs(x.terms[w])}}}' for w in order])
-        return (f'{{"basis": "{x.basis.normalized()}", '
+        return (f'{{"basis": "{x.basis}", '
                 f'"weight": [{lam[0]}, {lam[1]}], "terms": [{terms}]}}')
     style = _STYLES[fmt]
     mono, sep, terms = _Monomials(style), style.sep, x.terms

@@ -276,6 +276,22 @@ def test_memory_error_exits_with_one_line(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_out_of_memory_is_not_a_failed_check(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    box_checks = list(checks.BOX_CHECKS)
+    box_checks[4] = (box_checks[4][0], exhausted)
+    monkeypatch.setattr(checks, "BOX_CHECKS", box_checks)
+    assert run_cli(capsys, "verify", "--max-a", "1", "--max-b", "1") \
+        == (1, "", "error: out of memory running verify\n")
+    weight_checks = list(checks.WEIGHT_CHECKS)
+    weight_checks[2] = (weight_checks[2][0], exhausted)
+    monkeypatch.setattr(checks, "WEIGHT_CHECKS", weight_checks)
+    with pytest.raises(MemoryError):
+        checks.verify((1, 1))
+
+
 def test_verify_reports_failing_check(monkeypatch, capsys):
     def boom(box):
         raise AssertionError("boom")

@@ -1,6 +1,7 @@
 """Basis labels, combination arithmetic, substitution, display order."""
 
 import copy
+import pickle
 import random
 import re
 from functools import cache
@@ -14,7 +15,7 @@ from g2atomic.adjusted import adjusted_expand_up
 from g2atomic.combo import (ATOMIC, CANONICAL, STANDARD, BasisLabel,
                             Combination, adjusted_label, combo_add,
                             display_key, parse_basis, pre_canonical,
-                            push, relation, same_basis, single,
+                            push, relation, single,
                             sorted_support, substitute, walk)
 from g2atomic.lattice import GAMMA, X_SINGLE, dominant_box, is_dominant
 from g2atomic.polyq import Poly
@@ -53,37 +54,51 @@ def test_label_validation():
 
 
 def test_level6_normalization():
-    assert same_basis(pre_canonical(6), CANONICAL)
-    assert same_basis(adjusted_label(6), CANONICAL)
-    assert same_basis(pre_canonical(6), adjusted_label(6))
-    assert not same_basis(pre_canonical(5), CANONICAL)
-    assert not same_basis(pre_canonical(2), ATOMIC)
-    assert not same_basis(adjusted_label(2), pre_canonical(2))
+    assert pre_canonical(6) == CANONICAL
+    assert adjusted_label(6) == CANONICAL
+    assert pre_canonical(6) == adjusted_label(6)
+    assert pre_canonical(5) != CANONICAL
+    assert pre_canonical(2) != ATOMIC
+    assert adjusted_label(2) != pre_canonical(2)
+    assert BasisLabel("precanonical", 6) is CANONICAL is adjusted_label(6)
     x = Combination(pre_canonical(6), {(1, 0): {0: 1}})
     y = Combination(CANONICAL, {(1, 0): {0: 1}})
     assert x == y
 
 
+ALL_LABELS = [CANONICAL, STANDARD, ATOMIC,
+              *(pre_canonical(i) for i in (2, 3, 4, 5)),
+              *(adjusted_label(k) for k in (2, 3, 4, 5))]
+
+
 def test_label_strings_roundtrip():
-    for label in (CANONICAL, STANDARD, ATOMIC, pre_canonical(3),
-                  adjusted_label(5)):
-        assert parse_basis(str(label)) == label
-    with pytest.raises(ValueError):
-        parse_basis("borel")
+    assert len(set(map(str, ALL_LABELS))) == 11
+    for label in ALL_LABELS:
+        assert parse_basis(str(label)) is label
+    # Only the exact strings that str writes are read back.
+    for s in ("borel", "precanonical( 3)", "precanonical(+3)", "precanonical(03)",
+              "precanonical(3 )", "adjusted(\u0663)", "precanonical(6)",
+              ("canonical", None), 3, None):
+        with pytest.raises(ValueError):
+            parse_basis(s)
 
 
 def test_value_semantics():
-    # Labels are immutable values usable as dict keys; combinations compare
-    # by value and are unhashable; both read back from their repr.
+    # Labels are immutable, one object per basis, usable as dict keys, and
+    # kept by copy and pickle; combinations compare by value and are
+    # unhashable; both read back from their repr.
     label = BasisLabel("precanonical", 3)
-    assert label == pre_canonical(3) and hash(label) == hash(pre_canonical(3))
+    assert label is pre_canonical(3) and hash(label) == hash(pre_canonical(3))
     assert label != BasisLabel("adjusted", 3) and label != ("precanonical", 3)
     assert {label: 1}[BasisLabel("precanonical", 3)] == 1
     with pytest.raises(AttributeError):
         label.level = 4
     with pytest.raises(AttributeError):
         del label.kind
-    assert copy.deepcopy(label) == label
+    for each in ALL_LABELS:
+        assert copy.deepcopy(each) is each and copy.copy(each) is each
+        assert pickle.loads(pickle.dumps(each)) is each
+        assert eval(repr(each)) is each
     x = Combination(ATOMIC, {(1, 0): {0: 1}})
     assert repr(x) == ("Combination(basis=BasisLabel(kind='atomic', level=None), "
                        "terms={(1, 0): {0: 1}})")

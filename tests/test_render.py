@@ -49,9 +49,8 @@ def _join(parts):
 
 
 def _symbol(basis, w, style):
-    label = basis.normalized()
-    level = "" if label.level is None else style[3].format(label.level)
-    return style[2][label.kind] + level + style[4].format(w[0], w[1])
+    level = "" if basis.level is None else style[3].format(basis.level)
+    return style[2][basis.kind] + level + style[4].format(w[0], w[1])
 
 
 def _term(p, symbol, style):
@@ -100,7 +99,7 @@ def _old_pairs(p):
 
 def _old_json(x, lam, order):
     return json.dumps({
-        "basis": str(x.basis.normalized()),
+        "basis": str(x.basis),
         "weight": [lam[0], lam[1]],
         "terms": [{"weight": [w[0], w[1]], "poly": _old_pairs(x.terms[w])}
                   for w in order],
@@ -164,6 +163,7 @@ def test_combination_from_json_rejects_malformed():
         _serialized(weight=(2.0, 1)),
         {"basis": "atomic", "weight": [2, 1], "terms": [{"weight": [1, 1]}]},
         {"basis": "borel", "weight": [2, 1], "terms": []},
+        {"basis": "adjusted( 4)", "weight": [2, 1], "terms": []},
         {"basis": 7, "weight": [2, 1], "terms": []},
         {"weight": [2, 1], "terms": []},
         {"basis": "atomic", "weight": 5, "terms": []},

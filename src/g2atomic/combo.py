@@ -234,14 +234,14 @@ def folded(links: list[Link],
     canonical element at lam, memoized, checked by check_atomic and not to
     be mutated.
 
-    The fold is linear, so when the top chain at lam reaches, with factor
-    c*q^e, a weight u whose atomic expansion is memoized, atomic(lam) is the
-    fold of the chain cut before u plus c*q^e*atomic(u).  atomic walks the
-    top chain only down to the first such u, pushes that part through the
-    other links and the base map, and adds it into a shifted copy of
-    atomic(u).  A box walked with b ascending thus folds one weight per
-    entry; a lone weight has no memoized neighbour and folds its whole
-    chain.  The memo keeps only the expansions that callers asked for."""
+    The fold is linear.  When the top link leads from lam to u with factor
+    c*q^d and atomic(u) is memoized, atomic(lam) is expand of the top link's
+    relation lam - c*q^d*u plus a shifted copy of c*q^d*atomic(u): the top
+    push turns the relation into lam alone, so only lam travels on.
+    Otherwise atomic(lam) is expand of the canonical element at lam.  A box
+    listed with b ascending thus folds one weight per entry; a lone weight
+    folds its whole chain.  The memo keeps only the expansions that callers
+    asked for."""
     def expand(x: Combination) -> Combination:
         if x.basis is not CANONICAL:
             raise ValueError(f"cannot expand a combination in the {x.basis} basis")
@@ -262,20 +262,14 @@ def folded(links: list[Link],
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
         check_dominant(lam)
-        terms: dict[Weight, Poly] = {}
-        below = None
-        for w, p in walk(links[0], lam, CANONICAL).terms.items():
-            below = done.get(w)
-            if below is not None:
-                break
-            terms[w] = p
-        for link in links[1:]:
-            terms = push(terms, link)
-        x = base(terms)
-        if below is not None:
-            # p is c*q^e, the factor of the top chain at below's weight.
-            (e, c), = p.items()
-            out = {u: {k + e: c * v for k, v in r.items()}
+        step = links[0](*lam)
+        below = None if step is None else done.get(step[0])
+        if below is None:
+            x = expand(single(CANONICAL, lam))
+        else:
+            _, d, c = step
+            x = expand(relation(links[0], lam, CANONICAL))
+            out = {u: {k + d: c * v for k, v in r.items()}
                    for u, r in below.terms.items()}
             for u, r in x.terms.items():
                 acc = out.setdefault(u, {})

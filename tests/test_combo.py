@@ -451,35 +451,38 @@ def _fresh_folds():
             ("doubled-top", *combo.folded([doubled] + pre[1:], as_atomic))]
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "column"])
 def test_reused_neighbours_do_not_show(order):
     # atomic(a, b) adds its new part into a shifted copy of the memoized
-    # expansion it meets first on the top chain.  Ascending b reuses
-    # (a, b-1), descending reuses nothing, and a shuffle reuses neighbours
-    # several steps down, with higher shifts.
+    # expansion at (a, b-1), when that was asked for earlier.  Ascending b
+    # reuses it at every b >= 1, descending reuses nothing, and a shuffle
+    # reuses it only where (a, b-1) came first.  The column (0, b) takes the
+    # relation deep into the signed level-4 chain.
     box = dominant_box(9, 9)
     if order == "descending":
         box.reverse()
     elif order == "shuffled":
         random.Random(14).shuffle(box)
+    elif order == "column":
+        box = [(0, b) for b in range(41)]
     for name, to_atomic, atomic_at in _fresh_folds():
-        seen = {}
+        seen, before = {}, {}
         for lam in box:
-            below = [seen[w] for w in walk(precanonical._link5, lam, CANONICAL).terms
+            below = [w for w in walk(precanonical._link5, lam, CANONICAL).terms
                      if w in seen]
-            before = [copy.deepcopy(x.terms) for x in below]
             got = atomic_at(lam)
             assert got == to_atomic(single(CANONICAL, lam)), (name, lam)
             validate(got)
-            assert [x.terms for x in below] == before, (name, lam)
-            shared = {id(p) for x in below for p in x.terms.values()}
+            assert all(seen[w].terms == before[w] for w in below), (name, lam)
+            shared = {id(p) for w in below for p in seen[w].terms.values()}
             assert not shared & {id(p) for p in got.terms.values()}, (name, lam)
-            seen[lam] = got
+            seen[lam], before[lam] = got, copy.deepcopy(got.terms)
 
 
 def test_expansion_starts_from_its_memoized_neighbour(monkeypatch):
-    # Without a memoized neighbour the whole top chain is pushed on; with
-    # (a, b-1) memoized, only lam itself is.  The sweep's box lists
+    # Without a memoized neighbour lam alone enters the top-link push, and
+    # its whole top chain leaves it.  With (a, b-1) memoized, the top link's
+    # relation at lam enters, and only lam leaves.  The sweep's box lists
     # (a, b-1) before (a, b), so every b >= 1 of the box takes the short way.
     box = dominant_box(16, 16)
     rank = {w: i for i, w in enumerate(box)}
@@ -494,10 +497,10 @@ def test_expansion_starts_from_its_memoized_neighbour(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(combo, "push", recording_push)
             atomic_at((3, 5))
-            assert pushed[0] == [(3, 5), (3, 4), (3, 3), (3, 2), (3, 1), (3, 0)], name
+            assert pushed[:2] == [[(3, 5)], [(3, b) for b in range(5, -1, -1)]], name
             pushed.clear()
             atomic_at((3, 6))
-            assert pushed[0] == [(3, 6)], name
+            assert pushed[:2] == [[(3, 6), (3, 5)], [(3, 6)]], name
         assert atomic_at.cache_info().currsize == 2, name
 
 

@@ -222,9 +222,7 @@ def even_column_closed_form(box) -> str:
     step_up = precanonical.step_up
     top = min(max(b for _, b in box), 12) // 2
     for m in range(top + 1):
-        want: dict = {}
-        for i in range(m + 1):
-            want[(0, 2 * m - 2 * i)] = {4 * i: 1}
+        want: dict = {(0, 2 * m - 2 * i): {4 * i: 1} for i in range(m + 1)}
         for i in range(1, m + 1):
             for j in range(1, 2 * m - 2 * i + 2):
                 w = (j + 1, 2 * m - 2 * i - j + 1)

@@ -10,9 +10,9 @@ Subcommands:
     verify [--max-a A] [--max-b B]
                           run every invariant over a sweep (defaults 8)
 
-Each subcommand takes --format text|json|latex.  Exit codes: 0 success,
-1 usage, domain or output error, 2 verification failure.  Output is
-deterministic: same argv, byte-identical output.
+Each subcommand takes --format text|json|latex (verify prints text for
+latex).  Exit codes: 0 success, 1 usage, domain or output error,
+2 verification failure.  Same argv, byte-identical output.
 """
 
 from __future__ import annotations

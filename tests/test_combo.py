@@ -1,9 +1,11 @@
 """Basis labels, combination arithmetic, substitution, display order."""
 
 import copy
+import gc
 import pickle
 import random
 import re
+import weakref
 from functools import cache
 
 import pytest
@@ -439,16 +441,28 @@ def test_fold_rejects_weights_outside_the_cone():
 
 def _fresh_folds():
     """(name, expand, atomic) for new folds of both routes, which no other
-    test can have warmed, and for the pre-canonical route under a top link
+    test can have warmed; for the pre-canonical route under a top link
     with factor 2q, so that the reused neighbour comes with a coefficient
-    other than 1."""
+    other than 1; and for the step (a, b) -> (a, b-1) with factor q, then
+    the same step with factor -q, over the identity base map.  There
+    atomic(a, b) is N(a, b) + q^2 atomic(a, b-2), so the reused neighbour
+    cancels the new part at (a, b-1), (a, b-3), and so on."""
     pre = [precanonical._LINKS[i] for i in (5, 4, 3, 2)]
     adj = [adjusted._LINKS[k] for k in (5, 4, 3, 2)] + [adjusted._link2]
-    doubled = lambda a, b: ((a, b - 1), 1, 2) if b >= 1 else None
+    step = lambda c: lambda a, b: ((a, b - 1), 1, c) if b >= 1 else None
     as_atomic = lambda terms: Combination(ATOMIC, terms)
     return [("precanonical", *combo.folded(pre, as_atomic)),
             ("adjusted", *combo.folded(adj, adjusted._tails)),
-            ("doubled-top", *combo.folded([doubled] + pre[1:], as_atomic))]
+            ("doubled-top", *combo.folded([step(2)] + pre[1:], as_atomic)),
+            ("signed-second", *combo.folded([step(1), step(-1)], as_atomic))]
+
+
+def _recording_push(pushed):
+    """combo.push, appending the weights of each input to pushed."""
+    def recording_push(terms, link, push=combo.push):
+        pushed.append(list(terms))
+        return push(terms, link)
+    return recording_push
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "column"])
@@ -489,19 +503,29 @@ def test_expansion_starts_from_its_memoized_neighbour(monkeypatch):
     assert all(rank[(a, b - 1)] < rank[(a, b)] for a, b in box if b >= 1)
     for name, _, atomic_at in _fresh_folds():
         pushed = []
-
-        def recording_push(terms, link, push=combo.push):
-            pushed.append(list(terms))
-            return push(terms, link)
-
         with monkeypatch.context() as m:
-            m.setattr(combo, "push", recording_push)
+            m.setattr(combo, "push", _recording_push(pushed))
             atomic_at((3, 5))
             assert pushed[:2] == [[(3, 5)], [(3, b) for b in range(5, -1, -1)]], name
             pushed.clear()
             atomic_at((3, 6))
             assert pushed[:2] == [[(3, 6), (3, 5)], [(3, 6)]], name
         assert atomic_at.cache_info().currsize == 2, name
+
+
+def test_cache_clear_releases_the_expansions(monkeypatch):
+    # The memo owns each expansion: once cache_clear() drops (3, 5), nothing
+    # keeps it alive, and (3, 6) folds its whole chain instead of reusing it.
+    for name, _, atomic_at in _fresh_folds():
+        ref = weakref.ref(atomic_at((3, 5)))
+        atomic_at.cache_clear()
+        gc.collect()
+        assert ref() is None, name
+        pushed = []
+        with monkeypatch.context() as m:
+            m.setattr(combo, "push", _recording_push(pushed))
+            atomic_at((3, 6))
+        assert pushed[0] == [(3, 6)], name
 
 
 def _adjusted2_below(lam):

@@ -3,11 +3,11 @@
 A check is a (name, fn) pair; fn raises on failure and may return a detail
 string, and run() turns it into a CheckResult.  The registries are two
 pinned views: verify() runs WEIGHT_CHECKS on one weight, sweep() runs
-BOX_CHECKS over a box.  _each_weight is the one loop that runs per-weight
-bodies over a box; only the canonical-consistency checks (a memo per run),
-the even column (over m) and the two Kostka-Foulkes paths (over pairs)
-take the box.  Library functions are looked up on their modules at call
-time, so a tracing wrapper bound there sees every call.
+BOX_CHECKS over a box, running every EachWeight's per-weight bodies in one
+loop, weight by weight.  Only the canonical-consistency checks (a memo per
+run), the even column (over m) and the two Kostka-Foulkes paths (over
+pairs) take the box.  Library functions are looked up on their modules at
+call time, so a tracing wrapper bound there sees every call.
 """
 
 from __future__ import annotations
@@ -167,16 +167,12 @@ def _small(box: list[Weight]) -> list[Weight]:
     return [w for w in box if w[0] <= SMALL and w[1] <= SMALL]
 
 
-def _each_weight(*bodies, small=False, suffix=""):
-    """A box check running each per-weight body on every weight; suffix
-    ends its detail, as in " x 4 levels"."""
-    def check(box):
-        weights = _small(box) if small else box
-        for lam in weights:
-            for body in bodies:
-                body(lam)
-        return f"{len(weights)} weights{suffix}"
-    return check
+class EachWeight:
+    """A box check that runs each per-weight body on every weight of the box,
+    or of its small part; suffix ends its detail, as in " x 4 levels"."""
+
+    def __init__(self, *bodies, small=False, suffix=""):
+        self.bodies, self.small, self.suffix = bodies, small, suffix
 
 
 def _step_roundtrip(lam, up, down) -> None:
@@ -289,32 +285,32 @@ def kf_two_paths(box) -> str:
 
 
 BOX_CHECKS = [
-    ("precanonical.step-roundtrips", _each_weight(
+    ("precanonical.step-roundtrips", EachWeight(
         lambda lam: _step_roundtrip(lam, precanonical.step_up,
                                     precanonical.inverse_step),
         suffix=" x 4 levels")),
-    ("precanonical.closed-forms", _each_weight(closed_forms)),
+    ("precanonical.closed-forms", EachWeight(closed_forms)),
     ("precanonical.definitional-consistency",
      lambda box: _canonical_consistency(box, precanonical.inverse_step,
                                         precanonical.defn_precanonical)),
-    ("precanonical.definitional-roundtrip", _each_weight(definitional_roundtrip)),
-    ("precanonical.positivity", _each_weight(positivity)),
+    ("precanonical.definitional-roundtrip", EachWeight(definitional_roundtrip)),
+    ("precanonical.positivity", EachWeight(positivity)),
     ("precanonical.even-column-closed-form", even_column_closed_form),
-    ("adjusted.step-roundtrips", _each_weight(
+    ("adjusted.step-roundtrips", EachWeight(
         lambda lam: _step_roundtrip(lam, adjusted.adjusted_expand_up,
                                     adjusted.adjusted_step_down),
         suffix=" x 4 levels")),
     ("adjusted.canonical-consistency",
      lambda box: _canonical_consistency(box, adjusted.adjusted_step_down,
                                         adjusted.adjusted_in_canonical)),
-    ("adjusted.atomic-consistency", _each_weight(adjusted2_consistency)),
-    ("adjusted.correction-identity", _each_weight(correction_identity)),
-    ("adjusted.cross-approach", _each_weight(cross_approach)),
+    ("adjusted.atomic-consistency", EachWeight(adjusted2_consistency)),
+    ("adjusted.correction-identity", EachWeight(correction_identity)),
+    ("adjusted.cross-approach", EachWeight(cross_approach)),
     ("lattice.membership-tables",
-     _each_weight(membership_tables, suffix=" x 16 subsets")),
+     EachWeight(membership_tables, suffix=" x 16 subsets")),
     ("kostka.two-paths", kf_two_paths),
-    ("kostka.at-one-vs-freudenthal", _each_weight(at_one, dimension, small=True)),
-    ("kostka.monic-and-monotone", _each_weight(monic, monotone, small=True)),
+    ("kostka.at-one-vs-freudenthal", EachWeight(at_one, dimension, small=True)),
+    ("kostka.monic-and-monotone", EachWeight(monic, monotone, small=True)),
 ]
 
 
@@ -325,4 +321,27 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     if max_a < 0 or max_b < 0:
         raise ValueError("sweep bounds must be non-negative")
     box = dominant_box(max_a, max_b)
-    return [run(name, partial(fn, box)) for name, fn in BOX_CHECKS]
+    small = set(_small(box))
+    each = {name: c for name, c in BOX_CHECKS if isinstance(c, EachWeight)}
+    # Every per-weight check runs at a weight while the bounded atomic memos
+    # hold its expansions; a check stops at its first failure.
+    failed: dict[str, str] = {}
+    for lam in box:
+        for name, c in each.items():
+            if name not in failed and (not c.small or lam in small):
+                try:
+                    for body in c.bodies:
+                        body(lam)
+                except MemoryError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - reported, as in run()
+                    failed[name] = str(exc)
+    results = []
+    for name, c in BOX_CHECKS:
+        if name not in each:
+            results.append(run(name, partial(c, box)))
+        else:
+            n = len(small) if c.small else len(box)
+            results.append(CheckResult(name, name not in failed,
+                                       failed.get(name, f"{n} weights{c.suffix}")))
+    return results

@@ -10,7 +10,7 @@ is CANONICAL.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from typing import Callable, Optional
 from weakref import WeakValueDictionary
 
@@ -241,10 +241,10 @@ def folded(links: list[Link],
     push turns the relation into lam alone, so only lam travels on.
     Otherwise atomic(lam) is expand of the canonical element at lam.  A box
     listed with b ascending thus folds one weight per entry; a lone weight
-    folds its whole chain.  The memo keeps only the expansions that callers
-    asked for, and owns them until atomic.cache_clear() frees them; a weak
-    view of it finds the neighbour.  After checks.sweep(20, 20) the memos of
-    both routes and kostka's two hold 78.7 MB, which clearing all four frees."""
+    folds its whole chain.  The memo keeps the two expansions asked for
+    most recently, all that such a box needs however large it is, and
+    owns them: a weak view of it finds the neighbour, and
+    atomic.cache_clear() frees them."""
     def expand(x: Combination) -> Combination:
         if x.basis is not CANONICAL:
             raise ValueError(f"cannot expand a combination in the {x.basis} basis")
@@ -258,7 +258,7 @@ def folded(links: list[Link],
     # atomic's cache offers no membership test; this weak view of it does.
     done: WeakValueDictionary[Weight, Combination] = WeakValueDictionary()
 
-    @cache
+    @lru_cache(maxsize=2)
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""

@@ -168,8 +168,9 @@ def dimension_by_orbits(lam: Weight) -> int:
     return sum(m * orbit_size(nu) for nu, m in multiplicity_table(lam).items())
 
 
-# Defined here rather than in checks: the benchmark's tracer times each
-# verify check by hooking construction of kostka.CheckResult.
+# Defined here rather than in checks: the benchmark's tracer marks the end of
+# each verify check by hooking construction of kostka.CheckResult.  The sweep
+# runs its per-weight checks together, so their marks time none of them alone.
 class CheckResult:
     """The outcome of one named check, with a detail string."""
 

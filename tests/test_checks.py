@@ -5,6 +5,7 @@ import pytest
 
 from g2atomic import adjusted, checks, kostka, precanonical
 from g2atomic.combo import Combination, check_atomic
+from g2atomic.lattice import dominant_box
 
 
 def _times_q(fn):
@@ -68,3 +69,19 @@ def test_box_check_fails_on_a_wrong_library_function(monkeypatch, name):
 
 def test_box_checks_pass_unbroken():
     assert all(r.ok for r in checks.sweep(2, 2))
+
+
+def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded():
+    # Each weight's per-weight checks all run while the bounded atomic memos
+    # hold its expansions, so the sweep folds no weight again on the
+    # pre-canonical route; on the adjusted route only kostka.two-paths,
+    # which runs after them, asks again for the weights of the small box.
+    for memo in (precanonical.atomic, adjusted.atomic_second,
+                 kostka.canonical_to_standard, kostka.multiplicity_table):
+        memo.cache_clear()
+    assert all(r.ok for r in checks.sweep(12, 12))
+    box = dominant_box(12, 12)
+    pre, adj = precanonical.atomic.cache_info(), adjusted.atomic_second.cache_info()
+    assert pre.misses == len(box)
+    assert adj.misses <= len(box) + len(checks._small(box))
+    assert pre.currsize <= pre.maxsize and adj.currsize <= adj.maxsize

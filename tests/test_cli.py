@@ -11,7 +11,8 @@ import pytest
 from g2atomic import checks, cli
 from g2atomic.cli import main
 from g2atomic.combo import CANONICAL
-from g2atomic.kostka import kostka_foulkes
+from g2atomic.kostka import CheckResult, kostka_foulkes
+from g2atomic.lattice import dominant_box
 from g2atomic.polyq import from_pairs
 from g2atomic.render import combination_from_json, render_combination
 
@@ -312,6 +313,55 @@ def test_verify_reports_failing_check(monkeypatch, capsys):
     obj = json.loads(out)
     assert code == 2 and obj["ok"] is False
     assert [c["ok"] for c in obj["checks"]] == [i != 4 for i in range(15)]
+
+
+def test_verify_keeps_each_checks_first_failure(monkeypatch, capsys):
+    # The sweep runs the per-weight checks together, weight by weight.  The
+    # body of a whole-box check and the first body of a small-box check
+    # fail at different weights: each check reports its own first failure,
+    # none of its bodies runs after it, and every other line reads as before.
+    unbroken = checks.sweep(7, 1)
+    box = dominant_box(7, 1)
+    # where each patched check's first body fails, in box order
+    failing = {"adjusted.correction-identity": [(3, 1), (5, 0)],
+               "kostka.at-one-vs-freudenthal": [(1, 0), (2, 1)],
+               "precanonical.positivity": []}
+    out_of_memory_at = None
+    calls = {}
+
+    def recorded(name, i, body):
+        def wrapped(lam):
+            calls.setdefault((name, i), []).append(lam)
+            if i == 0 and lam in failing[name]:
+                raise AssertionError(f"{name} fails at {lam!r}")
+            if lam == out_of_memory_at and name == "precanonical.positivity":
+                raise MemoryError
+            return body(lam)
+        return wrapped
+
+    monkeypatch.setattr(checks, "BOX_CHECKS", [
+        (name, checks.EachWeight(*(recorded(name, i, b) for i, b in enumerate(c.bodies)),
+                                 small=c.small, suffix=c.suffix))
+        if name in failing else (name, c) for name, c in checks.BOX_CHECKS])
+    results = checks.sweep(7, 1)
+    assert [r.name for r in results] == [r.name for r in unbroken]
+    for got, want in zip(results, unbroken):
+        if failing.get(got.name):
+            want = CheckResult(got.name, False, f"{got.name} fails at {failing[got.name][0]!r}")
+        assert got == want
+    before = lambda lam: box[:box.index(lam)]
+    assert calls["adjusted.correction-identity", 0] == before((3, 1)) + [(3, 1)]
+    assert calls["kostka.at-one-vs-freudenthal", 0] == before((1, 0)) + [(1, 0)]
+    assert calls["kostka.at-one-vs-freudenthal", 1] == before((1, 0))
+    assert calls["precanonical.positivity", 0] == box
+    # running out of memory at a later weight, after a check has failed, is
+    # still no failed check
+    calls.clear()
+    out_of_memory_at = (1, 1)
+    assert run_cli(capsys, "verify", "--max-a", "1", "--max-b", "1") \
+        == (1, "", "error: out of memory running verify\n")
+    assert calls["kostka.at-one-vs-freudenthal", 0][-1] == (1, 0)
+    assert calls["precanonical.positivity", 0] == dominant_box(1, 1)
 
 
 def test_subprocess_determinism():

@@ -1,9 +1,11 @@
 """Invariant checks: one runner and two ordered registries.
 
 A check is a (name, fn) pair; fn raises on failure and may return a detail
-string, and run() turns it into a CheckResult.  The registries are two
-pinned views: verify() runs WEIGHT_CHECKS on one weight, sweep() runs
-BOX_CHECKS over a box, running every EachWeight's per-weight bodies in one
+string, and run() turns it into a CheckResult: it is the one place where
+a check's exception becomes a failed result, and every check body, each
+per-weight step of the sweep included, runs under it.  The registries are
+two pinned views: verify() runs WEIGHT_CHECKS on one weight, sweep() runs
+BOX_CHECKS over a box, running every EachWeight at each weight in one
 loop, weight by weight.  Only the canonical-consistency checks (a memo per
 run), the even column (over m) and the two Kostka-Foulkes paths (over
 pairs) take the box.  Library functions are looked up on their modules at
@@ -169,10 +171,15 @@ def _small(box: list[Weight]) -> list[Weight]:
 
 class EachWeight:
     """A box check that runs each per-weight body on every weight of the box,
-    or of its small part; suffix ends its detail, as in " x 4 levels"."""
+    or of its small part; called, it runs them at one weight.  suffix ends
+    its detail, as in " x 4 levels"."""
 
     def __init__(self, *bodies, small=False, suffix=""):
         self.bodies, self.small, self.suffix = bodies, small, suffix
+
+    def __call__(self, lam: Weight) -> None:
+        for body in self.bodies:
+            body(lam)
 
 
 def _step_roundtrip(lam, up, down) -> None:
@@ -316,32 +323,24 @@ BOX_CHECKS = [
 
 def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     """Run every box check over the dominant weights with a <= max_a and
-    b <= max_b.  Raises ValueError if either bound is negative, and
-    MemoryError if a check runs out of memory."""
-    if max_a < 0 or max_b < 0:
-        raise ValueError("sweep bounds must be non-negative")
+    b <= max_b.  Raises ValueError unless both bounds are non-negative
+    ints, and MemoryError if a check runs out of memory."""
+    if type(max_a) is not int or type(max_b) is not int or max_a < 0 or max_b < 0:
+        kind = "non-negative" if type(max_a) is type(max_b) is int else "ints"
+        raise ValueError(f"sweep bounds must be {kind}")
     box = dominant_box(max_a, max_b)
     small = set(_small(box))
-    each = {name: c for name, c in BOX_CHECKS if isinstance(c, EachWeight)}
-    # Every per-weight check runs at a weight while the bounded atomic memos
-    # hold its expansions; a check stops at its first failure.
-    failed: dict[str, str] = {}
+    each = [(name, c) for name, c in BOX_CHECKS if isinstance(c, EachWeight)]
+    # A per-weight check passes unless some weight fails it.  It runs at each
+    # weight while the bounded atomic memos hold that weight's expansions, and
+    # stops at its first failure.
+    outcome = {name: CheckResult(name, True, f"{len(small if c.small else box)}"
+                                 f" weights{c.suffix}") for name, c in each}
     for lam in box:
-        for name, c in each.items():
-            if name not in failed and (not c.small or lam in small):
-                try:
-                    for body in c.bodies:
-                        body(lam)
-                except MemoryError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - reported, as in run()
-                    failed[name] = str(exc)
-    results = []
-    for name, c in BOX_CHECKS:
-        if name not in each:
-            results.append(run(name, partial(c, box)))
-        else:
-            n = len(small) if c.small else len(box)
-            results.append(CheckResult(name, name not in failed,
-                                       failed.get(name, f"{n} weights{c.suffix}")))
-    return results
+        for name, c in each:
+            if outcome[name].ok and (not c.small or lam in small):
+                result = run(name, partial(c, lam))
+                if not result.ok:
+                    outcome[name] = result
+    return [outcome[name] if name in outcome else run(name, partial(c, box))
+            for name, c in BOX_CHECKS]

@@ -12,7 +12,8 @@ Subcommands:
 
 Each subcommand takes --format text|json|latex (verify prints text for
 latex).  Exit codes: 0 success, 1 usage, domain or output error,
-2 verification failure.  Same argv, byte-identical output.
+2 verification failure; main() alone sets them, and maps argparse's 2 for
+a usage error to 1.  Same argv, byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,17 +29,10 @@ from .render import json_pairs, render_combination, render_poly
 _FORMATS = ("text", "json", "latex")
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the contract here
-    # reserves 2 for verification failures, so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="g2atomic", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="g2atomic",
+                                     description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command")
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -143,7 +137,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1

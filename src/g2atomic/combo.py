@@ -10,7 +10,7 @@ is CANONICAL.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial, update_wrapper
 from typing import Callable, Optional
 from weakref import WeakValueDictionary
 
@@ -258,11 +258,10 @@ def folded(links: list[Link],
     # atomic's cache offers no membership test; this weak view of it does.
     done: WeakValueDictionary[Weight, Combination] = WeakValueDictionary()
 
-    @lru_cache(maxsize=2)
+    @partial(dominant_memo, maxsize=2)
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
-        check_dominant(lam)
         step = links[0](*lam)
         below = None if step is None else done.get(step[0])
         if below is None:
@@ -283,6 +282,15 @@ def folded(links: list[Link],
         return x
 
     return expand, atomic
+
+
+def dominant_memo(fn, maxsize: Optional[int] = None):
+    """fn of one weight, memoized by lru_cache(maxsize) behind check_dominant,
+    which a lookup alone would skip: (2.0, 1) equals and hashes like (2, 1)."""
+    memo = lru_cache(maxsize)(fn)
+    checked = update_wrapper(lambda lam: check_dominant(lam) or memo(lam), fn)
+    checked.cache_info, checked.cache_clear = memo.cache_info, memo.cache_clear
+    return checked
 
 
 def check_atomic(lam: Weight, x: Combination) -> None:

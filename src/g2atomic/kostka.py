@@ -17,13 +17,11 @@ The checks module runs that comparison with the structural invariants.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, dominance_leq,
                       dominant_below, height, linear_dominant, orbit_size,
                       to_root_coords)
 from .polyq import Poly, iadd_scaled
-from .combo import Combination, STANDARD
+from .combo import Combination, STANDARD, dominant_memo
 # The positive adjusted route serves every expansion here; the pre-canonical
 # route is the cross-approach oracle.
 from .adjusted import atomic_second as atomic
@@ -38,7 +36,7 @@ def atomic_to_standard(lam: Weight) -> Combination:
     return Combination(STANDARD, terms)
 
 
-@cache
+@dominant_memo
 def canonical_to_standard(lam: Weight) -> Combination:
     """Canonical element in the standard basis.  The coefficient at mu is
     the generalized Kostka-Foulkes polynomial for (lam, mu).
@@ -105,12 +103,11 @@ def _norm_shifted(w: Weight) -> int:
     return _pair((a, b), (2 * a + 3 * b, a + 2 * b))
 
 
-@cache
+@dominant_memo
 def multiplicity_table(lam: Weight) -> dict[Weight, int]:
     """Multiplicities of all dominant weights of the irreducible highest
     weight module, by the Freudenthal recursion, filled top down in height.
     Entirely independent of the q-analogue machinery."""
-    check_dominant(lam)
     order = sorted(dominant_below(lam), key=height, reverse=True)
     allowed = set(order)
     norm_top = _norm_shifted(lam)
@@ -143,7 +140,6 @@ def multiplicity_table(lam: Weight) -> dict[Weight, int]:
 def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
     """Multiplicity of the weight mu in the irreducible module of highest
     weight lam.  mu may be any weight; it is reflected to dominance first."""
-    check_dominant(lam)
     nu = linear_dominant(mu)
     return multiplicity_table(lam).get(nu, 0)
 
@@ -169,8 +165,7 @@ def dimension_by_orbits(lam: Weight) -> int:
 
 
 # Defined here rather than in checks: the benchmark's tracer marks the end of
-# each verify check by hooking construction of kostka.CheckResult.  The sweep
-# runs its per-weight checks together, so their marks time none of them alone.
+# each check run, one per weight in the sweep, by hooking its construction.
 class CheckResult:
     """The outcome of one named check, with a detail string."""
 

@@ -70,8 +70,10 @@ def is_dominant(w: Weight) -> bool:
 
 
 def check_dominant(w: Weight) -> None:
-    if not is_dominant(w):
-        raise ValueError(f"weight {w!r} is not dominant")
+    a, b = w
+    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+        kind = "dominant" if type(a) is type(b) is int else "two ints"
+        raise ValueError(f"weight {w!r} is not {kind}")
 
 
 def check_level(i: int, hi: int) -> None:

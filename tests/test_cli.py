@@ -253,6 +253,37 @@ def test_error_exits(capsys):
     assert out == "" and err != ""
 
 
+ATOMIC_USAGE = ("usage: g2atomic atomic [-h] [--format {text,json,latex}]\n"
+                "                       [--method {adjusted,precanonical}]\n"
+                "                       a b\n")
+
+# argparse's own usage errors, byte for byte at an 80-column terminal.
+# Newer Pythons print the choices without quotes, so quotes are not compared.
+USAGE_ERRORS = {
+    ("atomic", "2", "4", "--format", "yaml"): ATOMIC_USAGE
+    + "g2atomic atomic: error: argument --format: invalid choice: 'yaml' "
+      "(choose from 'text', 'json', 'latex')\n",
+    ("bogus",): "usage: g2atomic [-h] {atomic,kf,standard,expand,verify} ...\n"
+    "g2atomic: error: argument command: invalid choice: 'bogus' "
+    "(choose from 'atomic', 'kf', 'standard', 'expand', 'verify')\n",
+    ("kf", "1", "2"): "usage: g2atomic kf [-h] [--format {text,json,latex}] a b c d\n"
+    "g2atomic kf: error: the following arguments are required: c, d\n",
+}
+
+
+def test_argparse_help_and_usage_errors(monkeypatch, capsys):
+    # argparse exits 0 after --help and 2 on a usage error; the CLI keeps 2
+    # for a failed verification, so a usage error must end with 1.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: g2atomic [-h] ")
+    code, out, err = run_cli(capsys, "atomic", "--help")
+    assert (code, err) == (0, "") and out.startswith(ATOMIC_USAGE)
+    for argv, want in USAGE_ERRORS.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.replace("'", "")) == (1, "", want.replace("'", "")), argv
+
+
 def test_domain_errors_go_to_stderr(capsys):
     for argv, msg in ((["verify", "--max-a", "-1"], "sweep bounds must be non-negative"),
                       (["verify", "--max-b", "-3", "--format", "json"],

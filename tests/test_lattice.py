@@ -7,6 +7,9 @@ reflection policy.
 
 import pytest
 
+from g2atomic import checks, kostka, precanonical
+from g2atomic.adjusted import atomic_second
+from g2atomic.checks import verify
 from g2atomic.lattice import (GAMMA, PHI_GEQ, POSITIVE_ROOTS, RHO,
                               dominance_leq, dominant_below, dominant_box,
                               dominant_rep, gamma_sum, height, is_dominant,
@@ -261,3 +264,24 @@ def test_orbit_size():
     assert orbit_size((1, 1)) == 12
     with pytest.raises(ValueError):
         orbit_size((-1, 0))
+
+
+def test_library_weights_are_pairs_of_ints():
+    # A float or bool coordinate used to end in a RuntimeError, a TypeError
+    # or a failed verification; every entry point now rejects it by name.
+    calls = [lambda: atomic_second((2.5, 1)), lambda: atomic_second((2.0, 1)),
+             lambda: verify((1.5, 0)), lambda: checks.sweep(1.5, 1),
+             lambda: atomic_second((True, 1)),
+             lambda: kostka.kostka_foulkes((2, 0), (0.5, 0))]
+    for call in calls:
+        with pytest.raises(ValueError, match="not two ints|must be ints"):
+            call()
+    with pytest.raises(ValueError, match=r"weight \(-1, 2\) is not dominant"):
+        atomic_second((-1, 2))
+    # (2.0, 1) equals and hashes like (2, 1), so each weight memo checks the
+    # weight before its lookup, not only on a miss.
+    for memo in (atomic_second, precanonical.atomic,
+                 kostka.canonical_to_standard, kostka.multiplicity_table):
+        memo((2, 1))
+        with pytest.raises(ValueError, match=r"weight \(2.0, 1\) is not two ints"):
+            memo((2.0, 1))

@@ -14,6 +14,11 @@ Each subcommand takes --format text|json|latex (verify prints text for
 latex).  Exit codes: 0 success, 1 usage, domain or output error,
 2 verification failure; main() alone sets them, and maps argparse's 2 for
 a usage error to 1.  Same argv, byte-identical output.
+
+Each command computes its result in full; main() then renders the line
+as it writes it.  An error before the first write leaves stdout empty; a
+failure while writing may leave part of a line.  Either way the call
+exits 1 with one line on stderr, or none if the reader closed the pipe.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Iterable, Iterator
 
 from . import adjusted
 from .combo import CANONICAL, pre_canonical
-from .render import json_pairs, render_combination, render_poly
+from .render import combination_parts, json_pairs, render_poly
 
 _FORMATS = ("text", "json", "latex")
 
@@ -71,42 +77,42 @@ def _build_parser() -> argparse.ArgumentParser:
 # Each command imports the modules only it uses, so that a call loads no
 # more of the package than it runs.
 
-def _atomic_command(args) -> tuple[int, str]:
+def _atomic_command(args) -> tuple[int, Iterable[str]]:
     lam = (args.a, args.b)
     if args.method == "precanonical":
         from .precanonical import atomic as route
     else:
         route = adjusted.atomic_second
-    return 0, render_combination(route(lam), CANONICAL, lam, args.format)
+    return 0, combination_parts(route(lam), CANONICAL, lam, args.format)
 
 
-def _kf_command(args) -> tuple[int, str]:
+def _kf_command(args) -> tuple[int, Iterable[str]]:
     from . import kostka
     lam, mu = (args.a, args.b), (args.c, args.d)
     p = kostka.kostka_foulkes(lam, mu)
     if args.format == "json":
         return 0, (f'{{"lambda": [{lam[0]}, {lam[1]}], "mu": [{mu[0]}, {mu[1]}], '
-                   f'"poly": {json_pairs(p)}}}')
-    return 0, render_poly(p, args.format)
+                   f'"poly": {json_pairs(p)}}}',)
+    return 0, (render_poly(p, args.format),)
 
 
-def _standard_command(args) -> tuple[int, str]:
+def _standard_command(args) -> tuple[int, Iterable[str]]:
     from . import kostka
     lam = (args.a, args.b)
     x = kostka.canonical_to_standard(lam)
-    return 0, render_combination(x, CANONICAL, lam, args.format)
+    return 0, combination_parts(x, CANONICAL, lam, args.format)
 
 
-def _expand_command(args) -> tuple[int, str]:
+def _expand_command(args) -> tuple[int, Iterable[str]]:
     lam = (args.a, args.b)
     if not 2 <= args.level <= 6:
         raise ValueError("--level must be in 2..6")
     from . import precanonical
     x = precanonical.defn_precanonical(args.level, lam)
-    return 0, render_combination(x, pre_canonical(args.level), lam, args.format)
+    return 0, combination_parts(x, pre_canonical(args.level), lam, args.format)
 
 
-def _verify_command(args) -> tuple[int, str]:
+def _verify_command(args) -> tuple[int, Iterable[str]]:
     from . import checks
     results = checks.sweep(args.max_a, args.max_b)
     ok = all(c.ok for c in results)
@@ -116,7 +122,7 @@ def _verify_command(args) -> tuple[int, str]:
                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                           for c in results],
                "ok": ok}
-        return (0 if ok else 2), json.dumps(obj)
+        return (0 if ok else 2), (json.dumps(obj),)
     lines = []
     for c in results:
         mark = "ok  " if c.ok else "FAIL"
@@ -124,12 +130,38 @@ def _verify_command(args) -> tuple[int, str]:
         lines.append(f"{mark} {c.name}{tail}")
     lines.append(f"{'all checks passed' if ok else 'VERIFICATION FAILED'} "
                  f"(sweep a <= {args.max_a}, b <= {args.max_b})")
-    return (0 if ok else 2), "\n".join(lines)
+    return (0 if ok else 2), ("\n".join(lines),)
 
 
 _COMMANDS = {"atomic": _atomic_command, "kf": _kf_command,
              "standard": _standard_command, "expand": _expand_command,
              "verify": _verify_command}
+
+
+# Parts are written in chunks of about this many characters: a write per
+# part would cost a system call per 8 KiB of output, stdout's own chunk.
+_CHUNK = 1 << 15
+
+
+def _chunks(parts: Iterable[str]) -> Iterator[str]:
+    """parts, joined into strings of _CHUNK characters or more, but the last."""
+    chunk, size = [], 0
+    for part in parts:
+        chunk.append(part)
+        size += len(part)
+        if size >= _CHUNK:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    yield "".join(chunk)
+
+
+def _fail(command: str, exc: Exception) -> int:
+    """Report exc in one line on stderr (a repr is one line); return 1."""
+    message = str(exc) if isinstance(exc, ValueError) else repr(exc)
+    if isinstance(exc, MemoryError):
+        message = f"out of memory running {command}"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
@@ -143,15 +175,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        code, out = _COMMANDS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print(f"error: out of memory running {args.command}", file=sys.stderr)
-        return 1
+        code, parts = _COMMANDS[args.command](args)
+    except (ValueError, MemoryError) as exc:
+        return _fail(args.command, exc)
     try:
-        print(out)
+        sys.stdout.writelines(_chunks(parts))
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except OSError as exc:
         # A reader that closed early ends the call quietly; any other write
@@ -164,6 +193,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except Exception as exc:
+        # The line is rendered as it is written, so whatever rendering
+        # raises lands here, after part of the line may have gone out.
+        return _fail(args.command, exc)
     return code
 
 

@@ -309,11 +309,14 @@ def check_atomic(lam: Weight, x: Combination) -> None:
                              f"{p!r} at {w!r}, not a nonzero element of N[q]")
 
 
-def display_key(w: Weight):
-    """Sort key for rendering: decreasing height, then decreasing first root
-    coordinate.  The two fix the weight, so this is a total order."""
+def display_key(w: Weight) -> int:
+    """Sort key for rendering: decreasing height h = 3a+5b, then decreasing
+    first root coordinate r = 2a+3b.  The two fix the weight, so this is a
+    total order.  One int, h(h+1) + r negated, orders as the pair does,
+    since 0 <= r <= h on dominant weights, and costs no tuple per weight."""
     a, b = w
-    return (-(3 * a + 5 * b), -(2 * a + 3 * b))
+    h = 3 * a + 5 * b
+    return -(h * (h + 1) + 2 * a + 3 * b)
 
 
 def sorted_support(x: Combination, first: Optional[Weight] = None) -> list[Weight]:
@@ -322,5 +325,5 @@ def sorted_support(x: Combination, first: Optional[Weight] = None) -> list[Weigh
     rest = [w for w in x.terms if w != first]
     rest.sort(key=display_key)
     if first is not None and first in x.terms:
-        return [first] + rest
+        rest.insert(0, first)
     return rest

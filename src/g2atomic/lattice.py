@@ -70,7 +70,10 @@ def is_dominant(w: Weight) -> bool:
 
 
 def check_dominant(w: Weight) -> None:
-    a, b = w
+    try:
+        a, b = w
+    except (TypeError, ValueError):  # caught, not tested: a hot path
+        raise ValueError(f"weight {w!r} is not two ints") from None
     if type(a) is not int or type(b) is not int or a < 0 or b < 0:
         kind = "dominant" if type(a) is type(b) is int else "two ints"
         raise ValueError(f"weight {w!r} is not {kind}")

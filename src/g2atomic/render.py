@@ -5,11 +5,13 @@ only in its entries: the exponent format, the separator between a
 coefficient and its basis symbol, and the symbols with their level and
 weight markup.  Both render polynomials by descending exponent; JSON is
 written directly, in json.dumps' layout, with pairs by ascending exponent.
+A combination's line is also given lazily, one part per term, so that it
+can be written while it is rendered and is never held whole.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .combo import BasisLabel, Combination, parse_basis, sorted_support
 from .lattice import Weight, check_dominant
@@ -107,19 +109,40 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
     """One-line equation: the element named by (lhs_basis, lam) expanded
     in the basis of x, support in display order.  In text and LaTeX a
     unit coefficient is omitted."""
+    return "".join(combination_parts(x, lhs_basis, lam, fmt))
+
+
+def combination_parts(x: Combination, lhs_basis: BasisLabel, lam: Weight,
+                      fmt: str) -> Iterator[str]:
+    """The line of render_combination as parts, one per term, to be written
+    in turn.  Lazy: nothing is rendered before the first part is asked for,
+    and no part is kept after it is handed out."""
     order = sorted_support(x, first=lam)
     if fmt == "json":
-        terms = ", ".join([f'{{"weight": [{w[0]}, {w[1]}], '
-                           f'"poly": {json_pairs(x.terms[w])}}}' for w in order])
-        return (f'{{"basis": "{x.basis}", '
-                f'"weight": [{lam[0]}, {lam[1]}], "terms": [{terms}]}}')
+        terms, sep = x.terms, ""
+        yield (f'{{"basis": "{x.basis}", '
+               f'"weight": [{lam[0]}, {lam[1]}], "terms": [')
+        for w in order:
+            yield (f'{sep}{{"weight": [{w[0]}, {w[1]}], '
+                   f'"poly": {json_pairs(terms[w])}}}')
+            sep = ", "
+        yield "]}"
+        return
     style = _STYLES[fmt]
+    before, after = _symbol(lhs_basis, style)
+    terms = _terms(x, order, style)
+    first = next(terms, "+ 0")  # an empty sum reads 0
+    yield f"{before}{lam[0]},{lam[1]}{after} = {_lead(first)}"
+    for term in terms:
+        yield " " + term
+
+
+def _terms(x: Combination, order: list[Weight],
+           style: _Style) -> Iterator[str]:
+    """The term of x at each weight of order, signed: "+ q^2 N(1,0)"."""
     mono, sep, terms = _Monomials(style), style.sep, x.terms
     sign, power = mono.sign, mono.power
     before, after = _symbol(x.basis, style)
-    lhs_before, lhs_after = _symbol(lhs_basis, style)
-    # One list and one join for the whole line, which can be megabytes.
-    parts = [f"{lhs_before}{lam[0]},{lam[1]}{lhs_after} ="]
     for w in order:
         p = terms[w]
         if len(p) == 1:
@@ -129,12 +152,7 @@ def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
                 coeff += sep
         else:
             coeff = f"+ ({_sum(p, mono)}){sep}"
-        parts.append(f"{coeff}{before}{w[0]},{w[1]}{after}")
-    if len(parts) == 1:
-        parts.append("0")
-    else:
-        parts[1] = _lead(parts[1])
-    return " ".join(parts)
+        yield f"{coeff}{before}{w[0]},{w[1]}{after}"
 
 
 def _weight(v) -> Weight:

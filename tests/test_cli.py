@@ -1,6 +1,7 @@
 """Command-line front end: rendering, JSON schema, exit codes, import path."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -123,8 +124,9 @@ GOLDEN_STDOUT = {
     "expand --level 4 0 1 --format text": "10a02964194d9ece32e47e903d9ace93f67d206ff194026c20a886c4705a7e6f",
     "expand --level 4 3 0 --format text": "e5c59d3a97e6fce51af69857238b13ca43d6224e06b3e23b896e6c0573da32fd",
     # walls: large outputs, recorded before the level-2 correction became a
-    # chain link; the text hash equals benchmarks/golden.json
+    # chain link; the text hashes equal benchmarks/golden.json
     "atomic 300 1 --format text": "490c7f8064efcd08b87e4ca3f08232ccdaf6c1c0b7009ba1944e5d9e503f98a2",
+    "atomic 0 100 --format text": "c8d7956e4aebac9e2db021166d3190d6069ec415b1d19aad04df87df136540c5",
     "atomic 0 100 --format json": "cecb7b0b7e0e8fe13dc2483d98a27adb7e27de93a6b987985db845369d6dcbb1",
     "atomic 300 1 --format json": "69953a4dc2c6ea6b25eb712be3d5671fa451006ae470f69cebfdaf879491c862",
     "standard 30 30 --format json": "e3b310261b08eddab022c2b8ff73cc76f7651a7f8525d77a780f3488bea739e1",
@@ -447,19 +449,70 @@ def test_failed_write_ends_in_one_line():
         1, b"error: cannot write output: [Errno 28] No space left on device\n")
 
 
+def test_failure_while_writing_ends_in_one_line(monkeypatch, capsys):
+    # The line is rendered while it is written, so a failure can come after
+    # part of it has gone out: it still ends in exit 1 and one line.
+    written = "Hbar(2,4) = N(2,4)" + " + q N(2,3)" * (cli._CHUNK // 10)
+
+    def failing(error):
+        def parts(*args):
+            yield written  # a whole chunk, written at once
+            yield " + N(2,2)"  # still held when the failure comes
+            raise error
+        return parts
+
+    for error, message in ((MemoryError, "out of memory running atomic"),
+                           (RuntimeError("two\nlines"),
+                            "RuntimeError('two\\nlines')")):
+        monkeypatch.setattr(cli, "combination_parts", failing(error))
+        assert run_cli(capsys, "atomic", "2", "4") == (
+            1, written, f"error: {message}\n")
+
+
+class _Recorder(io.StringIO):
+    """A stdout that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_is_written_as_it_is_rendered(monkeypatch, fmt):
+    # The 0.7 to 1 MB line goes out in parts, never held whole.
+    cmd = f"atomic 0 100 --format {fmt}"
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(cmd.split()) == 0
+    assert max(out.sizes) <= 64 * 1024
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_STDOUT[cmd]
+
+
+# Runs argv in a child and reports its exit status and ru_maxrss on stderr.
+# A child's ru_maxrss counts the memory of the process that spawned it, so a
+# child of pytest would read at least pytest's own; this launcher is small.
+_LEAN_LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 def test_atomic_a_heavy_peak_memory():
     # The fold keeps no expansion below the top, so peak memory follows
-    # the output, about 30 MB.
-    proc = subprocess.Popen([sys.executable, "-m", "g2atomic.cli",
-                             "atomic", "300", "1"],
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert out.startswith(b"Hbar(300,1) = N(300,1) + ")
-    assert usage.ru_maxrss < 150 * 1024  # kilobytes on Linux
+    # the output, about 24 MB.
+    proc = subprocess.run([sys.executable, "-c", _LEAN_LAUNCHER, sys.executable,
+                           "-m", "g2atomic.cli", "atomic", "300", "1"],
+                          capture_output=True, check=True)
+    *_, code, maxrss = proc.stderr.split()
+    assert int(code) == 0, proc.stderr
+    assert proc.stdout.startswith(b"Hbar(300,1) = N(300,1) + ")
+    assert int(maxrss) < 64 * 1024  # kilobytes on Linux
 
 
 def test_import_path_is_lean():

@@ -278,6 +278,10 @@ def test_library_weights_are_pairs_of_ints():
             call()
     with pytest.raises(ValueError, match=r"weight \(-1, 2\) is not dominant"):
         atomic_second((-1, 2))
+    # A weight that is not a pair used to end in Python's unpacking errors.
+    for w, shown in ((5, "5"), (None, "None"), ((1, 2, 3), r"\(1, 2, 3\)")):
+        with pytest.raises(ValueError, match=rf"^weight {shown} is not two ints$"):
+            atomic_second(w)
     # (2.0, 1) equals and hashes like (2, 1), so each weight memo checks the
     # weight before its lookup, not only on a miss.
     for memo in (atomic_second, precanonical.atomic,

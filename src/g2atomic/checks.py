@@ -10,10 +10,21 @@ loop, weight by weight.  Only the canonical-consistency checks (a memo per
 run), the even column (over m) and the two Kostka-Foulkes paths (over
 pairs) take the box.  Library functions are looked up on their modules at
 call time, so a tracing wrapper bound there sees every call.
+
+The sweep's loop runs row by row (a fixed), split across one process per
+CPU: the rows with a <= SMALL and the four box-level checks stay in the
+calling process, and forked children run the other rows and send back
+each check's first failure.  The outcome of a check is its failure at the
+lowest box index, so it is the same with one CPU or many.  A tracing
+wrapper sees the calling process's share of the loop only.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
+import threading
 from functools import cache, partial
 
 from . import adjusted, kostka, precanonical
@@ -321,10 +332,97 @@ BOX_CHECKS = [
 ]
 
 
+def _shards(max_a: int, max_b: int, k: int) -> list[list[int]]:
+    """The rows a of the box, split into at most k shards, each in
+    increasing a.  Shard 0 keeps every row with a <= SMALL, so the small box
+    and kostka.two-paths share one process and its canonical_to_standard
+    memo.  Each other row, heaviest first, joins the shard with the least
+    work so far, a weight's work taken as its height.  Empty shards are
+    dropped.  A row folds each weight from its neighbour in the row, so no
+    weight is folded twice."""
+    def work(a):
+        return sum(height((a, b)) for b in range(max_b + 1))
+
+    shards = [list(range(min(max_a, SMALL) + 1))] + [[] for _ in range(k - 1)]
+    load = [sum(map(work, shards[0]))] + [0] * (k - 1)
+    for a in range(max_a, SMALL, -1):
+        i = load.index(min(load))
+        shards[i].append(a)
+        load[i] += work(a)
+    return [sorted(rows) for rows in shards if rows]
+
+
+def _processes() -> int:
+    """How many processes a sweep may run in: one per CPU this process may
+    run on, or one where os.fork or os.sched_getaffinity is missing, or
+    where another thread runs (a forked child copies only the caller's)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _first_failures(box, indices, each, small, parent=None) -> dict:
+    """Each per-weight check's first failure at box[i] for i in indices, in
+    order: name -> (i, result).  A check that fails runs at no later weight
+    of the shard.  A child given its parent's pid exits at the next weight
+    once that parent is gone."""
+    first: dict = {}
+    for i in indices:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        lam = box[i]
+        for name, c in each:
+            if name not in first and (not c.small or lam in small):
+                result = run(name, partial(c, lam))
+                if not result.ok:
+                    first[name] = i, result
+    return first
+
+
+def _child(shard, out) -> None:
+    """Run shard() in a forked child and write to out, marshalled, each
+    first failure as (i, name, ok, detail), or None if it ran out of memory.
+    Ends the child with os._exit, so it runs no exit hooks and flushes no
+    buffer copied from the parent."""
+    code = 1
+    try:
+        try:
+            data = [(i, x.name, x.ok, x.detail) for i, x in shard().values()]
+        except MemoryError:
+            data = None
+        out.write(marshal.dumps(data))
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(data: bytes, status: int) -> dict:
+    """The first failures a child sent, given its exit status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(f"a sweep process ended without a result ({how})")
+    found = marshal.loads(data)
+    if found is None:
+        raise MemoryError
+    return {name: (i, CheckResult(name, ok, detail)) for i, name, ok, detail in found}
+
+
 def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     """Run every box check over the dominant weights with a <= max_a and
     b <= max_b.  Raises ValueError unless both bounds are non-negative
-    ints, and MemoryError if a check runs out of memory."""
+    ints, MemoryError if a check runs out of memory, and ChildProcessError
+    if a process of the sweep ends without a result.
+
+    The per-weight checks run row by row (a fixed) in one process per CPU,
+    on the rows _shards gives each: shard 0 in the calling process, with the
+    four box-level checks, and each other shard in a forked child, which
+    sends back each check's first failure.  A check's outcome is its failure
+    at the lowest box index, so the results do not depend on the split.
+    With one CPU, no os.fork or another thread running, the whole box is
+    one shard, run in process.  No child outlives the call."""
     if type(max_a) is not int or type(max_b) is not int or max_a < 0 or max_b < 0:
         kind = "non-negative" if type(max_a) is type(max_b) is int else "ints"
         raise ValueError(f"sweep bounds must be {kind}")
@@ -332,15 +430,40 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     small = set(_small(box))
     each = [(name, c) for name, c in BOX_CHECKS if isinstance(c, EachWeight)]
     # A per-weight check passes unless some weight fails it.  It runs at each
-    # weight while the bounded atomic memos hold that weight's expansions, and
-    # stops at its first failure.
+    # weight while the bounded atomic memos hold that weight's expansions.
     outcome = {name: CheckResult(name, True, f"{len(small if c.small else box)}"
                                  f" weights{c.suffix}") for name, c in each}
-    for lam in box:
-        for name, c in each:
-            if outcome[name].ok and (not c.small or lam in small):
-                result = run(name, partial(c, lam))
-                if not result.ok:
-                    outcome[name] = result
-    return [outcome[name] if name in outcome else run(name, partial(c, box))
-            for name, c in BOX_CHECKS]
+    width = max_b + 1  # box is row after row, each of this many weights
+    shards = [[i for a in rows for i in range(a * width, (a + 1) * width)]
+              for rows in _shards(max_a, max_b, _processes())]
+    parent, pipes, pids = os.getpid(), [], []  # pids: children not yet reaped
+    try:
+        for indices in shards[1:]:
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _child(partial(_first_failures, box, indices, each, small,
+                                   parent), out)
+            pids.append(pid)
+        first = _first_failures(box, shards[0], each, small)
+        for name, c in BOX_CHECKS:
+            if name not in outcome:
+                outcome[name] = run(name, partial(c, box))
+        for pipe, pid in zip(pipes, list(pids)):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            for name, (i, result) in _received(data, status).items():
+                if name not in first or i < first[name][0]:
+                    first[name] = i, result
+    finally:
+        for pid in pids:  # still running only if the sweep raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+    for name, (_, result) in first.items():
+        outcome[name] = result
+    return [outcome[name] for name, _ in BOX_CHECKS]

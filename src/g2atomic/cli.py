@@ -11,9 +11,9 @@ Subcommands:
                           run every invariant over a sweep (defaults 8)
 
 Each subcommand takes --format text|json|latex (verify prints text for
-latex).  Exit codes: 0 success, 1 usage, domain or output error,
-2 verification failure; main() alone sets them, and maps argparse's 2 for
-a usage error to 1.  Same argv, byte-identical output.
+latex).  Exit codes: 0 success, 1 usage, domain, process or output
+error, 2 verification failure; main() alone sets them, and maps
+argparse's 2 for a usage error to 1.  Same argv, byte-identical output.
 
 Each command computes its result in full; main() then renders the line
 as it writes it.  An error before the first write leaves stdout empty; a
@@ -157,7 +157,7 @@ def _chunks(parts: Iterable[str]) -> Iterator[str]:
 
 def _fail(command: str, exc: Exception) -> int:
     """Report exc in one line on stderr (a repr is one line); return 1."""
-    message = str(exc) if isinstance(exc, ValueError) else repr(exc)
+    message = str(exc) if isinstance(exc, (ValueError, OSError)) else repr(exc)
     if isinstance(exc, MemoryError):
         message = f"out of memory running {command}"
     print(f"error: {message}", file=sys.stderr)
@@ -176,7 +176,9 @@ def main(argv=None) -> int:
         return 1
     try:
         code, parts = _COMMANDS[args.command](args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
+        # OSError: verify's sweep could not fork, or a child ended without
+        # a result
         return _fail(args.command, exc)
     try:
         sys.stdout.writelines(_chunks(parts))

@@ -77,6 +77,8 @@ def check_dominant(w: Weight) -> None:
     if type(a) is not int or type(b) is not int or a < 0 or b < 0:
         kind = "dominant" if type(a) is type(b) is int else "two ints"
         raise ValueError(f"weight {w!r} is not {kind}")
+    if not isinstance(w, tuple):  # a list would fail later, in a memo lookup
+        raise ValueError(f"weight {w!r} is not a tuple")
 
 
 def check_level(i: int, hi: int) -> None:

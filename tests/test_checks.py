@@ -1,9 +1,15 @@
 """No sweep check passes vacuously: for each box check, one library
-function made wrong turns that check to FAIL on a small box."""
+function made wrong turns that check to FAIL on a small box.  The sweep
+split across processes reports what the one-process sweep reports, and
+leaves no child behind."""
+
+import os
+import signal
+import threading
 
 import pytest
 
-from g2atomic import adjusted, checks, kostka, precanonical
+from g2atomic import adjusted, checks, cli, kostka, precanonical
 from g2atomic.combo import Combination, check_atomic
 from g2atomic.lattice import dominant_box
 
@@ -71,11 +77,13 @@ def test_box_checks_pass_unbroken():
     assert all(r.ok for r in checks.sweep(2, 2))
 
 
-def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded():
+def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded(monkeypatch):
     # Each weight's per-weight checks all run while the bounded atomic memos
     # hold its expansions, so the sweep folds no weight again on the
     # pre-canonical route; on the adjusted route only kostka.two-paths,
     # which runs after them, asks again for the weights of the small box.
+    # The memo counters are this process's, so the sweep runs in it alone.
+    monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: {0})
     for memo in (precanonical.atomic, adjusted.atomic_second,
                  kostka.canonical_to_standard, kostka.multiplicity_table):
         memo.cache_clear()
@@ -85,3 +93,126 @@ def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded():
     assert pre.misses == len(box)
     assert adj.misses <= len(box) + len(checks._small(box))
     assert pre.currsize <= pre.maxsize and adj.currsize <= adj.maxsize
+
+
+# The forked sweep.  Patches made here are inherited by the forked children.
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _failing_at(monkeypatch, module, attr, bad, how=None):
+    """module.attr made to fail at the weights in bad: a wrong value, or
+    whatever how(lam) does."""
+    f = getattr(module, attr)
+
+    def patched(*args):
+        lam = args[-1]
+        if lam in bad:
+            if how is not None:
+                how(lam)
+            return None
+        return f(*args)
+    monkeypatch.setattr(module, attr, patched)
+
+
+def _verify_8x1(capsys):
+    code = cli.main(["verify", "--max-a", "8", "--max-b", "1"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_sweep_equals_the_one_process_sweep(monkeypatch):
+    # rows 7 and 8 go to two children, the rows a <= SMALL stay in process
+    shards = checks._shards(8, 2, 3)
+    assert len(shards) == 3 and {7, 8} & set(shards[0]) == set()
+    assert not {7, 8} <= set(shards[1]) and not {7, 8} <= set(shards[2])
+    # membership-tables fails in both children, closed-forms in process and
+    # in a child, at-one-vs-freudenthal in process only
+    _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 1), (7, 2)})
+    _failing_at(monkeypatch, precanonical, "closed_form_6to5", {(8, 0), (1, 1)})
+    _failing_at(monkeypatch, kostka, "weyl_dimension", {(2, 1)})
+    _cpus(monkeypatch, 1)
+    alone = checks.sweep(8, 2)
+    _cpus(monkeypatch, 3)
+    assert checks.sweep(8, 2) == alone
+    _no_child_left()
+    failed = {r.name: r.detail for r in alone if not r.ok}
+    assert failed == {
+        "lattice.membership-tables": "membership tables disagree for () at (7, 2)",
+        "precanonical.closed-forms": "6to5 disagrees at (1, 1)",
+        "kostka.at-one-vs-freudenthal": "dimension mismatch at (2, 1): product "
+                                        "None, orbits 189"}
+
+
+def test_out_of_memory_in_a_child(monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    assert 8 not in checks._shards(8, 1, 2)[0]
+
+    def exhausted(lam):
+        raise MemoryError
+
+    _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 0)}, exhausted)
+    with pytest.raises(MemoryError):
+        checks.sweep(8, 1)
+    _no_child_left()
+    assert _verify_8x1(capsys) == (1, "", "error: out of memory running verify\n")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("end, how", [(lambda: os._exit(3), "exit status 3"),
+                                      (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                       "signal 9")])
+def test_child_that_ends_without_a_result(monkeypatch, capsys, end, how):
+    _cpus(monkeypatch, 2)
+    _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 0)}, lambda lam: end())
+    assert _verify_8x1(capsys) \
+        == (1, "", f"error: a sweep process ended without a result ({how})\n")
+    _no_child_left()
+
+
+def test_children_are_killed_when_the_sweep_raises(monkeypatch):
+    # (0, 0) is the first weight of the calling process, so it raises while
+    # the children still run
+    _cpus(monkeypatch, 3)
+
+    def exhausted(lam):
+        raise MemoryError
+
+    _failing_at(monkeypatch, checks, "x_I_member_closed", {(0, 0)}, exhausted)
+    with pytest.raises(MemoryError):
+        checks.sweep(12, 12)
+    _no_child_left()
+
+
+def test_sweep_runs_in_one_process_while_another_thread_runs(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with another thread running")
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(checks.os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert all(r.ok for r in checks.sweep(8, 1))
+    finally:
+        stop.set()
+        thread.join()
+
+
+def test_orphaned_child_exits_at_the_next_weight():
+    box = dominant_box(1, 1)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            # a parent pid that is not this child's: the child is orphaned
+            checks._first_failures(box, range(len(box)), [], set(), os.getpid())
+        finally:
+            os._exit(0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1

@@ -353,6 +353,8 @@ def test_verify_keeps_each_checks_first_failure(monkeypatch, capsys):
     # body of a whole-box check and the first body of a small-box check
     # fail at different weights: each check reports its own first failure,
     # none of its bodies runs after it, and every other line reads as before.
+    # The calls are recorded in this process, so the sweep runs in it alone.
+    monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: {0})
     unbroken = checks.sweep(7, 1)
     box = dominant_box(7, 1)
     # where each patched check's first body fails, in box order

@@ -282,6 +282,11 @@ def test_library_weights_are_pairs_of_ints():
     for w, shown in ((5, "5"), (None, "None"), ((1, 2, 3), r"\(1, 2, 3\)")):
         with pytest.raises(ValueError, match=rf"^weight {shown} is not two ints$"):
             atomic_second(w)
+    # A list used to pass the check, then fail in the memo lookup (unhashable).
+    for call, shown in ((lambda: atomic_second([1, 2]), r"\[1, 2\]"),
+                        (lambda: kostka.kostka_foulkes([2, 0], [0, 0]), r"\[2, 0\]")):
+        with pytest.raises(ValueError, match=rf"^weight {shown} is not a tuple$"):
+            call()
     # (2.0, 1) equals and hashes like (2, 1), so each weight memo checks the
     # weight before its lookup, not only on a miss.
     for memo in (atomic_second, precanonical.atomic,

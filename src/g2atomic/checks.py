@@ -13,15 +13,16 @@ call time, so a tracing wrapper bound there sees every call.
 
 The sweep's loop runs row by row (a fixed), split across one process per
 CPU: the rows with a <= SMALL and the four box-level checks stay in the
-calling process, and forked children run the other rows and send back
-each check's first failure.  The outcome of a check is its failure at the
-lowest box index, so it is the same with one CPU or many.  A tracing
-wrapper sees the calling process's share of the loop only.
+calling process, and forked children run the other rows and report only
+whether every check passed there.  A shard that did not pass runs again
+in the calling process, so run() there forms every result.  The outcome
+of a check is its failure at the lowest box index, so it is the same with
+one CPU or many.  A tracing wrapper sees the calling process's share of
+the loop only.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import signal
 import threading
@@ -380,49 +381,31 @@ def _first_failures(box, indices, each, small, parent=None) -> dict:
     return first
 
 
-def _child(shard, out) -> None:
-    """Run shard() in a forked child and write to out, marshalled, each
-    first failure as (i, name, ok, detail), or None if it ran out of memory.
-    Ends the child with os._exit, so it runs no exit hooks and flushes no
-    buffer copied from the parent."""
+def _child(shard) -> None:
+    """Run shard() in a forked child and end the child with os._exit: status
+    0 if every check passed there, 1 if one failed or anything raised.  It
+    runs no exit hooks and flushes no buffer copied from the parent."""
     code = 1
     try:
-        try:
-            data = [(i, x.name, x.ok, x.detail) for i, x in shard().values()]
-        except MemoryError:
-            data = None
-        out.write(marshal.dumps(data))
-        out.flush()
-        code = 0
+        code = 1 if shard() else 0
     finally:
         os._exit(code)
-
-
-def _received(data: bytes, status: int) -> dict:
-    """The first failures a child sent, given its exit status."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(f"a sweep process ended without a result ({how})")
-    found = marshal.loads(data)
-    if found is None:
-        raise MemoryError
-    return {name: (i, CheckResult(name, ok, detail)) for i, name, ok, detail in found}
 
 
 def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     """Run every box check over the dominant weights with a <= max_a and
     b <= max_b.  Raises ValueError unless both bounds are non-negative
-    ints, MemoryError if a check runs out of memory, and ChildProcessError
-    if a process of the sweep ends without a result.
+    ints, and MemoryError if a check runs out of memory.
 
     The per-weight checks run row by row (a fixed) in one process per CPU,
     on the rows _shards gives each: shard 0 in the calling process, with the
     four box-level checks, and each other shard in a forked child, which
-    sends back each check's first failure.  A check's outcome is its failure
-    at the lowest box index, so the results do not depend on the split.
-    With one CPU, no os.fork or another thread running, the whole box is
-    one shard, run in process.  No child outlives the call."""
+    reports only whether every check passed there.  A shard whose child
+    reports otherwise, or dies, runs again in the calling process, so every
+    result is formed there.  A check's outcome is its failure at the lowest
+    box index, so the results are the one-process results, whatever a child
+    did.  With one CPU, no os.fork or another thread running, the whole box
+    is one shard, run in process.  No child outlives the call."""
     if type(max_a) is not int or type(max_b) is not int or max_a < 0 or max_b < 0:
         kind = "non-negative" if type(max_a) is type(max_b) is int else "ints"
         raise ValueError(f"sweep bounds must be {kind}")
@@ -436,34 +419,29 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     width = max_b + 1  # box is row after row, each of this many weights
     shards = [[i for a in rows for i in range(a * width, (a + 1) * width)]
               for rows in _shards(max_a, max_b, _processes())]
-    parent, pipes, pids = os.getpid(), [], []  # pids: children not yet reaped
+    parent, pids = os.getpid(), []  # pids: children not yet reaped
     try:
         for indices in shards[1:]:
-            r, w = os.pipe()
-            pipes.append(os.fdopen(r, "rb"))
-            with os.fdopen(w, "wb") as out:
-                pid = os.fork()
-                if pid == 0:
-                    _child(partial(_first_failures, box, indices, each, small,
-                                   parent), out)
+            pid = os.fork()
+            if pid == 0:
+                _child(partial(_first_failures, box, indices, each, small, parent))
             pids.append(pid)
         first = _first_failures(box, shards[0], each, small)
         for name, c in BOX_CHECKS:
             if name not in outcome:
                 outcome[name] = run(name, partial(c, box))
-        for pipe, pid in zip(pipes, list(pids)):
-            data = pipe.read()
+        for indices, pid in zip(shards[1:], list(pids)):
             status = os.waitpid(pid, 0)[1]
             pids.remove(pid)
-            for name, (i, result) in _received(data, status).items():
+            if status == 0:
+                continue
+            for name, (i, result) in _first_failures(box, indices, each, small).items():
                 if name not in first or i < first[name][0]:
                     first[name] = i, result
     finally:
         for pid in pids:  # still running only if the sweep raised
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
     for name, (_, result) in first.items():
         outcome[name] = result
     return [outcome[name] for name, _ in BOX_CHECKS]

@@ -11,9 +11,10 @@ Subcommands:
                           run every invariant over a sweep (defaults 8)
 
 Each subcommand takes --format text|json|latex (verify prints text for
-latex).  Exit codes: 0 success, 1 usage, domain, process or output
-error, 2 verification failure; main() alone sets them, and maps
-argparse's 2 for a usage error to 1.  Same argv, byte-identical output.
+latex).  Exit codes: 0 success, 1 usage, domain or output error or any
+other error while computing, 2 verification failure; main() alone sets
+them, and maps argparse's 2 for a usage error to 1.  Same argv,
+byte-identical output.
 
 Each command computes its result in full; main() then renders the line
 as it writes it.  An error before the first write leaves stdout empty; a
@@ -176,9 +177,9 @@ def main(argv=None) -> int:
         return 1
     try:
         code, parts = _COMMANDS[args.command](args)
-    except (ValueError, MemoryError, OSError) as exc:
-        # OSError: verify's sweep could not fork, or a child ended without
-        # a result
+    except Exception as exc:
+        # A domain error, a lack of memory, a failed fork or a fault of the
+        # program: one line on stderr, never a traceback.
         return _fail(args.command, exc)
     try:
         sys.stdout.writelines(_chunks(parts))

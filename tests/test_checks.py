@@ -1,13 +1,15 @@
 """No sweep check passes vacuously: for each box check, one library
 function made wrong turns that check to FAIL on a small box.  The sweep
-split across processes reports what the one-process sweep reports, and
-leaves no child behind."""
+split across processes reports what the one-process sweep reports,
+whatever a child does, runs a child's shard again only when it did not
+pass, and leaves no child behind."""
 
 import os
 import signal
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from g2atomic import adjusted, checks, cli, kostka, precanonical
 from g2atomic.combo import Combination, check_atomic
@@ -127,6 +129,15 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(1, 6))
+def test_shards_split_the_rows(max_a, max_b, k):
+    shards = checks._shards(max_a, max_b, k)
+    assert sorted(a for rows in shards for a in rows) == list(range(max_a + 1))
+    assert set(range(min(max_a, checks.SMALL) + 1)) <= set(shards[0])
+    assert all(rows == sorted(rows) and rows for rows in shards)
+    assert len(shards) <= k
+
+
 def test_forked_sweep_equals_the_one_process_sweep(monkeypatch):
     # rows 7 and 8 go to two children, the rows a <= SMALL stay in process
     shards = checks._shards(8, 2, 3)
@@ -165,14 +176,63 @@ def test_out_of_memory_in_a_child(monkeypatch, capsys):
     _no_child_left()
 
 
-@pytest.mark.parametrize("end, how", [(lambda: os._exit(3), "exit status 3"),
-                                      (lambda: os.kill(os.getpid(), signal.SIGKILL),
-                                       "signal 9")])
-def test_child_that_ends_without_a_result(monkeypatch, capsys, end, how):
+def _counting_first_failures(monkeypatch):
+    """The indices of each call of checks._first_failures in this process.
+    A forked child counts in its own copy of the list, which never reaches
+    this one."""
+    calls = []
+    f = checks._first_failures
+
+    def counted(box, indices, *args):
+        calls.append(list(indices))
+        return f(box, indices, *args)
+    monkeypatch.setattr(checks, "_first_failures", counted)
+    return calls
+
+
+def test_passing_forked_sweep_runs_no_shard_again(monkeypatch):
+    _cpus(monkeypatch, 3)
+    calls = _counting_first_failures(monkeypatch)
+    assert all(r.ok for r in checks.sweep(8, 2))
+    # one call, shard 0 of the calling process; the children ran rows 7, 8
+    assert calls == [list(range(7 * 3))]
+    _no_child_left()
+
+
+def test_failing_child_shard_alone_runs_again(monkeypatch):
+    shards = checks._shards(8, 2, 3)
+    row8 = next(rows for rows in shards if 8 in rows)
+    assert 7 not in row8
+    _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 1)})
+    _cpus(monkeypatch, 1)
+    alone = checks.sweep(8, 2)
+    calls = _counting_first_failures(monkeypatch)
+    _cpus(monkeypatch, 3)
+    assert checks.sweep(8, 2) == alone
+    _no_child_left()
+    assert calls == [list(range(7 * 3)), list(range(8 * 3, 9 * 3))]
+    assert [r.name for r in alone if not r.ok] == ["lattice.membership-tables"]
+
+
+@pytest.mark.parametrize("end", [lambda: os._exit(3),
+                                 lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                         ids=["exit status 3", "signal 9"])
+def test_child_that_dies_is_run_again_in_process(monkeypatch, capsys, end):
+    # The death happens in a child only; in this process the patched
+    # function returns a wrong value at (8, 0), as on one CPU.
+    test_pid = os.getpid()
+
+    def die_in_a_child(lam):
+        if os.getpid() != test_pid:
+            end()
+
+    _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 0)}, die_in_a_child)
+    _cpus(monkeypatch, 1)
+    alone = _verify_8x1(capsys)
+    assert alone[0] == 2 and "FAIL lattice.membership-tables" in alone[1]
     _cpus(monkeypatch, 2)
-    _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 0)}, lambda lam: end())
-    assert _verify_8x1(capsys) \
-        == (1, "", f"error: a sweep process ended without a result ({how})\n")
+    assert 8 not in checks._shards(8, 1, 2)[0]
+    assert _verify_8x1(capsys) == alone
     _no_child_left()
 
 

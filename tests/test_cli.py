@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from g2atomic import checks, cli
+from g2atomic import adjusted, checks, cli, combo
 from g2atomic.cli import main
 from g2atomic.combo import CANONICAL
 from g2atomic.kostka import CheckResult, kostka_foulkes
@@ -308,6 +308,18 @@ def test_memory_error_exits_with_one_line(monkeypatch, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_any_error_while_computing_exits_with_one_line(monkeypatch, capsys):
+    def no_descent(w, u, h):
+        raise RuntimeError(f"chain link from {w!r} to {u!r} does not descend "
+                           f"in the dominant cone")
+
+    monkeypatch.setattr(combo, "_descend", no_descent)
+    adjusted.atomic_second.cache_clear()
+    code, out, err = run_cli(capsys, "atomic", "3", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: RuntimeError(") and err.count("\n") == 1
 
 
 def test_verify_out_of_memory_is_not_a_failed_check(monkeypatch, capsys):

@@ -16,9 +16,9 @@ CPU: the rows with a <= SMALL and the four box-level checks stay in the
 calling process, and forked children run the other rows and report only
 whether every check passed there.  A shard that did not pass runs again
 in the calling process, so run() there forms every result.  The outcome
-of a check is its failure at the lowest box index, so it is the same with
-one CPU or many.  A tracing wrapper sees the calling process's share of
-the loop only.
+of a check is its failure at the least weight, (a, b) ordered as a tuple,
+so it is the same with one CPU or many.  A tracing wrapper sees the
+calling process's share of the loop only.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import os
 import signal
 import threading
 from functools import cache, partial
+from itertools import product
 
 from . import adjusted, kostka, precanonical
 from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
@@ -363,21 +364,20 @@ def _processes() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _first_failures(box, indices, each, small, parent=None) -> dict:
-    """Each per-weight check's first failure at box[i] for i in indices, in
-    order: name -> (i, result).  A check that fails runs at no later weight
-    of the shard.  A child given its parent's pid exits at the next weight
-    once that parent is gone."""
+def _first_failures(rows, max_b, each, small, parent=None) -> dict:
+    """Each per-weight check's first failure on the rows a of the box, in
+    order, each for b in 0..max_b: name -> (weight, result).  A check that
+    fails runs at no later weight of the shard.  A child given its parent's
+    pid exits at the next weight once that parent is gone."""
     first: dict = {}
-    for i in indices:
+    for lam in product(rows, range(max_b + 1)):
         if parent is not None and os.getppid() != parent:
             os._exit(1)
-        lam = box[i]
         for name, c in each:
             if name not in first and (not c.small or lam in small):
                 result = run(name, partial(c, lam))
                 if not result.ok:
-                    first[name] = i, result
+                    first[name] = lam, result
     return first
 
 
@@ -402,8 +402,8 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     four box-level checks, and each other shard in a forked child, which
     reports only whether every check passed there.  A shard whose child
     reports otherwise, or dies, runs again in the calling process, so every
-    result is formed there.  A check's outcome is its failure at the lowest
-    box index, so the results are the one-process results, whatever a child
+    result is formed there.  A check's outcome is its failure at the least
+    weight, so the results are the one-process results, whatever a child
     did.  With one CPU, no os.fork or another thread running, the whole box
     is one shard, run in process.  No child outlives the call."""
     if type(max_a) is not int or type(max_b) is not int or max_a < 0 or max_b < 0:
@@ -416,28 +416,26 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     # weight while the bounded atomic memos hold that weight's expansions.
     outcome = {name: CheckResult(name, True, f"{len(small if c.small else box)}"
                                  f" weights{c.suffix}") for name, c in each}
-    width = max_b + 1  # box is row after row, each of this many weights
-    shards = [[i for a in rows for i in range(a * width, (a + 1) * width)]
-              for rows in _shards(max_a, max_b, _processes())]
+    shards = _shards(max_a, max_b, _processes())
     parent, pids = os.getpid(), []  # pids: children not yet reaped
     try:
-        for indices in shards[1:]:
+        for rows in shards[1:]:
             pid = os.fork()
             if pid == 0:
-                _child(partial(_first_failures, box, indices, each, small, parent))
+                _child(partial(_first_failures, rows, max_b, each, small, parent))
             pids.append(pid)
-        first = _first_failures(box, shards[0], each, small)
+        first = _first_failures(shards[0], max_b, each, small)
         for name, c in BOX_CHECKS:
             if name not in outcome:
                 outcome[name] = run(name, partial(c, box))
-        for indices, pid in zip(shards[1:], list(pids)):
+        for rows, pid in zip(shards[1:], list(pids)):
             status = os.waitpid(pid, 0)[1]
             pids.remove(pid)
             if status == 0:
                 continue
-            for name, (i, result) in _first_failures(box, indices, each, small).items():
-                if name not in first or i < first[name][0]:
-                    first[name] = i, result
+            for name, (lam, result) in _first_failures(rows, max_b, each, small).items():
+                if name not in first or lam < first[name][0]:
+                    first[name] = lam, result
     finally:
         for pid in pids:  # still running only if the sweep raised
             os.kill(pid, signal.SIGKILL)

@@ -107,12 +107,13 @@ def single(basis: BasisLabel, w: Weight, p: Optional[Poly] = None) -> Combinatio
     return Combination(basis, {w: dict(p)} if p else {})
 
 
-def combo_add(x: Combination, y: Combination) -> Combination:
+def combo_add(x: Combination, y: Combination, k: int = 0, c: int = 1) -> Combination:
+    """x + c*q^k*y, sharing no polynomial with either."""
     if x.basis is not y.basis:
         raise ValueError(f"basis mismatch: {x.basis} vs {y.basis}")
     terms = {w: dict(p) for w, p in x.terms.items()}
     for w, p in y.terms.items():
-        iadd_scaled(terms.setdefault(w, {}), p)
+        iadd_scaled(terms.setdefault(w, {}), p, k, c)
     return Combination(x.basis, {w: p for w, p in terms.items() if p})
 
 
@@ -225,35 +226,35 @@ def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
 
 def folded(links: list[Link],
            base: Callable[[dict[Weight, Poly]], Combination]) -> tuple:
-    """One route to the atomic basis as a left fold.  expand(x) pushes the
-    terms of x, in the canonical basis at dominant weights (else ValueError),
-    through one push pass per chain link, top first, then hands them, fresh
-    from the last push and so free to mutate, to the base map, which returns
-    the atomic combination.  Each level expands every weight once, so signed
-    terms cancel before they are expanded further, and nothing below the
-    top is kept.  Returns (expand, atomic); atomic(lam) is expand at the
+    """One route to the atomic basis as a left fold.  fold(terms, links)
+    pushes terms, at dominant weights in the basis that links[0] leaves,
+    through one push pass per link in turn, then hands them, fresh and so
+    free to mutate, to the base map, which returns the atomic combination.  Each level expands
+    every weight once, so signed terms cancel before they are expanded
+    further.  expand(x) checks x (else ValueError) and folds it through
+    every link.  Returns (expand, atomic); atomic(lam) is expand at the
     canonical element at lam, memoized, checked by check_atomic and not to
     be mutated.
 
-    The fold is linear.  When the top link leads from lam to u with factor
-    c*q^d and atomic(u) is memoized, atomic(lam) is expand of the top link's
-    relation lam - c*q^d*u plus a shifted copy of c*q^d*atomic(u): the top
-    push turns the relation into lam alone, so only lam travels on.
-    Otherwise atomic(lam) is expand of the canonical element at lam.  A box
-    listed with b ascending thus folds one weight per entry; a lone weight
-    folds its whole chain.  The memo keeps the two expansions asked for
-    most recently, all that such a box needs however large it is, and
-    owns them: a weak view of it finds the neighbour, and
-    atomic.cache_clear() frees them."""
-    def expand(x: Combination) -> Combination:
-        if x.basis is not CANONICAL:
-            raise ValueError(f"cannot expand a combination in the {x.basis} basis")
-        terms = x.terms
-        for w in terms:
-            check_dominant(w)
+    When the top link leads from lam to u with factor c*q^d, atomic(lam)
+    is, by linearity, lam folded through the links below the top plus
+    c*q^d*atomic(u).  That is the fold when atomic(u) is memoized; else lam
+    folds through every link.  A box listed with b ascending thus folds one
+    weight per entry; a lone weight folds its whole chain.  The memo keeps
+    the two expansions asked for most recently, all that such a box needs
+    however large it is, and owns them: a weak view of it finds the
+    neighbour, and atomic.cache_clear() frees them."""
+    def fold(terms: dict[Weight, Poly], links: list[Link]) -> Combination:
         for link in links:
             terms = push(terms, link)
         return base(terms)
+
+    def expand(x: Combination) -> Combination:
+        if x.basis is not CANONICAL:
+            raise ValueError(f"cannot expand a combination in the {x.basis} basis")
+        for w in x.terms:
+            check_dominant(w)
+        return fold(x.terms, links)
 
     # atomic's cache offers no membership test; this weak view of it does.
     done: WeakValueDictionary[Weight, Combination] = WeakValueDictionary()
@@ -265,18 +266,11 @@ def folded(links: list[Link],
         step = links[0](*lam)
         below = None if step is None else done.get(step[0])
         if below is None:
-            x = expand(single(CANONICAL, lam))
+            x = fold({lam: {0: 1}}, links)
         else:
-            _, d, c = step
-            x = expand(relation(links[0], lam, CANONICAL))
-            out = {u: {k + d: c * v for k, v in r.items()}
-                   for u, r in below.terms.items()}
-            for u, r in x.terms.items():
-                acc = out.setdefault(u, {})
-                iadd_scaled(acc, r)
-                if not acc:
-                    del out[u]
-            x = Combination(x.basis, out)
+            u, d, c = step
+            _descend(lam, u, height(lam))
+            x = combo_add(fold({lam: {0: 1}}, links[1:]), below, d, c)
         check_atomic(lam, x)
         done[lam] = x
         return x

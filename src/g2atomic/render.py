@@ -104,19 +104,13 @@ def render_poly(p: Poly, fmt: str) -> str:
     return _sum(p, _Monomials(_STYLES[fmt]))
 
 
-def render_combination(x: Combination, lhs_basis: BasisLabel, lam: Weight,
-                       fmt: str) -> str:
-    """One-line equation: the element named by (lhs_basis, lam) expanded
-    in the basis of x, support in display order.  In text and LaTeX a
-    unit coefficient is omitted."""
-    return "".join(combination_parts(x, lhs_basis, lam, fmt))
-
-
 def combination_parts(x: Combination, lhs_basis: BasisLabel, lam: Weight,
                       fmt: str) -> Iterator[str]:
-    """The line of render_combination as parts, one per term, to be written
-    in turn.  Lazy: nothing is rendered before the first part is asked for,
-    and no part is kept after it is handed out."""
+    """One-line equation: the element named by (lhs_basis, lam) expanded
+    in the basis of x, support in display order.  In text and LaTeX a
+    unit coefficient is omitted.  Given as parts, one per term, to be
+    written in turn.  Lazy: nothing is rendered before the first part is
+    asked for, and no part is kept after it is handed out."""
     order = sorted_support(x, first=lam)
     if fmt == "json":
         terms, sep = x.terms, ""

@@ -1,8 +1,9 @@
-"""No sweep check passes vacuously: for each box check, one library
-function made wrong turns that check to FAIL on a small box.  The sweep
-split across processes reports what the one-process sweep reports,
-whatever a child does, runs a child's shard again only when it did not
-pass, and leaves no child behind."""
+"""No check passes vacuously: for each box check, one library function
+made wrong turns that check to FAIL on a small box, and for each check of
+verify(lam), one turns it to FAIL at (2, 4).  The sweep split across
+processes reports what the one-process sweep reports, whatever a child
+does, runs a child's shard again only when it did not pass, and leaves no
+child behind."""
 
 import os
 import signal
@@ -27,13 +28,20 @@ def _times_q(fn):
     return wrong
 
 
+def _negated(fn):
+    """fn with every coefficient of its combination negated."""
+    def wrong(*args):
+        x = fn(*args)
+        return Combination(x.basis, {w: {e: -c for e, c in p.items()}
+                                     for w, p in x.terms.items()})
+    return wrong
+
+
 def _negated_and_checked(route):
     """An atomic route that builds the negated expansion and checks it, as
     the production route checks positivity while it builds."""
     def wrong(lam):
-        x = route(lam)
-        bad = Combination(x.basis, {w: {e: -c for e, c in p.items()}
-                                    for w, p in x.terms.items()})
+        bad = _negated(route)(lam)
         check_atomic(lam, bad)
         return bad
     return wrong
@@ -77,6 +85,48 @@ def test_box_check_fails_on_a_wrong_library_function(monkeypatch, name):
 
 def test_box_checks_pass_unbroken():
     assert all(r.ok for r in checks.sweep(2, 2))
+
+
+# The same for verify(lam): per-weight check name -> (module, function, how
+# to make the function wrong).
+WEIGHT_BREAKERS = {
+    "atomic-positivity": (adjusted, "atomic_second", _negated_and_checked),
+    "cross-approach": (precanonical, "atomic", _times_q),
+    "definitional-roundtrip": (adjusted, "atomic_second", _times_q),
+    "kostka-at-one": BREAKERS["kostka.at-one-vs-freudenthal"],
+    "dimension-by-orbits":
+        (kostka, "dimension_by_orbits", lambda f: lambda lam: f(lam) + 1),
+    "monic-degree": (kostka, "canonical_to_standard", _times_q),
+    # multiplying by q keeps p_mu - q^s p_nu in N[q]; negating does not
+    "shift-monotonicity": (kostka, "canonical_to_standard", _negated),
+}
+
+
+def test_every_weight_check_has_a_breaker():
+    assert list(WEIGHT_BREAKERS) == [name for name, _ in checks.WEIGHT_CHECKS]
+
+
+@pytest.mark.parametrize("name", list(WEIGHT_BREAKERS))
+def test_weight_check_fails_on_a_wrong_library_function(monkeypatch, name):
+    module, attr, breaker = WEIGHT_BREAKERS[name]
+    monkeypatch.setattr(module, attr, breaker(getattr(module, attr)))
+    results = {r.name: r for r in checks.verify((2, 4)).checks}
+    assert not results[name].ok, results[name]
+
+
+def test_weight_checks_pass_unbroken():
+    assert checks.verify((2, 4)).ok
+
+
+@pytest.mark.parametrize("lam", [(0, 100), (1, 100), (300, 1), (40, 40)],
+                         ids=lambda lam: f"{lam[0]},{lam[1]}")
+def test_atomic_oracles_at_published_weights(lam):
+    # The per-weight checks of the atomic expansion, at weights that README
+    # and the golden calls publish.  The Freudenthal and Kostka-Foulkes
+    # column checks take seconds each there and are left to the boxes.
+    checks.positivity(lam)
+    checks.cross_approach(lam)
+    checks.definitional_roundtrip(lam)
 
 
 def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded(monkeypatch):
@@ -177,15 +227,15 @@ def test_out_of_memory_in_a_child(monkeypatch, capsys):
 
 
 def _counting_first_failures(monkeypatch):
-    """The indices of each call of checks._first_failures in this process.
-    A forked child counts in its own copy of the list, which never reaches
+    """The rows of each call of checks._first_failures in this process.  A
+    forked child counts in its own copy of the list, which never reaches
     this one."""
     calls = []
     f = checks._first_failures
 
-    def counted(box, indices, *args):
-        calls.append(list(indices))
-        return f(box, indices, *args)
+    def counted(rows, *args):
+        calls.append(list(rows))
+        return f(rows, *args)
     monkeypatch.setattr(checks, "_first_failures", counted)
     return calls
 
@@ -195,7 +245,7 @@ def test_passing_forked_sweep_runs_no_shard_again(monkeypatch):
     calls = _counting_first_failures(monkeypatch)
     assert all(r.ok for r in checks.sweep(8, 2))
     # one call, shard 0 of the calling process; the children ran rows 7, 8
-    assert calls == [list(range(7 * 3))]
+    assert calls == [list(range(7))]
     _no_child_left()
 
 
@@ -210,7 +260,7 @@ def test_failing_child_shard_alone_runs_again(monkeypatch):
     _cpus(monkeypatch, 3)
     assert checks.sweep(8, 2) == alone
     _no_child_left()
-    assert calls == [list(range(7 * 3)), list(range(8 * 3, 9 * 3))]
+    assert calls == [list(range(7)), [8]]
     assert [r.name for r in alone if not r.ok] == ["lattice.membership-tables"]
 
 
@@ -267,12 +317,11 @@ def test_sweep_runs_in_one_process_while_another_thread_runs(monkeypatch):
 
 
 def test_orphaned_child_exits_at_the_next_weight():
-    box = dominant_box(1, 1)
     pid = os.fork()
     if pid == 0:
         try:
             # a parent pid that is not this child's: the child is orphaned
-            checks._first_failures(box, range(len(box)), [], set(), os.getpid())
+            checks._first_failures([0, 1], 1, [], set(), os.getpid())
         finally:
             os._exit(0)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1

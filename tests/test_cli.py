@@ -15,7 +15,7 @@ from g2atomic.combo import CANONICAL
 from g2atomic.kostka import CheckResult, kostka_foulkes
 from g2atomic.lattice import dominant_box
 from g2atomic.polyq import from_pairs
-from g2atomic.render import combination_from_json, render_combination
+from g2atomic.render import combination_from_json, combination_parts
 
 from reference_data import REF_ATOMIC_24, REF_KF_69_32, REF_ORDER_24
 
@@ -49,7 +49,7 @@ def test_atomic_json(capsys):
     assert lam == (2, 4)
     assert x.terms == REF_ATOMIC_24
     # lossless round trip through the renderer
-    assert render_combination(x, CANONICAL, lam, "json") == out.rstrip("\n")
+    assert "".join(combination_parts(x, CANONICAL, lam, "json")) == out.rstrip("\n")
 
 
 def test_atomic_latex(capsys):

@@ -115,6 +115,11 @@ def test_combo_add_examples():
         == Combination(CANONICAL)
     two = combo_add(single(STANDARD, (2, 0)), single(STANDARD, (1, 0), {1: 1}))
     assert two.terms == {(2, 0): {0: 1}, (1, 0): {1: 1}}
+    # x + c*q^k*y, cancelling where the shifted y meets x
+    x = Combination(STANDARD, {(2, 0): {0: 1}, (1, 0): {3: 2}})
+    y = Combination(STANDARD, {(1, 0): {1: 1}, (0, 0): {0: 1, 2: 1}})
+    assert combo_add(x, y, 2, -2).terms == {(2, 0): {0: 1}, (0, 0): {2: -2, 4: -2}}
+    assert x.terms == {(2, 0): {0: 1}, (1, 0): {3: 2}}
     with pytest.raises(ValueError):
         combo_add(single(CANONICAL, lam), single(ATOMIC, lam))
 
@@ -440,38 +445,39 @@ def test_fold_rejects_weights_outside_the_cone():
 
 
 def _fresh_folds():
-    """(name, expand, atomic) for new folds of both routes, which no other
-    test can have warmed; for the pre-canonical route under a top link
-    with factor 2q, so that the reused neighbour comes with a coefficient
-    other than 1; and for the step (a, b) -> (a, b-1) with factor q, then
-    the same step with factor -q, over the identity base map.  There
-    atomic(a, b) is N(a, b) + q^2 atomic(a, b-2), so the reused neighbour
-    cancels the new part at (a, b-1), (a, b-3), and so on."""
+    """(name, links, expand, atomic) for new folds of both routes, which no
+    other test can have warmed; for the pre-canonical route under a top
+    link with factor 2q, so that the reused neighbour comes with a
+    coefficient other than 1; and for the step (a, b) -> (a, b-1) with
+    factor q, then the same step with factor -q, over the identity base
+    map.  There atomic(a, b) is N(a, b) + q^2 atomic(a, b-2), so the reused
+    neighbour cancels the new part at (a, b-1), (a, b-3), and so on."""
     pre = [precanonical._LINKS[i] for i in (5, 4, 3, 2)]
     adj = [adjusted._LINKS[k] for k in (5, 4, 3, 2)] + [adjusted._link2]
     step = lambda c: lambda a, b: ((a, b - 1), 1, c) if b >= 1 else None
     as_atomic = lambda terms: Combination(ATOMIC, terms)
-    return [("precanonical", *combo.folded(pre, as_atomic)),
-            ("adjusted", *combo.folded(adj, adjusted._tails)),
-            ("doubled-top", *combo.folded([step(2)] + pre[1:], as_atomic)),
-            ("signed-second", *combo.folded([step(1), step(-1)], as_atomic))]
+    folds = [("precanonical", pre, as_atomic), ("adjusted", adj, adjusted._tails),
+             ("doubled-top", [step(2)] + pre[1:], as_atomic),
+             ("signed-second", [step(1), step(-1)], as_atomic)]
+    return [(name, links, *combo.folded(links, base)) for name, links, base in folds]
 
 
 def _recording_push(pushed):
-    """combo.push, appending the weights of each input to pushed."""
+    """combo.push, appending (link, the weights of the input) for each call
+    to pushed."""
     def recording_push(terms, link, push=combo.push):
-        pushed.append(list(terms))
+        pushed.append((link, list(terms)))
         return push(terms, link)
     return recording_push
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "column"])
 def test_reused_neighbours_do_not_show(order):
-    # atomic(a, b) adds its new part into a shifted copy of the memoized
-    # expansion at (a, b-1), when that was asked for earlier.  Ascending b
-    # reuses it at every b >= 1, descending reuses nothing, and a shuffle
-    # reuses it only where (a, b-1) came first.  The column (0, b) takes the
-    # relation deep into the signed level-4 chain.
+    # atomic(a, b) adds a shifted copy of the memoized expansion at (a, b-1),
+    # when that was asked for earlier, to lam folded below the top link.
+    # Ascending b reuses it at every b >= 1, descending reuses nothing, and
+    # a shuffle reuses it only where (a, b-1) came first.  The column (0, b)
+    # reuses it deep into the signed level-4 chain.
     box = dominant_box(9, 9)
     if order == "descending":
         box.reverse()
@@ -479,7 +485,7 @@ def test_reused_neighbours_do_not_show(order):
         random.Random(14).shuffle(box)
     elif order == "column":
         box = [(0, b) for b in range(41)]
-    for name, to_atomic, atomic_at in _fresh_folds():
+    for name, _, to_atomic, atomic_at in _fresh_folds():
         seen, before = {}, {}
         for lam in box:
             below = [w for w in walk(precanonical._link5, lam, CANONICAL).terms
@@ -495,28 +501,33 @@ def test_reused_neighbours_do_not_show(order):
 
 def test_expansion_starts_from_its_memoized_neighbour(monkeypatch):
     # Without a memoized neighbour lam alone enters the top-link push, and
-    # its whole top chain leaves it.  With (a, b-1) memoized, the top link's
-    # relation at lam enters, and only lam leaves.  The sweep's box lists
-    # (a, b-1) before (a, b), so every b >= 1 of the box takes the short way.
+    # its whole top chain leaves it for the next link.  With (a, b-1)
+    # memoized, nothing goes through the top link: lam alone enters the
+    # second link.  The sweep's box lists (a, b-1) before (a, b), so every
+    # b >= 1 of the box takes the short way.
     box = dominant_box(16, 16)
     rank = {w: i for i, w in enumerate(box)}
     assert all(rank[(a, b - 1)] < rank[(a, b)] for a, b in box if b >= 1)
-    for name, _, atomic_at in _fresh_folds():
+    for name, links, _, atomic_at in _fresh_folds():
         pushed = []
         with monkeypatch.context() as m:
             m.setattr(combo, "push", _recording_push(pushed))
             atomic_at((3, 5))
-            assert pushed[:2] == [[(3, 5)], [(3, b) for b in range(5, -1, -1)]], name
+            assert pushed[:2] == [(links[0], [(3, 5)]),
+                                  (links[1], [(3, b) for b in range(5, -1, -1)])], name
+            assert [link for link, _ in pushed] == links, name
             pushed.clear()
             atomic_at((3, 6))
-            assert pushed[:2] == [[(3, 6), (3, 5)], [(3, 6)]], name
+            assert pushed[0] == (links[1], [(3, 6)]), name
+            assert [link for link, _ in pushed] == links[1:], name
         assert atomic_at.cache_info().currsize == 2, name
 
 
 def test_cache_clear_releases_the_expansions(monkeypatch):
     # The memo owns each expansion: once cache_clear() drops (3, 5), nothing
-    # keeps it alive, and (3, 6) folds its whole chain instead of reusing it.
-    for name, _, atomic_at in _fresh_folds():
+    # keeps it alive, and (3, 6) folds its whole chain through the top link
+    # instead of reusing it.
+    for name, links, _, atomic_at in _fresh_folds():
         ref = weakref.ref(atomic_at((3, 5)))
         atomic_at.cache_clear()
         gc.collect()
@@ -525,7 +536,41 @@ def test_cache_clear_releases_the_expansions(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(combo, "push", _recording_push(pushed))
             atomic_at((3, 6))
-        assert pushed[0] == [(3, 6)], name
+        assert pushed[0] == (links[0], [(3, 6)]), name
+
+
+def test_top_link_that_does_not_descend_raises_on_the_neighbour_branch():
+    # The top link leads (1, 1), of height 8, up to (0, 2), of height 10.
+    # With (0, 2) memoized, (1, 1) pushes nothing through the top link, so
+    # only the descent check stands between that link and a wrong fold.
+    def top(a, b):
+        if (a, b) == (1, 1):
+            return (0, 2), 1, 1
+        return ((a, b - 1), 1, 1) if b >= 1 else None
+
+    below = [precanonical._LINKS[i] for i in (4, 3, 2)]
+    _, atomic_at = combo.folded([top] + below, lambda terms: Combination(ATOMIC, terms))
+    assert atomic_at((0, 2)) == precanonical.atomic((0, 2))
+    with pytest.raises(RuntimeError, match=re.escape("from (1, 1) to (0, 2) does not descend")):
+        atomic_at((1, 1))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: Combination(CANONICAL, t), "in the canonical basis, not atomic"),
+    (lambda t: Combination(ATOMIC, {**t, (2, 4): {1: 1}}), "not unitriangular"),
+    (lambda t: Combination(ATOMIC, {**t, (-1, 3): {0: 1}}), "has support at (-1, 3)"),
+    (lambda t: Combination(ATOMIC, {**t, (3, 4): {0: 1}}), "has support at (3, 4)"),
+    (lambda t: Combination(ATOMIC, {**t, (0, 4): {0: -1}}), "coefficient {0: -1} at (0, 4)"),
+    (lambda t: Combination(ATOMIC, {**t, (0, 4): {-1: 1}}), "coefficient {-1: 1} at (0, 4)"),
+    (lambda t: Combination(ATOMIC, {**t, (0, 4): {}}), "coefficient {} at (0, 4)"),
+], ids=["basis", "unitriangular", "outside the cone", "above lam", "negative",
+        "negative exponent", "zero"])
+def test_check_atomic_rejects_each_fault(change, message):
+    # (0, 4) lies below (2, 4); (3, 4) lies above it
+    x = precanonical.atomic((2, 4))
+    combo.check_atomic((2, 4), x)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        combo.check_atomic((2, 4), change(dict(x.terms)))
 
 
 def _adjusted2_below(lam):

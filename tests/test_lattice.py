@@ -14,7 +14,7 @@ from g2atomic.lattice import (GAMMA, PHI_GEQ, POSITIVE_ROOTS, RHO,
                               dominance_leq, dominant_below, dominant_box,
                               dominant_rep, gamma_sum, height, is_dominant,
                               linear_dominant, orbit_size, sub, to_root_coords,
-                              x_I_member, x_set_member)
+                              x_I_member, x_I_member_closed, x_set_member)
 
 
 # independent straightening oracle: explore the whole dot orbit
@@ -229,6 +229,13 @@ def test_x_I_examples():
     assert x_I_member((2, 3), (2, 1))
     with pytest.raises(ValueError):
         x_I_member({1}, (0, 0))
+
+
+def test_x_I_member_closed_rejects_a_bad_index_set():
+    assert x_I_member_closed([5, 2], (2, 3)) == x_I_member({2, 5}, (2, 3))
+    for I in [{1}, (2, 6), {0, 3}]:
+        with pytest.raises(ValueError, match="index set must be a subset"):
+            x_I_member_closed(I, (2, 3))
 
 
 def test_x_I_membership_implies_dominant_shift():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2atomic.combo import ATOMIC, BasisLabel, Combination, sorted_support
-from g2atomic.render import (combination_from_json, json_pairs,
-                             render_combination, render_poly)
+from g2atomic.render import (combination_from_json, combination_parts,
+                             json_pairs, render_poly)
 
 
 # The renderer as it was before it built monomials from per-call tables,
@@ -80,14 +80,14 @@ _weights = st.tuples(st.integers(0, 12), st.integers(0, 12))
 @given(_labels, _labels, _weights, st.one_of(st.none(), _polys),
        st.dictionaries(_weights, _polys, max_size=12),
        st.sampled_from(["text", "latex"]))
-def test_render_combination_matches_old_renderer(basis, lhs_basis, lam, at_lam,
-                                                 terms, fmt):
+def test_combination_parts_match_old_renderer(basis, lhs_basis, lam, at_lam,
+                                               terms, fmt):
     # at_lam, when drawn, puts the designated weight in the support.
     if at_lam is not None:
         terms[lam] = at_lam
     x = Combination(basis, terms)
     want = _old_render(x, lhs_basis, lam, fmt, sorted_support(x, first=lam))
-    assert render_combination(x, lhs_basis, lam, fmt) == want
+    assert "".join(combination_parts(x, lhs_basis, lam, fmt)) == want
 
 
 # The JSON writer as it was before it wrote the line directly, kept as the
@@ -113,7 +113,7 @@ def test_render_json_matches_old_writer(basis, lhs_basis, lam, at_lam, terms):
         terms[lam] = at_lam
     x = Combination(basis, terms)
     want = _old_json(x, lam, sorted_support(x, first=lam))
-    assert render_combination(x, lhs_basis, lam, "json") == want
+    assert "".join(combination_parts(x, lhs_basis, lam, "json")) == want
 
 
 @given(st.dictionaries(st.integers(0, 40), st.integers(-10**20, 10**20).filter(bool),
@@ -180,6 +180,9 @@ def test_combination_from_json_rejects_malformed():
     (_serialized(poly=[(0, 1, 2)]), "serialized pair [0, 1, 2] is not two ints"),
     (_serialized(poly=[(0,)]), "serialized pair [0] is not two ints"),
     (_serialized(poly=[]), "empty poly at (1, 1)"),
+    ({"basis": "atomic", "weight": [2, 1],
+      "terms": [{"weight": [1, 1], "poly": [[0, 1]]}, {"weight": [1, 1], "poly": [[2, 1]]}]},
+     "duplicate weight (1, 1)"),
 ])
 def test_combination_from_json_names_the_bad_field(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):

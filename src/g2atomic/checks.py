@@ -33,13 +33,14 @@ from . import adjusted, kostka, precanonical
 from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
                     single, substitute)
 from .kostka import CheckResult
-from .lattice import (INDEX_SUBSETS, Weight, check_dominant, dominance_leq,
-                      dominant_box, height, x_I_member, x_I_member_closed)
+from .lattice import (INDEX_SUBSETS, POSITIVE_ROOTS, Weight, check_dominant,
+                      dominance_leq, dominant_box, height, x_I_member,
+                      x_I_member_closed)
 from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coeff
 
-# Quadratic-cost oracle checks (the two Kostka-Foulkes paths, shift
-# monotonicity) run on the part of the box with both coordinates at most
-# this, so the default sweep stays quick.
+# kostka.two-paths, the one quadratic check, runs on the part of the box with
+# both coordinates at most this; the Freudenthal and shift-monotonicity checks
+# stay on it too, because the sweep's pinned output names its size.
 SMALL = 6
 
 
@@ -136,22 +137,21 @@ def monic(lam: Weight) -> None:
 
 
 def monotone(lam: Weight) -> None:
-    # pmu - q**s * pnu >= 0 coefficientwise, compared in place: on the
-    # exponents of q**s * pnu directly, and elsewhere it is pmu itself, so
-    # one non-negativity test of pmu settles those exponents for every nu.
+    # pmu - q**s * pnu in N[q] for mu <= nu, s = height(nu) - height(mu), is
+    # transitive (the shifts add along a chain), and the steps nu = mu + beta,
+    # beta a positive root, generate dominance on the dominant weights below
+    # lam (Stembridge, "The partial order of dominant weights", 1998; pinned
+    # in test_lattice), so checking the steps decides every pair.
     kf = kostka.canonical_to_standard(lam).terms
     for mu, pmu in kf.items():
-        hmu = height(mu)
-        pmu_nonnegative = is_nonnegative(pmu)
-        for nu, pnu in kf.items():
-            if nu == mu or not dominance_leq(mu, nu):
-                continue
-            s = height(nu) - hmu
-            if not (all(pmu.get(e + s, 0) >= c for e, c in pnu.items())
-                    and (pmu_nonnegative
-                         or all(c >= pnu.get(e - s, 0) for e, c in pmu.items()))):
-                raise AssertionError(f"monotonicity fails for {mu!r} <= {nu!r} "
-                                     f"below {lam!r}")
+        for beta, _, s in POSITIVE_ROOTS:
+            nu = (mu[0] + beta[0], mu[1] + beta[1])
+            if nu in kf:
+                diff = dict(pmu)
+                iadd_scaled(diff, kf[nu], s, -1)
+                if not is_nonnegative(diff):
+                    raise AssertionError(f"monotonicity fails for {mu!r} <= {nu!r} "
+                                         f"below {lam!r}")
 
 
 WEIGHT_CHECKS = [

@@ -17,9 +17,9 @@ The checks module runs that comparison with the structural invariants.
 
 from __future__ import annotations
 
-from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, dominance_leq,
-                      dominant_below, height, linear_dominant, orbit_size,
-                      to_root_coords)
+from .lattice import (Weight, POSITIVE_ROOTS, check_dominant, check_weight,
+                      dominance_leq, dominant_below, height, linear_dominant,
+                      orbit_size, to_root_coords)
 from .polyq import Poly, iadd_scaled
 from .combo import Combination, STANDARD, dominant_memo
 # The positive adjusted route serves every expansion here; the pre-canonical
@@ -140,6 +140,7 @@ def multiplicity_table(lam: Weight) -> dict[Weight, int]:
 def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
     """Multiplicity of the weight mu in the irreducible module of highest
     weight lam.  mu may be any weight; it is reflected to dominance first."""
+    check_weight(mu)
     nu = linear_dominant(mu)
     return multiplicity_table(lam).get(nu, 0)
 

@@ -69,16 +69,22 @@ def is_dominant(w: Weight) -> bool:
     return w[0] >= 0 and w[1] >= 0
 
 
-def check_dominant(w: Weight) -> None:
+def check_weight(w: Weight) -> None:
+    """Raise ValueError unless w is a tuple of two ints, of any sign."""
     try:
         a, b = w
     except (TypeError, ValueError):  # caught, not tested: a hot path
         raise ValueError(f"weight {w!r} is not two ints") from None
-    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
-        kind = "dominant" if type(a) is type(b) is int else "two ints"
-        raise ValueError(f"weight {w!r} is not {kind}")
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"weight {w!r} is not two ints")
     if not isinstance(w, tuple):  # a list would fail later, in a memo lookup
         raise ValueError(f"weight {w!r} is not a tuple")
+
+
+def check_dominant(w: Weight) -> None:
+    check_weight(w)
+    if w[0] < 0 or w[1] < 0:
+        raise ValueError(f"weight {w!r} is not dominant")
 
 
 def check_level(i: int, hi: int) -> None:
@@ -123,7 +129,8 @@ def dominant_rep(w: Weight) -> "tuple[int, Weight] | None":
     Returns None when w + rho lies on a wall (w is singular), otherwise
     (sign, rep) where rep is the unique dominant weight in the dot orbit and
     sign is (-1)**(number of simple reflections used).  The policy reflects
-    the first strictly negative coordinate of w + rho at each step.
+    the first strictly negative coordinate of w + rho at each step.  w is not
+    checked: precanonical.straightened calls this once per weight it makes.
     """
     sign, x, y = _straighten(w, 1)
     if x == 0 or y == 0:

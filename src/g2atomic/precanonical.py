@@ -27,7 +27,7 @@ the indexing weight; atomic() checks all three.
 from __future__ import annotations
 
 from .lattice import (Weight, PHI_GEQ, check_dominant, check_level,
-                      dominant_rep, height)
+                      check_weight, dominant_rep, height)
 from .polyq import Poly, iadd_scaled
 from .combo import (Combination, ATOMIC, CANONICAL, folded, pre_canonical,
                     relation, walk)
@@ -61,6 +61,7 @@ def tilde_h(w: Weight) -> Combination:
     """Straightened canonical element for an arbitrary weight: zero when w
     is singular, otherwise a sign times the canonical element at the
     dominant representative of the dot orbit."""
+    check_weight(w)
     return straightened({w: {0: 1}}, ())
 
 

@@ -123,10 +123,21 @@ def test_weight_checks_pass_unbroken():
 def test_atomic_oracles_at_published_weights(lam):
     # The per-weight checks of the atomic expansion, at weights that README
     # and the golden calls publish.  The Freudenthal and Kostka-Foulkes
-    # column checks take seconds each there and are left to the boxes.
+    # column checks take seconds each at (0, 100) and above; the next test
+    # runs them at (30, 30) and (40, 40).
     checks.positivity(lam)
     checks.cross_approach(lam)
     checks.definitional_roundtrip(lam)
+
+
+@pytest.mark.parametrize("lam", [(30, 30), (40, 40)],
+                         ids=lambda lam: f"{lam[0]},{lam[1]}")
+def test_verify_at_published_weights(lam):
+    # Every per-weight check, the Freudenthal and Kostka-Foulkes column
+    # checks included, at the weight of the pinned `standard 30 30` and at
+    # (40, 40).
+    report = checks.verify(lam)
+    assert report.ok, [c for c in report.checks if not c.ok]
 
 
 def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded(monkeypatch):

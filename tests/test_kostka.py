@@ -1,6 +1,7 @@
 """Standard-basis expansions, Kostka-Foulkes polynomials, and the
 independent Freudenthal / Weyl-dimension oracles."""
 
+import re
 from functools import partial
 
 import pytest
@@ -13,9 +14,9 @@ from g2atomic.kostka import (CheckResult, atomic_to_standard,
                              canonical_to_standard, dimension_by_orbits,
                              freudenthal_multiplicity, kostka_foulkes,
                              multiplicity_table, weyl_dimension)
-from g2atomic.lattice import (PHI_GEQ, dominance_leq, dominant_below,
-                              dominant_box, dominant_rep, height,
-                              linear_dominant, orbit_size)
+from g2atomic.lattice import (PHI_GEQ, POSITIVE_ROOTS, dominance_leq,
+                              dominant_below, dominant_box, dominant_rep,
+                              height, linear_dominant, orbit_size, sub)
 from g2atomic.polyq import degree, is_nonnegative
 
 from reference_data import REF_KF_69_32
@@ -141,14 +142,17 @@ def test_monic_top_degree():
     assert height((3, 7)) == 44
 
 
+def _monotone_fails(kf, mu, nu):
+    # the shift-monotonicity relation written with the difference polynomial
+    diff = poly_sub(kf[mu], poly_scale_qpow(kf[nu], height(nu) - height(mu)))
+    return not is_nonnegative(diff)
+
+
 def _monotone_reference(lam, kf):
-    # the shift-monotonicity check written with the difference polynomial
-    for mu, pmu in kf.items():
+    # the relation on every pair mu <= nu of the column
+    for mu in kf:
         for nu in kf:
-            if nu == mu or not dominance_leq(mu, nu):
-                continue
-            diff = poly_sub(pmu, poly_scale_qpow(kf[nu], height(nu) - height(mu)))
-            if not is_nonnegative(diff):
+            if nu != mu and dominance_leq(mu, nu) and _monotone_fails(kf, mu, nu):
                 raise AssertionError(f"monotonicity fails for {mu!r} <= {nu!r} "
                                      f"below {lam!r}")
 
@@ -158,9 +162,13 @@ def _monotone_reference(lam, kf):
                           st.integers(-3, 3)), max_size=4))
 # passes only because equal negative coefficients cancel
 @example((1, 0), [(0, 5, -1), (1, 2, -1)])
+# fails only on pairs below (0, 1), which no step of a simple root reaches
+@example((0, 1), [(15, 12, 1)])
 def test_monotone_check_matches_reference(lam, edits):
     # Real Kostka-Foulkes columns, some coefficients edited (negative ones
-    # included): the in-place check gives the reference's verdict and detail.
+    # included): the root-step check gives the verdict of the reference on
+    # every pair, and a failure names a root step mu <= mu + beta on which
+    # the reference relation fails, though maybe not the reference's pair.
     kf = {mu: dict(p) for mu, p in canonical_to_standard(lam).terms.items()}
     weights = list(kf)
     for i, e, d in edits:
@@ -172,7 +180,15 @@ def test_monotone_check_matches_reference(lam, edits):
         mp.setattr(kostka, "canonical_to_standard",
                    lambda w: Combination(STANDARD, kf))
         got = checks.run("m", partial(checks.monotone, lam))
-    assert got == checks.run("m", partial(_monotone_reference, lam, kf))
+    assert got.ok == checks.run("m", partial(_monotone_reference, lam, kf)).ok
+    if not got.ok:
+        m = re.fullmatch(r"monotonicity fails for \((\d+), (\d+)\) <= "
+                         r"\((\d+), (\d+)\) below " + re.escape(repr(lam)),
+                         got.detail)
+        assert m, got.detail
+        mu, nu = (int(m[1]), int(m[2])), (int(m[3]), int(m[4]))
+        assert sub(nu, mu) in [beta for beta, _, _ in POSITIVE_ROOTS]
+        assert mu in kf and nu in kf and _monotone_fails(kf, mu, nu)
 
 
 @given(st.sampled_from(dominant_box(6, 6)),

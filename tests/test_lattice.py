@@ -5,6 +5,8 @@ the full dot orbit with parity tracking, which never applies the production
 reflection policy.
 """
 
+from functools import partial
+
 import pytest
 
 from g2atomic import checks, kostka, precanonical
@@ -193,6 +195,60 @@ def test_dominance_is_partial_order():
                     assert leq[(u, w)]
 
 
+def _grid_bits(lam):
+    # each dominant weight below lam -> its bit in a mask over the grid of
+    # root coordinates below lam's, row after row; and the width of a row
+    width = to_root_coords(lam)[0] + 1
+    return {mu: 1 << (r1 + width * r2)
+            for mu in dominant_below(lam)
+            for r1, r2 in [to_root_coords(mu)]}, width
+
+
+def _root_step_reach(lam):
+    # mu -> the mask of the weights reached from mu by steps nu = mu + beta,
+    # beta a positive root, without leaving the dominant weights below lam
+    bit, _ = _grid_bits(lam)
+    reach = {}
+    for mu in sorted(bit, key=height, reverse=True):  # each step goes up
+        reach[mu] = bit[mu]
+        for (ba, bb), _, _ in POSITIVE_ROOTS:
+            reach[mu] |= reach.get((mu[0] + ba, mu[1] + bb), 0)
+    return reach
+
+
+def _dominance_masks(lam):
+    # mu -> the mask of the weights nu below lam with mu <= nu: both root
+    # coordinates of nu at least those of mu (dominance_leq)
+    bit, width = _grid_bits(lam)
+    below = sum(bit.values())
+    rows = sum(1 << (width * r2) for r2 in range(to_root_coords(lam)[1] + 1))
+    masks = {}
+    for mu in bit:
+        r1, r2 = to_root_coords(mu)
+        right = ((1 << width) - (1 << r1)) * rows  # r1 or more, in every row
+        masks[mu] = below & right & ~((1 << (width * r2)) - 1)
+    return masks
+
+
+def test_dominance_masks_are_dominance_leq():
+    bit, _ = _grid_bits((12, 12))
+    masks = _dominance_masks((12, 12))
+    for mu in bit:
+        for nu in bit:
+            assert bool(masks[mu] & bit[nu]) == dominance_leq(mu, nu), (mu, nu)
+
+
+# A chain of steps up to nu stays <= nu, so each weight covers every lam
+# below it: (40, 40) takes in the boxes that CI sweeps.
+@pytest.mark.parametrize("lam", [(40, 40), (60, 1)],
+                         ids=lambda lam: f"{lam[0]},{lam[1]}")
+def test_root_steps_generate_dominance_below(lam):
+    # checks.monotone decides shift monotonicity on the steps mu <= mu + beta
+    # alone, which is sound because they generate the dominance order on the
+    # dominant weights below lam
+    assert _root_step_reach(lam) == _dominance_masks(lam)
+
+
 def test_height_difference_nonnegative():
     for lam in dominant_box(8, 8):
         for mu in dominant_below(lam):
@@ -294,6 +350,17 @@ def test_library_weights_are_pairs_of_ints():
                         (lambda: kostka.kostka_foulkes([2, 0], [0, 0]), r"\[2, 0\]")):
         with pytest.raises(ValueError, match=rf"^weight {shown} is not a tuple$"):
             call()
+    # Two entry points take a weight of any sign; they used to compute with a
+    # float, a bool or a third coordinate, or fail in Python's errors.
+    for call in (partial(kostka.freudenthal_multiplicity, (2, 0)),
+                 precanonical.tilde_h):
+        for w, shown in (((1.0, 0), r"\(1.0, 0\)"), ((True, 0), r"\(True, 0\)"),
+                         (("a", 0), r"\('a', 0\)"), ((1, 0, 0), r"\(1, 0, 0\)")):
+            with pytest.raises(ValueError, match=rf"^weight {shown} is not two ints$"):
+                call(w)
+        with pytest.raises(ValueError, match=r"^weight \[1, 0\] is not a tuple$"):
+            call([1, 0])
+        call((-3, 1))
     # (2.0, 1) equals and hashes like (2, 1), so each weight memo checks the
     # weight before its lookup, not only on a miss.
     for memo in (atomic_second, precanonical.atomic,

@@ -6,13 +6,13 @@ a check's exception becomes a failed result, and every check body, each
 per-weight step of the sweep included, runs under it.  The registries are
 two pinned views: verify() runs WEIGHT_CHECKS on one weight, sweep() runs
 BOX_CHECKS over a box, running every EachWeight at each weight in one
-loop, weight by weight.  Only the canonical-consistency checks (a memo per
-run), the even column (over m) and the two Kostka-Foulkes paths (over
-pairs) take the box.  Library functions are looked up on their modules at
-call time, so a tracing wrapper bound there sees every call.
+loop, weight by weight, so no check keeps anything from one weight to the
+next.  Only the even column (over m) and the two Kostka-Foulkes paths
+(over pairs) take the box.  Library functions are looked up on their
+modules at call time, so a tracing wrapper bound there sees every call.
 
 The sweep's loop runs row by row (a fixed), split across one process per
-CPU: the rows with a <= SMALL and the four box-level checks stay in the
+CPU: the rows with a <= SMALL and the two box-level checks stay in the
 calling process, and forked children run the other rows and report only
 whether every check passed there.  A shard that did not pass runs again
 in the calling process, so run() there forms every result.  The outcome
@@ -33,15 +33,19 @@ from . import adjusted, kostka, precanonical
 from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
                     single, substitute)
 from .kostka import CheckResult
-from .lattice import (INDEX_SUBSETS, POSITIVE_ROOTS, Weight, check_dominant,
-                      dominance_leq, dominant_box, height, x_I_member,
-                      x_I_member_closed)
+from .lattice import (INDEX_SUBSETS, PHI_GEQ, POSITIVE_ROOTS, Weight,
+                      check_dominant, dominance_leq, dominant_box, height,
+                      x_I_member, x_I_member_closed)
 from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coeff
 
 # kostka.two-paths, the one quadratic check, runs on the part of the box with
 # both coordinates at most this; the Freudenthal and shift-monotonicity checks
 # stay on it too, because the sweep's pinned output names its size.
 SMALL = 6
+
+# The largest sweep bound, checked before the box is built; the 40x40 box
+# takes about 20 s on two CPUs and 32 s on one (README, Limits).
+MAX_BOX = 40
 
 
 def run(name: str, fn) -> CheckResult:
@@ -86,11 +90,6 @@ def cross_approach(lam: Weight) -> None:
         raise AssertionError(f"the two atomic routes disagree at {lam!r}")
 
 
-# The roots of height >= 2, in the order that keeps the fewest intermediate
-# monomials over the 16x16 box.
-ORDER = ((0, 1), (1, 0), (-1, 1), (3, -1))
-
-
 def inverts_definitional(lam: Weight, x: Combination) -> bool:
     """Whether x, in the atomic basis, is the expansion of the canonical
     element at lam: substituting the definitional expansion of each atomic
@@ -99,7 +98,7 @@ def inverts_definitional(lam: Weight, x: Combination) -> bool:
     Substitution and straightening are both linear, so the whole of x goes
     through precanonical.straightened once, the kernel that defines each
     atomic element, instead of one expansion per term."""
-    return precanonical.straightened(x.terms, ORDER).terms == {lam: {0: 1}}
+    return precanonical.straightened(x.terms, PHI_GEQ[2]).terms == {lam: {0: 1}}
 
 
 def definitional_roundtrip(lam: Weight) -> None:
@@ -204,19 +203,17 @@ def _step_roundtrip(lam, up, down) -> None:
             raise AssertionError(f"level {i} round trip fails at {lam!r}")
 
 
-def _canonical_consistency(box, down, in_canonical) -> str:
+def _canonical_consistency(lam, down, in_canonical) -> None:
     """Stepping down from level i+1 agrees with the canonical-basis
-    expansion at level i, for i in 2..5.  Each expansion is computed once
-    per run, though the terms of several relations name it."""
+    expansion at level i, for i in 2..5.  Each expansion at lam is computed
+    once, though two levels name it; the memo lives for this weight."""
     in_canonical = cache(in_canonical)
-    for lam in box:
-        for i in (2, 3, 4, 5):
-            via = substitute(down(i, lam), lambda w: in_canonical(i + 1, w),
-                             basis=CANONICAL)
-            if via != in_canonical(i, lam):
-                raise AssertionError(f"level {i} canonical expansion disagrees "
-                                     f"at {lam!r}")
-    return f"{len(box)} weights x 4 levels"
+    for i in (2, 3, 4, 5):
+        via = substitute(down(i, lam), lambda w: in_canonical(i + 1, w),
+                         basis=CANONICAL)
+        if via != in_canonical(i, lam):
+            raise AssertionError(f"level {i} canonical expansion disagrees "
+                                 f"at {lam!r}")
 
 
 def closed_forms(lam: Weight) -> None:
@@ -226,11 +223,11 @@ def closed_forms(lam: Weight) -> None:
                          ("4to3", precanonical.closed_form_4to3, 3)):
         if fn(lam) != step_up(i, lam):
             raise AssertionError(f"{which} disagrees at {lam!r}")
+    # the level-3 remainder, lifted into the level-4 basis
     p4, p3 = precanonical.closed_form_5to4(lam)
-    lhs = substitute(step_up(4, lam), lambda w: step_up(3, w),
-                     basis=pre_canonical(3))
-    rhs = substitute(p4, lambda w: step_up(3, w), basis=pre_canonical(3))
-    if lhs != combo_add(rhs, p3):
+    lift = substitute(p3, lambda w: precanonical.inverse_step(3, w),
+                      basis=pre_canonical(4))
+    if combo_add(p4, lift) != step_up(4, lam):
         raise AssertionError(f"5to4 disagrees at {lam!r}")
 
 
@@ -310,9 +307,10 @@ BOX_CHECKS = [
                                     precanonical.inverse_step),
         suffix=" x 4 levels")),
     ("precanonical.closed-forms", EachWeight(closed_forms)),
-    ("precanonical.definitional-consistency",
-     lambda box: _canonical_consistency(box, precanonical.inverse_step,
-                                        precanonical.defn_precanonical)),
+    ("precanonical.definitional-consistency", EachWeight(
+        lambda lam: _canonical_consistency(lam, precanonical.inverse_step,
+                                           precanonical.defn_precanonical),
+        suffix=" x 4 levels")),
     ("precanonical.definitional-roundtrip", EachWeight(definitional_roundtrip)),
     ("precanonical.positivity", EachWeight(positivity)),
     ("precanonical.even-column-closed-form", even_column_closed_form),
@@ -320,9 +318,10 @@ BOX_CHECKS = [
         lambda lam: _step_roundtrip(lam, adjusted.adjusted_expand_up,
                                     adjusted.adjusted_step_down),
         suffix=" x 4 levels")),
-    ("adjusted.canonical-consistency",
-     lambda box: _canonical_consistency(box, adjusted.adjusted_step_down,
-                                        adjusted.adjusted_in_canonical)),
+    ("adjusted.canonical-consistency", EachWeight(
+        lambda lam: _canonical_consistency(lam, adjusted.adjusted_step_down,
+                                           adjusted.adjusted_in_canonical),
+        suffix=" x 4 levels")),
     ("adjusted.atomic-consistency", EachWeight(adjusted2_consistency)),
     ("adjusted.correction-identity", EachWeight(correction_identity)),
     ("adjusted.cross-approach", EachWeight(cross_approach)),
@@ -394,12 +393,12 @@ def _child(shard) -> None:
 
 def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     """Run every box check over the dominant weights with a <= max_a and
-    b <= max_b.  Raises ValueError unless both bounds are non-negative
-    ints, and MemoryError if a check runs out of memory.
+    b <= max_b.  Raises ValueError unless both bounds are ints in
+    0..MAX_BOX, and MemoryError if a check runs out of memory.
 
     The per-weight checks run row by row (a fixed) in one process per CPU,
     on the rows _shards gives each: shard 0 in the calling process, with the
-    four box-level checks, and each other shard in a forked child, which
+    two box-level checks, and each other shard in a forked child, which
     reports only whether every check passed there.  A shard whose child
     reports otherwise, or dies, runs again in the calling process, so every
     result is formed there.  A check's outcome is its failure at the least
@@ -409,6 +408,8 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     if type(max_a) is not int or type(max_b) is not int or max_a < 0 or max_b < 0:
         kind = "non-negative" if type(max_a) is type(max_b) is int else "ints"
         raise ValueError(f"sweep bounds must be {kind}")
+    if max(max_a, max_b) > MAX_BOX:
+        raise ValueError(f"sweep bounds must be at most {MAX_BOX}")
     box = dominant_box(max_a, max_b)
     small = set(_small(box))
     each = [(name, c) for name, c in BOX_CHECKS if isinstance(c, EachWeight)]

@@ -8,6 +8,7 @@ child behind."""
 import os
 import signal
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -87,6 +88,20 @@ def test_box_checks_pass_unbroken():
     assert all(r.ok for r in checks.sweep(2, 2))
 
 
+def test_closed_forms_check_the_5to4_split(monkeypatch):
+    # BREAKERS breaks closed-forms through 6to5 only; a wrong level-3
+    # remainder of the 5to4 split turns it to FAIL on its own
+    f = precanonical.closed_form_5to4
+
+    def wrong(lam):
+        part4, part3 = f(lam)
+        return part4, _times_q(lambda: part3)()
+
+    monkeypatch.setattr(precanonical, "closed_form_5to4", wrong)
+    failed = {r.name: r.detail for r in checks.sweep(2, 2) if not r.ok}
+    assert failed == {"precanonical.closed-forms": "5to4 disagrees at (0, 1)"}
+
+
 # The same for verify(lam): per-weight check name -> (module, function, how
 # to make the function wrong).
 WEIGHT_BREAKERS = {
@@ -158,6 +173,40 @@ def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded(monkeypatch):
     assert pre.currsize <= pre.maxsize and adj.currsize <= adj.maxsize
 
 
+def test_sweep_holds_no_canonical_expansion_across_weights(monkeypatch):
+    # Each canonical-basis expansion that the consistency checks ask for is
+    # counted while it is alive.  The most alive at once is the same on the
+    # 6x6 and the 12x12 box: a check's memo lives for one weight, not one run.
+    monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: {0})
+    alive = peak = 0
+
+    def dead():
+        nonlocal alive
+        alive -= 1
+
+    def counted(fn):
+        def wrapped(*args):
+            nonlocal alive, peak
+            x = fn(*args)
+            weakref.finalize(x, dead)
+            alive += 1
+            peak = max(peak, alive)
+            return x
+        return wrapped
+
+    for module, attr in ((adjusted, "adjusted_in_canonical"),
+                         (precanonical, "defn_precanonical")):
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+    peaks = []
+    for n in (6, 12):
+        peak = 0
+        assert all(r.ok for r in checks.sweep(n, n))
+        assert alive == 0
+        peaks.append(peak)
+    # levels 2..6 at the weight and one successor at each of levels 3..6
+    assert peaks == [9, 9]
+
+
 # The forked sweep.  Patches made here are inherited by the forked children.
 
 def _cpus(monkeypatch, n):
@@ -220,6 +269,31 @@ def test_forked_sweep_equals_the_one_process_sweep(monkeypatch):
         "precanonical.closed-forms": "6to5 disagrees at (1, 1)",
         "kostka.at-one-vs-freudenthal": "dimension mismatch at (2, 1): product "
                                         "None, orbits 189"}
+
+
+@pytest.mark.parametrize("bad, least", [({(8, 1), (3, 2)}, (3, 2)),
+                                        ({(8, 1)}, (8, 1))],
+                         ids=["in both", "in a child"])
+def test_canonical_consistency_agrees_across_the_fork(monkeypatch, bad, least):
+    # inverse_step is wrong at (8, 1), in a child's row, and maybe at (3, 2),
+    # in the calling process's rows; definitional-consistency reports its
+    # failure at the least of those weights, on one CPU or three
+    shards = checks._shards(8, 2, 3)
+    assert 3 in shards[0] and 8 not in shards[0]
+    f = precanonical.inverse_step
+    wrong = _times_q(f)
+    monkeypatch.setattr(precanonical, "inverse_step",
+                        lambda i, lam: (wrong if lam in bad else f)(i, lam))
+    _cpus(monkeypatch, 1)
+    alone = checks.sweep(8, 2)
+    _cpus(monkeypatch, 3)
+    assert checks.sweep(8, 2) == alone
+    _no_child_left()
+    failed = {r.name: r.detail for r in alone if not r.ok}
+    assert set(failed) == {"precanonical.step-roundtrips",
+                           "precanonical.definitional-consistency"}
+    assert failed["precanonical.definitional-consistency"] == \
+        f"level 2 canonical expansion disagrees at {least!r}"
 
 
 def test_out_of_memory_in_a_child(monkeypatch, capsys):

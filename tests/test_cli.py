@@ -299,6 +299,24 @@ def test_domain_errors_go_to_stderr(capsys):
         checks.sweep(-1, 0)
 
 
+def test_huge_verify_box_is_refused_before_it_is_built(monkeypatch, capsys):
+    class Built(Exception):
+        pass
+
+    def box(max_a, max_b):
+        raise Built
+
+    monkeypatch.setattr(checks, "dominant_box", box)
+    msg = f"error: sweep bounds must be at most {checks.MAX_BOX}\n"
+    for argv in (["--max-a", "1000000000000", "--max-b", "0"],
+                 ["--max-b", str(checks.MAX_BOX + 1), "--format", "json"]):
+        assert run_cli(capsys, "verify", *argv) == (1, "", msg), argv
+    # the ceiling itself is a bound the sweep accepts
+    assert checks.MAX_BOX >= 30
+    with pytest.raises(Built):
+        checks.sweep(checks.MAX_BOX, checks.MAX_BOX)
+
+
 def test_memory_error_exits_with_one_line(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError

@@ -106,6 +106,8 @@ def adjusted2_in_atomic(lam: Weight) -> Combination:
 # down the adjusted levels and the level-2 correction, then the tails.  Every
 # step is non-negative, so positivity holds by construction and nothing
 # cancels; the verification sweep checks it against the pre-canonical route.
+# level5_in_atomic(lam) starts below the top link: the adjusted level-5
+# element at lam in the atomic basis.
 
-to_atomic, atomic_second = folded(
+to_atomic, atomic_second, level5_in_atomic = folded(
     [_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2], _link2], _tails)

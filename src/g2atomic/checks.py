@@ -11,6 +11,13 @@ next.  Only the even column (over m) and the two Kostka-Foulkes paths
 (over pairs) take the box.  Library functions are looked up on their
 modules at call time, so a tracing wrapper bound there sees every call.
 
+verify() checks the full atomic expansion at its weight; the sweep checks
+each route's much smaller level5_in_atomic, the fold below the top link.
+Both top links send (a, b) to (a, b-1) with factor q, so atomic(a, b) is
+level5_in_atomic(a, b) + q*atomic(a, b-1), and by induction up each column
+the sweep's checks of it state what verify()'s state of atomic (the round
+trip with the level-5 definitional consistency).
+
 The sweep's loop runs row by row (a fixed), split across one process per
 CPU: the rows with a <= SMALL and the two box-level checks stay in the
 calling process, and forked children run the other rows and report only
@@ -30,8 +37,8 @@ from functools import cache, partial
 from itertools import product
 
 from . import adjusted, kostka, precanonical
-from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
-                    single, substitute)
+from .combo import (ATOMIC, CANONICAL, Combination, check_atomic, combo_add,
+                    pre_canonical, single, substitute)
 from .kostka import CheckResult
 from .lattice import (INDEX_SUBSETS, PHI_GEQ, POSITIVE_ROOTS, Weight,
                       check_dominant, dominance_leq, dominant_box, height,
@@ -44,7 +51,7 @@ from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coe
 SMALL = 6
 
 # The largest sweep bound, checked before the box is built; the 40x40 box
-# takes about 20 s on two CPUs and 32 s on one (README, Limits).
+# takes about 13 s on two CPUs and 23 s on one (README, Limits).
 MAX_BOX = 40
 
 
@@ -176,6 +183,40 @@ def verify(lam: Weight) -> VerifyReport:
 
 
 # Box checks take the box as a list of weights in dominant_box order.
+
+# function -> (weight, its fold there) for the weight asked for last, so
+# the three sweep checks below share one fold per route at each weight.
+# sweep() empties it when it returns.
+_FOLDS: dict = {}
+
+
+def _level5(route, lam: Weight) -> Combination:
+    """route.level5_in_atomic(lam), looked up on the module at call time."""
+    fn = route.level5_in_atomic
+    if _FOLDS.get(fn, (None,))[0] != lam:
+        _FOLDS[fn] = lam, fn(lam)
+    return _FOLDS[fn][1]
+
+
+def level5_positivity(lam: Weight) -> None:
+    check_atomic(lam, _level5(adjusted, lam))
+
+
+def level5_cross_approach(lam: Weight) -> None:
+    # the walks along the two top links, which check that each descends
+    if precanonical.step_up(5, lam).terms != adjusted.adjusted_expand_up(5, lam).terms:
+        raise AssertionError(f"the two routes' top links disagree at {lam!r}")
+    if _level5(adjusted, lam) != _level5(precanonical, lam):
+        raise AssertionError(f"the two atomic routes disagree at {lam!r}")
+
+
+def level5_roundtrip(lam: Weight) -> None:
+    # compared with the definition of the level-5 element, which reads no link
+    back = precanonical.straightened(_level5(adjusted, lam).terms, PHI_GEQ[2])
+    if back != precanonical.defn_precanonical(5, lam):
+        raise AssertionError(f"definitional expansion does not invert the "
+                             f"pipeline at {lam!r}")
+
 
 def _small(box: list[Weight]) -> list[Weight]:
     return [w for w in box if w[0] <= SMALL and w[1] <= SMALL]
@@ -311,8 +352,8 @@ BOX_CHECKS = [
         lambda lam: _canonical_consistency(lam, precanonical.inverse_step,
                                            precanonical.defn_precanonical),
         suffix=" x 4 levels")),
-    ("precanonical.definitional-roundtrip", EachWeight(definitional_roundtrip)),
-    ("precanonical.positivity", EachWeight(positivity)),
+    ("precanonical.definitional-roundtrip", EachWeight(level5_roundtrip)),
+    ("precanonical.positivity", EachWeight(level5_positivity)),
     ("precanonical.even-column-closed-form", even_column_closed_form),
     ("adjusted.step-roundtrips", EachWeight(
         lambda lam: _step_roundtrip(lam, adjusted.adjusted_expand_up,
@@ -324,7 +365,7 @@ BOX_CHECKS = [
         suffix=" x 4 levels")),
     ("adjusted.atomic-consistency", EachWeight(adjusted2_consistency)),
     ("adjusted.correction-identity", EachWeight(correction_identity)),
-    ("adjusted.cross-approach", EachWeight(cross_approach)),
+    ("adjusted.cross-approach", EachWeight(level5_cross_approach)),
     ("lattice.membership-tables",
      EachWeight(membership_tables, suffix=" x 16 subsets")),
     ("kostka.two-paths", kf_two_paths),
@@ -339,8 +380,7 @@ def _shards(max_a: int, max_b: int, k: int) -> list[list[int]]:
     and kostka.two-paths share one process and its canonical_to_standard
     memo.  Each other row, heaviest first, joins the shard with the least
     work so far, a weight's work taken as its height.  Empty shards are
-    dropped.  A row folds each weight from its neighbour in the row, so no
-    weight is folded twice."""
+    dropped."""
     def work(a):
         return sum(height((a, b)) for b in range(max_b + 1))
 
@@ -413,8 +453,7 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     box = dominant_box(max_a, max_b)
     small = set(_small(box))
     each = [(name, c) for name, c in BOX_CHECKS if isinstance(c, EachWeight)]
-    # A per-weight check passes unless some weight fails it.  It runs at each
-    # weight while the bounded atomic memos hold that weight's expansions.
+    # A per-weight check passes unless some weight fails it.
     outcome = {name: CheckResult(name, True, f"{len(small if c.small else box)}"
                                  f" weights{c.suffix}") for name, c in each}
     shards = _shards(max_a, max_b, _processes())
@@ -441,6 +480,7 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
         for pid in pids:  # still running only if the sweep raised
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        _FOLDS.clear()
     for name, (_, result) in first.items():
         outcome[name] = result
     return [outcome[name] for name, _ in BOX_CHECKS]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache, partial, update_wrapper
 from typing import Callable, Optional
-from weakref import WeakValueDictionary
 
 from .lattice import Weight, check_dominant, dominance_leq, height, is_dominant
 from .polyq import Poly, iadd_scaled, one
@@ -107,13 +106,13 @@ def single(basis: BasisLabel, w: Weight, p: Optional[Poly] = None) -> Combinatio
     return Combination(basis, {w: dict(p)} if p else {})
 
 
-def combo_add(x: Combination, y: Combination, k: int = 0, c: int = 1) -> Combination:
-    """x + c*q^k*y, sharing no polynomial with either."""
+def combo_add(x: Combination, y: Combination) -> Combination:
+    """x + y, sharing no polynomial with either."""
     if x.basis is not y.basis:
         raise ValueError(f"basis mismatch: {x.basis} vs {y.basis}")
     terms = {w: dict(p) for w, p in x.terms.items()}
     for w, p in y.terms.items():
-        iadd_scaled(terms.setdefault(w, {}), p, k, c)
+        iadd_scaled(terms.setdefault(w, {}), p)
     return Combination(x.basis, {w: p for w, p in terms.items() if p})
 
 
@@ -229,21 +228,20 @@ def folded(links: list[Link],
     """One route to the atomic basis as a left fold.  fold(terms, links)
     pushes terms, at dominant weights in the basis that links[0] leaves,
     through one push pass per link in turn, then hands them, fresh and so
-    free to mutate, to the base map, which returns the atomic combination.  Each level expands
-    every weight once, so signed terms cancel before they are expanded
-    further.  expand(x) checks x (else ValueError) and folds it through
-    every link.  Returns (expand, atomic); atomic(lam) is expand at the
-    canonical element at lam, memoized, checked by check_atomic and not to
-    be mutated.
+    free to mutate, to the base map, which returns the atomic combination.
+    Each level expands every weight once, so signed terms cancel before
+    they are expanded further.  Returns (expand, atomic, below_top):
 
-    When the top link leads from lam to u with factor c*q^d, atomic(lam)
-    is, by linearity, lam folded through the links below the top plus
-    c*q^d*atomic(u).  That is the fold when atomic(u) is memoized; else lam
-    folds through every link.  A box listed with b ascending thus folds one
-    weight per entry; a lone weight folds its whole chain.  The memo keeps
-    the two expansions asked for most recently, all that such a box needs
-    however large it is, and owns them: a weak view of it finds the
-    neighbour, and atomic.cache_clear() frees them."""
+    - expand(x) checks x (else ValueError) and folds it through every link;
+    - atomic(lam) is expand at the canonical element at lam, checked by
+      check_atomic and not to be mutated.  Its memo keeps the one expansion
+      asked for last, so kostka_foulkes at one lam and many mu folds lam
+      once, and atomic.cache_clear() frees it;
+    - below_top(lam) folds lam through every link but the top one.
+
+    By linearity, when the top link leads from lam to u with factor c*q^d,
+    atomic(lam) is below_top(lam) plus c*q^d*atomic(u); when it leads
+    nowhere, the two are equal."""
     def fold(terms: dict[Weight, Poly], links: list[Link]) -> Combination:
         for link in links:
             terms = push(terms, link)
@@ -256,26 +254,19 @@ def folded(links: list[Link],
             check_dominant(w)
         return fold(x.terms, links)
 
-    # atomic's cache offers no membership test; this weak view of it does.
-    done: WeakValueDictionary[Weight, Combination] = WeakValueDictionary()
-
-    @partial(dominant_memo, maxsize=2)
+    @partial(dominant_memo, maxsize=1)
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
-        step = links[0](*lam)
-        below = None if step is None else done.get(step[0])
-        if below is None:
-            x = fold({lam: {0: 1}}, links)
-        else:
-            u, d, c = step
-            _descend(lam, u, height(lam))
-            x = combo_add(fold({lam: {0: 1}}, links[1:]), below, d, c)
+        x = fold({lam: {0: 1}}, links)
         check_atomic(lam, x)
-        done[lam] = x
         return x
 
-    return expand, atomic
+    def below_top(lam: Weight) -> Combination:
+        check_dominant(lam)
+        return fold({lam: {0: 1}}, links[1:])
+
+    return expand, atomic, below_top
 
 
 def dominant_memo(fn, maxsize: Optional[int] = None):

@@ -53,14 +53,14 @@ BREAKERS = {
     "precanonical.step-roundtrips": (precanonical, "inverse_step", _times_q),
     "precanonical.closed-forms": (precanonical, "closed_form_6to5", _times_q),
     "precanonical.definitional-consistency": (precanonical, "inverse_step", _times_q),
-    "precanonical.definitional-roundtrip": (adjusted, "atomic_second", _times_q),
-    "precanonical.positivity": (adjusted, "atomic_second", _negated_and_checked),
+    "precanonical.definitional-roundtrip": (adjusted, "level5_in_atomic", _times_q),
+    "precanonical.positivity": (adjusted, "level5_in_atomic", _negated),
     "precanonical.even-column-closed-form": (precanonical, "step_up", _times_q),
     "adjusted.step-roundtrips": (adjusted, "adjusted_step_down", _times_q),
     "adjusted.canonical-consistency": (adjusted, "adjusted_step_down", _times_q),
     "adjusted.atomic-consistency": (adjusted, "adjusted2_in_atomic", _times_q),
     "adjusted.correction-identity": (adjusted, "adjusted2_in_atomic", _times_q),
-    "adjusted.cross-approach": (precanonical, "atomic", _times_q),
+    "adjusted.cross-approach": (precanonical, "level5_in_atomic", _times_q),
     "lattice.membership-tables":
         (checks, "x_I_member_closed", lambda f: lambda I, lam: not f(I, lam)),
     "kostka.two-paths": (kostka, "kostka_foulkes", _times_q),
@@ -155,22 +155,37 @@ def test_verify_at_published_weights(lam):
     assert report.ok, [c for c in report.checks if not c.ok]
 
 
-def test_sweep_folds_each_weight_once_and_the_memos_stay_bounded(monkeypatch):
-    # Each weight's per-weight checks all run while the bounded atomic memos
-    # hold its expansions, so the sweep folds no weight again on the
-    # pre-canonical route; on the adjusted route only kostka.two-paths,
-    # which runs after them, asks again for the weights of the small box.
-    # The memo counters are this process's, so the sweep runs in it alone.
+def test_sweep_folds_each_weight_once_below_the_top_link(monkeypatch):
+    # The sweep folds each weight once per route below the top link, shared
+    # by the three checks that read that fold, and asks the full-expansion
+    # memos only for the weights of the small box, for the Kostka-Foulkes
+    # checks.  The calls are recorded in this process, so the sweep runs in
+    # it alone.
     monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: {0})
-    for memo in (precanonical.atomic, adjusted.atomic_second,
-                 kostka.canonical_to_standard, kostka.multiplicity_table):
+    calls = {}
+
+    def recorded(module, attr):
+        f = getattr(module, attr)
+
+        def wrapped(lam):
+            calls.setdefault((module.__name__, attr), []).append(lam)
+            return f(lam)
+        monkeypatch.setattr(module, attr, wrapped)
+
+    for module, attr in ((precanonical, "level5_in_atomic"),
+                         (adjusted, "level5_in_atomic"),
+                         (precanonical, "atomic"), (adjusted, "atomic_second"),
+                         (kostka, "atomic")):
+        recorded(module, attr)
+    for memo in (kostka.canonical_to_standard, kostka.multiplicity_table):
         memo.cache_clear()
     assert all(r.ok for r in checks.sweep(12, 12))
     box = dominant_box(12, 12)
-    pre, adj = precanonical.atomic.cache_info(), adjusted.atomic_second.cache_info()
-    assert pre.misses == len(box)
-    assert adj.misses <= len(box) + len(checks._small(box))
-    assert pre.currsize <= pre.maxsize and adj.currsize <= adj.maxsize
+    assert calls.pop(("g2atomic.precanonical", "level5_in_atomic")) == box
+    assert calls.pop(("g2atomic.adjusted", "level5_in_atomic")) == box
+    assert set(calls) == {("g2atomic.kostka", "atomic")}
+    assert set(calls["g2atomic.kostka", "atomic"]) == set(checks._small(box))
+    assert checks._FOLDS == {}
 
 
 def test_sweep_holds_no_canonical_expansion_across_weights(monkeypatch):
@@ -271,29 +286,72 @@ def test_forked_sweep_equals_the_one_process_sweep(monkeypatch):
                                         "None, orbits 189"}
 
 
-@pytest.mark.parametrize("bad, least", [({(8, 1), (3, 2)}, (3, 2)),
-                                        ({(8, 1)}, (8, 1))],
-                         ids=["in both", "in a child"])
-def test_canonical_consistency_agrees_across_the_fork(monkeypatch, bad, least):
-    # inverse_step is wrong at (8, 1), in a child's row, and maybe at (3, 2),
-    # in the calling process's rows; definitional-consistency reports its
-    # failure at the least of those weights, on one CPU or three
+def _failures_on_one_and_three_cpus(monkeypatch):
+    """The failures of the 8x2 sweep, name -> detail, once three CPUs have
+    given the one-CPU results and left no child.  Row 3 is the calling
+    process's and row 8 a child's."""
     shards = checks._shards(8, 2, 3)
     assert 3 in shards[0] and 8 not in shards[0]
-    f = precanonical.inverse_step
-    wrong = _times_q(f)
-    monkeypatch.setattr(precanonical, "inverse_step",
-                        lambda i, lam: (wrong if lam in bad else f)(i, lam))
     _cpus(monkeypatch, 1)
     alone = checks.sweep(8, 2)
     _cpus(monkeypatch, 3)
     assert checks.sweep(8, 2) == alone
     _no_child_left()
-    failed = {r.name: r.detail for r in alone if not r.ok}
+    return {r.name: r.detail for r in alone if not r.ok}
+
+
+_WRONG_AT = pytest.mark.parametrize("bad, least", [({(8, 1), (3, 2)}, (3, 2)),
+                                                   ({(8, 1)}, (8, 1))],
+                                    ids=["in both", "in a child"])
+
+
+@_WRONG_AT
+def test_canonical_consistency_agrees_across_the_fork(monkeypatch, bad, least):
+    # inverse_step is wrong at (8, 1), in a child's row, and maybe at (3, 2),
+    # in the calling process's rows; definitional-consistency reports its
+    # failure at the least of those weights, on one CPU or three
+    f = precanonical.inverse_step
+    wrong = _times_q(f)
+    monkeypatch.setattr(precanonical, "inverse_step",
+                        lambda i, lam: (wrong if lam in bad else f)(i, lam))
+    failed = _failures_on_one_and_three_cpus(monkeypatch)
     assert set(failed) == {"precanonical.step-roundtrips",
                            "precanonical.definitional-consistency"}
     assert failed["precanonical.definitional-consistency"] == \
         f"level 2 canonical expansion disagrees at {least!r}"
+
+
+@_WRONG_AT
+def test_fold_below_the_top_link_agrees_across_the_fork(monkeypatch, bad, least):
+    # The same with the adjusted route's fold below the top link wrong: each
+    # of the three checks that read it reports the least of those weights
+    f = adjusted.level5_in_atomic
+    wrong = _times_q(f)
+    monkeypatch.setattr(adjusted, "level5_in_atomic",
+                        lambda lam: (wrong if lam in bad else f)(lam))
+    assert _failures_on_one_and_three_cpus(monkeypatch) == {
+        "precanonical.definitional-roundtrip":
+            f"definitional expansion does not invert the pipeline at {least!r}",
+        "precanonical.positivity": f"atomic expansion at {least!r} is not unitriangular",
+        "adjusted.cross-approach": f"the two atomic routes disagree at {least!r}"}
+
+
+def test_top_link_that_does_not_descend_fails_cross_approach(monkeypatch):
+    # The folds below the top link never read it, so cross-approach compares
+    # the two routes' top links at each weight.  One that leads (1, 1), of
+    # height 8, up to (0, 2), of height 10, fails it there.
+    f = precanonical._LINKS[5]
+    monkeypatch.setitem(precanonical._LINKS, 5,
+                        lambda a, b: ((0, 2), 1, 1) if (a, b) == (1, 1) else f(a, b))
+    results = {r.name: r for r in checks.sweep(2, 2)}
+    assert results["adjusted.cross-approach"].detail == (
+        "chain link from (1, 1) to (0, 2) does not descend in the dominant cone")
+    # a top link that descends elsewhere than the other route's
+    monkeypatch.setitem(precanonical._LINKS, 5,
+                        lambda a, b: ((2, 0), 1, 1) if (a, b) == (1, 1) else f(a, b))
+    results = {r.name: r for r in checks.sweep(2, 2)}
+    assert results["adjusted.cross-approach"].detail == (
+        "the two routes' top links disagree at (1, 1)")
 
 
 def test_out_of_memory_in_a_child(monkeypatch, capsys):

@@ -1,11 +1,9 @@
 """Basis labels, combination arithmetic, substitution, display order."""
 
 import copy
-import gc
 import pickle
 import random
 import re
-import weakref
 from functools import cache
 
 import pytest
@@ -115,11 +113,12 @@ def test_combo_add_examples():
         == Combination(CANONICAL)
     two = combo_add(single(STANDARD, (2, 0)), single(STANDARD, (1, 0), {1: 1}))
     assert two.terms == {(2, 0): {0: 1}, (1, 0): {1: 1}}
-    # x + c*q^k*y, cancelling where the shifted y meets x
+    # cancelling where y meets x, and leaving both as they were
     x = Combination(STANDARD, {(2, 0): {0: 1}, (1, 0): {3: 2}})
-    y = Combination(STANDARD, {(1, 0): {1: 1}, (0, 0): {0: 1, 2: 1}})
-    assert combo_add(x, y, 2, -2).terms == {(2, 0): {0: 1}, (0, 0): {2: -2, 4: -2}}
+    y = Combination(STANDARD, {(1, 0): {3: -2}, (0, 0): {0: 1, 2: 1}})
+    assert combo_add(x, y).terms == {(2, 0): {0: 1}, (0, 0): {0: 1, 2: 1}}
     assert x.terms == {(2, 0): {0: 1}, (1, 0): {3: 2}}
+    assert y.terms == {(1, 0): {3: -2}, (0, 0): {0: 1, 2: 1}}
     with pytest.raises(ValueError):
         combo_add(single(CANONICAL, lam), single(ATOMIC, lam))
 
@@ -445,13 +444,13 @@ def test_fold_rejects_weights_outside_the_cone():
 
 
 def _fresh_folds():
-    """(name, links, expand, atomic) for new folds of both routes, which no
-    other test can have warmed; for the pre-canonical route under a top
-    link with factor 2q, so that the reused neighbour comes with a
-    coefficient other than 1; and for the step (a, b) -> (a, b-1) with
-    factor q, then the same step with factor -q, over the identity base
-    map.  There atomic(a, b) is N(a, b) + q^2 atomic(a, b-2), so the reused
-    neighbour cancels the new part at (a, b-1), (a, b-3), and so on."""
+    """(name, links, expand, atomic, below_top) for new folds of both
+    routes, which no other test can have warmed; for the pre-canonical
+    route under a top link with factor 2q; and for the step (a, b) ->
+    (a, b-1) with factor q, then the same step with factor -q, over the
+    identity base map.  There atomic(a, b) is N(a, b) + q^2 atomic(a, b-2),
+    so the shifted neighbour cancels the part below the top link at
+    (a, b-1), (a, b-3), and so on."""
     pre = [precanonical._LINKS[i] for i in (5, 4, 3, 2)]
     adj = [adjusted._LINKS[k] for k in (5, 4, 3, 2)] + [adjusted._link2]
     step = lambda c: lambda a, b: ((a, b - 1), 1, c) if b >= 1 else None
@@ -462,22 +461,13 @@ def _fresh_folds():
     return [(name, links, *combo.folded(links, base)) for name, links, base in folds]
 
 
-def _recording_push(pushed):
-    """combo.push, appending (link, the weights of the input) for each call
-    to pushed."""
-    def recording_push(terms, link, push=combo.push):
-        pushed.append((link, list(terms)))
-        return push(terms, link)
-    return recording_push
-
-
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "column"])
 def test_reused_neighbours_do_not_show(order):
-    # atomic(a, b) adds a shifted copy of the memoized expansion at (a, b-1),
-    # when that was asked for earlier, to lam folded below the top link.
-    # Ascending b reuses it at every b >= 1, descending reuses nothing, and
-    # a shuffle reuses it only where (a, b-1) came first.  The column (0, b)
-    # reuses it deep into the signed level-4 chain.
+    # The memo hands every caller the same expansion.  Whatever the order in
+    # which a box is walked, each weight's expansion is its own fold, and
+    # the expansions handed out earlier at the weights of its top chain are
+    # left as they were and share no polynomial with it.  The column (0, b)
+    # runs deep into the signed level-4 chain.
     box = dominant_box(9, 9)
     if order == "descending":
         box.reverse()
@@ -485,7 +475,7 @@ def test_reused_neighbours_do_not_show(order):
         random.Random(14).shuffle(box)
     elif order == "column":
         box = [(0, b) for b in range(41)]
-    for name, _, to_atomic, atomic_at in _fresh_folds():
+    for name, _, to_atomic, atomic_at, _ in _fresh_folds():
         seen, before = {}, {}
         for lam in box:
             below = [w for w in walk(precanonical._link5, lam, CANONICAL).terms
@@ -499,60 +489,32 @@ def test_reused_neighbours_do_not_show(order):
             seen[lam], before[lam] = got, copy.deepcopy(got.terms)
 
 
-def test_expansion_starts_from_its_memoized_neighbour(monkeypatch):
-    # Without a memoized neighbour lam alone enters the top-link push, and
-    # its whole top chain leaves it for the next link.  With (a, b-1)
-    # memoized, nothing goes through the top link: lam alone enters the
-    # second link.  The sweep's box lists (a, b-1) before (a, b), so every
-    # b >= 1 of the box takes the short way.
-    box = dominant_box(16, 16)
-    rank = {w: i for i, w in enumerate(box)}
-    assert all(rank[(a, b - 1)] < rank[(a, b)] for a, b in box if b >= 1)
-    for name, links, _, atomic_at in _fresh_folds():
-        pushed = []
-        with monkeypatch.context() as m:
-            m.setattr(combo, "push", _recording_push(pushed))
-            atomic_at((3, 5))
-            assert pushed[:2] == [(links[0], [(3, 5)]),
-                                  (links[1], [(3, b) for b in range(5, -1, -1)])], name
-            assert [link for link, _ in pushed] == links, name
-            pushed.clear()
-            atomic_at((3, 6))
-            assert pushed[0] == (links[1], [(3, 6)]), name
-            assert [link for link, _ in pushed] == links[1:], name
-        assert atomic_at.cache_info().currsize == 2, name
-
-
-def test_cache_clear_releases_the_expansions(monkeypatch):
-    # The memo owns each expansion: once cache_clear() drops (3, 5), nothing
-    # keeps it alive, and (3, 6) folds its whole chain through the top link
-    # instead of reusing it.
-    for name, links, _, atomic_at in _fresh_folds():
-        ref = weakref.ref(atomic_at((3, 5)))
-        atomic_at.cache_clear()
-        gc.collect()
-        assert ref() is None, name
-        pushed = []
-        with monkeypatch.context() as m:
-            m.setattr(combo, "push", _recording_push(pushed))
-            atomic_at((3, 6))
-        assert pushed[0] == (links[0], [(3, 6)]), name
-
-
-def test_top_link_that_does_not_descend_raises_on_the_neighbour_branch():
-    # The top link leads (1, 1), of height 8, up to (0, 2), of height 10.
-    # With (0, 2) memoized, (1, 1) pushes nothing through the top link, so
-    # only the descent check stands between that link and a wrong fold.
-    def top(a, b):
-        if (a, b) == (1, 1):
-            return (0, 2), 1, 1
-        return ((a, b - 1), 1, 1) if b >= 1 else None
-
-    below = [precanonical._LINKS[i] for i in (4, 3, 2)]
-    _, atomic_at = combo.folded([top] + below, lambda terms: Combination(ATOMIC, terms))
-    assert atomic_at((0, 2)) == precanonical.atomic((0, 2))
-    with pytest.raises(RuntimeError, match=re.escape("from (1, 1) to (0, 2) does not descend")):
-        atomic_at((1, 1))
+def test_expansion_is_its_fold_below_the_top_link_plus_the_shifted_neighbour():
+    # By linearity, atomic(lam) is below_top(lam) plus c*q^d*atomic(u) when
+    # the top link leads to u, and below_top(lam) when it leads nowhere.
+    # The sweep checks below_top alone and rests on this.  On both routes
+    # the top link is (a, b) -> (a, b-1) with factor q, and every
+    # coefficient below it is a single monomial c*q^e with c >= 1.
+    for name, links, _, atomic_at, below_top in _fresh_folds():
+        for lam in dominant_box(10, 10):
+            x = below_top(lam)
+            validate(x)
+            want = dict(atomic_at(lam).terms)
+            step = links[0](*lam)
+            if step is not None:
+                u, d, c = step
+                for w, p in atomic_at(u).terms.items():
+                    want[w] = poly_add(want.get(w, {}), poly_mul({d: -c}, p))
+            assert x.terms == {w: p for w, p in want.items() if p}, (name, lam)
+            if name in ("precanonical", "adjusted"):
+                a, b = lam
+                assert step == (((a, b - 1), 1, 1) if b else None), (name, lam)
+                assert all(len(p) == 1 and min(p.values()) >= 1
+                           for p in x.terms.values()), (name, lam)
+    for module, fold in zip((precanonical, adjusted), _fresh_folds()):
+        assert module.level5_in_atomic((3, 5)) == fold[4]((3, 5))
+        with pytest.raises(ValueError, match="not dominant"):
+            module.level5_in_atomic((-1, 2))
 
 
 @pytest.mark.parametrize("change, message", [

@@ -20,8 +20,8 @@ then the tails, expand the canonical basis positively into the atomic one
 
 from __future__ import annotations
 
-from .lattice import (GAMMA, INDEX_SUBSETS, X_SINGLE, Weight, check_dominant,
-                      check_level, gamma_sum, is_dominant, sub, x_I_member)
+from .lattice import (GAMMA, X_I_STEPS, X_SINGLE, Weight, check_dominant,
+                      check_level, x_I_walk)
 from .polyq import Poly, iadd_scaled
 from .combo import (ATOMIC, CANONICAL, Combination, adjusted_label, folded,
                     push, relation, walk)
@@ -58,20 +58,16 @@ def adjusted_expand_up(k: int, lam: Weight) -> Combination:
 def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     """Adjusted level-k element in the canonical basis: the recursion
     unwound, a signed sum over index subsets I with min I >= k whose
-    membership set X_I contains lam."""
+    membership set X_I contains lam, of (-q)^|I| at lam - gamma_sum(I)."""
     check_level(k, 6)
     check_dominant(lam)
+    a, b = lam
     acc: dict[Weight, Poly] = {}
-    for I in INDEX_SUBSETS:
-        if I and I[0] < k:
+    for I, (steps, (ga, gb)) in X_I_STEPS.items():
+        if I and I[0] < k or not x_I_walk(steps, a, b):
             continue
-        if not x_I_member(I, lam):
-            continue
-        w = sub(lam, gamma_sum(I))
-        # membership guarantees the shifted weight stays dominant
-        if not is_dominant(w):
-            raise RuntimeError(f"index set {I!r} left the dominant cone at {lam!r}")
-        iadd_scaled(acc.setdefault(w, {}), {len(I): (-1) ** len(I)})
+        # the walk's last step lands on lam - gamma_sum(I), a dominant weight
+        iadd_scaled(acc.setdefault((a - ga, b - gb), {}), {len(I): (-1) ** len(I)})
     return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache, partial, update_wrapper
 from typing import Callable, Optional
 
-from .lattice import Weight, check_dominant, dominance_leq, height, is_dominant
+from .lattice import Weight, check_dominant, height
 from .polyq import Poly, iadd_scaled, one
 
 
@@ -127,7 +127,8 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
     Cost model: expander is called once per weight of x, and the work is
     one coefficient update per (monomial of x's polynomial at w) x
     (monomial of expander(w)), counted before any cancellation, each made by
-    polyq.iadd_scaled.  Neither x nor any expander output is mutated or
+    the accumulate loop of polyq.iadd_scaled, written out here so that no
+    update costs a call.  Neither x nor any expander output is mutated or
     shared with the result.
     """
     out_basis = basis
@@ -141,28 +142,33 @@ def substitute(x: Combination, expander: Callable[[Weight], Combination],
         for u, r in sub.terms.items():
             tgt = acc.setdefault(u, {})
             for k, c in p.items():
-                iadd_scaled(tgt, r, k, c)
+                for e, v in r.items():
+                    e += k
+                    v = tgt.get(e, 0) + v * c
+                    if v:
+                        tgt[e] = v
+                    else:
+                        del tgt[e]
     if out_basis is None:
         raise ValueError("cannot infer result basis from an empty combination")
     return Combination(out_basis, {u: r for u, r in acc.items() if r})
 
 
 # A chain is given by its link: link(a, b) is ((a', b'), d, c) when the
-# chain at w = (a, b) is w + c*q^d*(the chain at (a', b')), and None when
-# the chain at w is w alone.  A link must lead to a dominant weight of
-# strictly lower height, so every chain ends.
+# chain at w = (a, b) is w + c*q^d*(the chain at (a', b')), c a nonzero int,
+# and None when the chain at w is w alone.  A link must lead to a dominant
+# weight of strictly lower height, so every chain ends.
 Link = Callable[[int, int], Optional[tuple[Weight, int, int]]]
 
 
-def _descend(w: Weight, u: Weight, h: int) -> int:
-    """Height of u, the successor of w, which has height h.  Raises
-    RuntimeError unless u is dominant and strictly lower than w."""
+def _descend(w: Weight, u: Weight, h: int) -> None:
+    """Raise RuntimeError unless u, the successor of w, which has height h,
+    is dominant and strictly lower than w.  walk and push make the same
+    test inline and call this only when it fails."""
     a, b = u
-    hu = 3 * a + 5 * b
-    if hu >= h or a < 0 or b < 0:
+    if 3 * a + 5 * b >= h or a < 0 or b < 0:
         raise RuntimeError(f"chain link from {w!r} to {u!r} does not descend "
                            f"in the dominant cone")
-    return hu
 
 
 def walk(link: Link, lam: Weight, basis: BasisLabel) -> Combination:
@@ -176,8 +182,11 @@ def walk(link: Link, lam: Weight, basis: BasisLabel) -> Combination:
         if step is None:
             return Combination(basis, terms)
         u, d, s = step
-        h = _descend(w, u, h)
-        w, e, c = u, e + d, c * s
+        a, b = u
+        hu = 3 * a + 5 * b
+        if hu >= h or a < 0 or b < 0:
+            _descend(w, u, h)
+        w, e, c, h = u, e + d, c * s, hu
 
 
 def relation(link: Link, lam: Weight, basis: BasisLabel) -> Combination:
@@ -198,15 +207,16 @@ def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
     is the walk along link, computed one link at a time.
 
     Weights are visited by decreasing height, kept in buckets keyed by
-    height.  Each weight's merged coefficient p, kept free of zeros by
-    iadd_scaled, is written out and handed once to its successor as
-    c*q^d*p.  That is one coefficient update per output monomial, and
-    signed terms cancel before they travel on.  terms is not mutated and
-    shares no polynomial with the result.  Raises RuntimeError if a link
-    does not descend (see _descend)."""
+    height.  Each weight's merged coefficient p, kept free of zeros as
+    polyq.iadd_scaled keeps it (its loop is written out here), is written
+    out and handed once to its successor as c*q^d*p, which is a new
+    polynomial when the successor has none yet.  That is one coefficient
+    update per output monomial, and signed terms cancel before they travel
+    on.  terms is not mutated and shares no polynomial with the result.
+    Raises RuntimeError if a link does not descend (see _descend)."""
     buckets: dict[int, dict[Weight, Poly]] = {}
     for w, p in terms.items():
-        buckets.setdefault(height(w), {})[w] = dict(p)
+        buckets.setdefault(3 * w[0] + 5 * w[1], {})[w] = dict(p)
     out: dict[Weight, Poly] = {}
     h = max(buckets, default=0)
     while buckets:
@@ -215,10 +225,27 @@ def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
                 continue
             out[w] = p
             step = link(*w)
-            if step is not None:
-                u, d, c = step
-                bucket = buckets.setdefault(_descend(w, u, h), {})
-                iadd_scaled(bucket.setdefault(u, {}), p, d, c)
+            if step is None:
+                continue
+            u, d, c = step
+            a, b = u
+            hu = 3 * a + 5 * b
+            if hu >= h or a < 0 or b < 0:
+                _descend(w, u, h)
+            bucket = buckets.setdefault(hu, {})
+            tgt = bucket.get(u)
+            if tgt is None:
+                bucket[u] = tgt = {}
+                for e, v in p.items():
+                    tgt[e + d] = v * c
+                continue
+            for e, v in p.items():
+                e += d
+                v = tgt.get(e, 0) + v * c
+                if v:
+                    tgt[e] = v
+                else:
+                    del tgt[e]
         h -= 1
     return out
 
@@ -286,8 +313,12 @@ def check_atomic(lam: Weight, x: Combination) -> None:
         raise ValueError(f"expansion at {lam!r} is in the {x.basis} basis, not atomic")
     if x.terms.get(lam) != {0: 1}:
         raise ValueError(f"atomic expansion at {lam!r} is not unitriangular")
+    la, lb = lam
     for w, p in x.terms.items():
-        if not (is_dominant(w) and dominance_leq(w, lam)):
+        a, b = w
+        # dominant, and below lam: lam - w has non-negative root coordinates
+        if (a < 0 or b < 0
+                or 2 * (la - a) + 3 * (lb - b) < 0 or la - a + 2 * (lb - b) < 0):
             raise ValueError(f"atomic expansion at {lam!r} has support at {w!r}")
         if not p or min(p) < 0 or min(p.values()) < 0:
             raise ValueError(f"atomic expansion at {lam!r} has coefficient "

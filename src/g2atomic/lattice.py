@@ -180,11 +180,21 @@ def x_I_member(I: frozenset | set | tuple | list, lam: Weight) -> bool:
     idx = sorted(set(I))
     if any(i not in (2, 3, 4, 5) for i in idx):
         raise ValueError(f"index set must be a subset of {{2,3,4,5}}, got {I!r}")
-    w = lam
     for i in idx:
-        if not x_set_member(i, w):
+        check_level(i, 5)
+    return x_I_walk(X_I_STEPS[tuple(idx)][0], *lam)
+
+
+def x_I_walk(steps, a: int, b: int) -> bool:
+    """Whether the dominant weight (a, b) lies in X_I, given the steps of
+    X_I_STEPS[I]; unchecked, for adjusted_in_canonical's loop.  No weight
+    it visits needs check_dominant: X_i holds only where subtracting
+    gamma_i stays in the dominant cone, so each step taken lands on a
+    dominant weight."""
+    for member, (ga, gb) in steps:
+        if not member(a, b):
             return False
-        w = sub(w, GAMMA[i])
+        a, b = a - ga, b - gb
     return True
 
 
@@ -234,6 +244,13 @@ def gamma_sum(I) -> Weight:
         a += g[0]
         b += g[1]
     return (a, b)
+
+
+# Each index set I, as in INDEX_SUBSETS, with the steps of its membership
+# walk, (X_i, gamma_i) for i in I ascending, and its gamma sum, the shift
+# of lam when the walk succeeds.
+X_I_STEPS = {I: (tuple((X_SINGLE[i], GAMMA[i]) for i in I), gamma_sum(I))
+             for I in INDEX_SUBSETS}
 
 
 def dominant_below(lam: Weight) -> list[Weight]:

@@ -12,7 +12,11 @@ another and keeps it canonical as it goes.  A sum keyed by weight is a dict
 of such accumulators, iadd_scaled(acc.setdefault(w, {}), p, k, c), from
 which the polynomials that cancelled to empty are dropped at the end; it
 makes one coefficient update per monomial handed in, and never stores a
-polynomial it was handed.
+polynomial it was handed.  The three hottest sums, combo.push,
+combo.substitute and precanonical.straightened, write its loop out in
+place, which spares a call per update; push and straightened build the
+polynomial of a weight that has none yet directly, as a scaled, shifted
+copy.
 """
 
 from __future__ import annotations

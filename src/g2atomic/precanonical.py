@@ -27,7 +27,7 @@ the indexing weight; atomic() checks all three.
 from __future__ import annotations
 
 from .lattice import (Weight, PHI_GEQ, check_dominant, check_level,
-                      check_weight, dominant_rep, height)
+                      check_weight, dominant_rep)
 from .polyq import Poly, iadd_scaled
 from .combo import (Combination, ATOMIC, CANONICAL, folded, pre_canonical,
                     relation, walk)
@@ -39,21 +39,52 @@ def straightened(terms: dict[Weight, Poly], roots) -> Combination:
 
     Each factor is applied in place to one copy of the terms: it writes
     only below the weight it reads, so visiting weights by increasing
-    height reads each one before any write reaches it.  Each weight that
-    did not cancel is then straightened once."""
+    height reads each one before any write reaches it.  The weights are
+    kept in lists by height across the passes, a weight made by a write
+    joining its height's list, and a pass visits only the weights there at
+    its start.  Each weight that did not cancel is then straightened once,
+    by dominant_rep unless it is dominant already."""
     y = {w: dict(p) for w, p in terms.items()}
+    by_height: dict[int, list[Weight]] = {}
+    for w in y:
+        by_height.setdefault(3 * w[0] + 5 * w[1], []).append(w)
     for ga, gb in roots:
-        for a, b in sorted(y, key=height):
-            p = y[a, b]
-            if p:
-                iadd_scaled(y.setdefault((a - ga, b - gb), {}), p, 1, -1)
+        dh = 3 * ga + 5 * gb
+        for h in sorted(by_height):
+            for a, b in by_height[h]:
+                p = y[a, b]
+                if not p:
+                    continue
+                u = a - ga, b - gb
+                tgt = y.get(u)
+                if tgt is None:
+                    y[u] = tgt = {}
+                    for e, c in p.items():
+                        tgt[e + 1] = -c
+                    by_height.setdefault(h - dh, []).append(u)
+                    continue
+                for e, c in p.items():
+                    e += 1
+                    c = tgt.get(e, 0) - c
+                    if c:
+                        tgt[e] = c
+                    else:
+                        del tgt[e]
+    # y is this call's own, so its polynomials move into acc
     acc: dict[Weight, Poly] = {}
     for w, p in y.items():
         if not p:
             continue  # cancelled in place
-        sd = dominant_rep(w)
-        if sd is not None:
-            iadd_scaled(acc.setdefault(sd[1], {}), p, 0, sd[0])
+        sign = 1
+        if w[0] < 0 or w[1] < 0:
+            sd = dominant_rep(w)
+            if sd is None:
+                continue
+            sign, w = sd
+        if sign > 0 and w not in acc:
+            acc[w] = p
+        else:
+            iadd_scaled(acc.setdefault(w, {}), p, 0, sign)
     return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
 
 

@@ -12,12 +12,13 @@ from g2atomic.adjusted import (adjusted2_in_atomic, adjusted_expand_up,
                                atomic_second)
 from g2atomic.combo import (CANONICAL, Combination, adjusted_label, single,
                             substitute)
-from g2atomic.lattice import (GAMMA, dominant_box, x_I_member, x_set_member)
+from g2atomic.lattice import (GAMMA, dominant_box, gamma_sum, sub, x_I_member,
+                              x_set_member)
 from g2atomic.precanonical import defn_precanonical
 
 from reference_data import REF_ATOMIC_24
 from test_combo import validate
-from test_polyq import poly_sub
+from test_polyq import poly_add, poly_sub
 
 
 def test_step_down_examples():
@@ -97,6 +98,21 @@ def test_in_canonical_examples():
     assert x.terms[(5, 1)] == {1: -1}
     assert x.terms[(4, 1)] == {1: -1, 2: 1}
     assert x.terms[(1, 2)] == {2: 1, 3: -1}
+
+
+def test_in_canonical_is_the_signed_sum_over_index_sets():
+    # the docstring's sum, from the validated membership test: (-q)^|I| at
+    # lam - gamma_sum(I) for each I with min I >= k whose X_I holds lam
+    subsets = [I for r in range(5) for I in itertools.combinations((2, 3, 4, 5), r)]
+    for lam in dominant_box(24, 24):
+        for k in (2, 3, 4, 5, 6):
+            want = {}
+            for I in subsets:
+                if all(i >= k for i in I) and x_I_member(I, lam):
+                    w = sub(lam, gamma_sum(I))
+                    want[w] = poly_add(want.get(w, {}), {len(I): (-1) ** len(I)})
+            want = {w: p for w, p in want.items() if p}
+            assert adjusted_in_canonical(k, lam).terms == want, (k, lam)
 
 
 def test_in_canonical_matches_layered_steps():

@@ -329,11 +329,12 @@ def test_memory_error_exits_with_one_line(monkeypatch, capsys):
 
 
 def test_any_error_while_computing_exits_with_one_line(monkeypatch, capsys):
-    def no_descent(w, u, h):
-        raise RuntimeError(f"chain link from {w!r} to {u!r} does not descend "
-                           f"in the dominant cone")
+    # the fold looks push up at call time; push calls _descend only on a
+    # link that does not descend, which no real link is
+    def no_descent(terms, link):
+        raise RuntimeError("chain link does not descend in the dominant cone")
 
-    monkeypatch.setattr(combo, "_descend", no_descent)
+    monkeypatch.setattr(combo, "push", no_descent)
     adjusted.atomic_second.cache_clear()
     code, out, err = run_cli(capsys, "atomic", "3", "3")
     assert (code, out) == (1, "")

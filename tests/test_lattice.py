@@ -285,6 +285,9 @@ def test_x_I_examples():
     assert x_I_member((2, 3), (2, 1))
     with pytest.raises(ValueError):
         x_I_member({1}, (0, 0))
+    # a non-int index is refused even where the walk would stop before it
+    with pytest.raises(ValueError, match="level must be in 2..5, got 3.0"):
+        x_I_member({2, 3.0}, (0, 0))
 
 
 def test_x_I_member_closed_rejects_a_bad_index_set():

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from g2atomic.combo import (ATOMIC, CANONICAL, Combination, pre_canonical,
                             single, substitute)
-from g2atomic.lattice import PHI_GEQ, dominant_below, dominant_box
+from g2atomic.lattice import PHI_GEQ, dominant_below, dominant_box, height
 from g2atomic.precanonical import (atomic, closed_form_3to2, closed_form_4to3,
                                    closed_form_5to4, closed_form_6to5,
                                    defn_precanonical, inverse_step, step_up,
@@ -104,6 +104,45 @@ def test_straightened_matches_oracle_on_sums(i, raw):
     assert got.basis == CANONICAL
     assert got.terms == want
     assert terms == before
+    validate(got)
+
+
+def subset_sum(terms, roots):
+    """straightened(terms, roots) by brute force: each term times every
+    signed subset of the roots, each shifted weight read through tilde_h."""
+    want = {}
+    for (a, b), p in terms.items():
+        for size in range(len(roots) + 1):
+            for I in itertools.combinations(roots, size):
+                w = (a - sum(g[0] for g in I), b - sum(g[1] for g in I))
+                for rep, r in tilde_h(w).terms.items():
+                    for e, c in p.items():
+                        want[rep] = poly_add(want.get(rep, {}), poly_scale_qpow(
+                            r, e + size, c * (-1) ** size))
+    return {w: p for w, p in want.items() if p}
+
+
+def test_straightened_revisits_a_weight_made_at_a_visited_height():
+    # the gamma4 pass visits (4, 0) at height 12, then from (2, 2) makes
+    # (-1, 3), also at height 12; the gamma5 pass must read it
+    g4 = PHI_GEQ[4][0]
+    terms = {(2, 2): {0: 1}, (4, 0): {1: 3}}
+    made = (2 - g4[0], 2 - g4[1])
+    assert made not in terms and height(made) == height((4, 0))
+    got = straightened(terms, PHI_GEQ[4])
+    assert got.terms == subset_sum(terms, PHI_GEQ[4])
+    validate(got)
+
+
+def test_straightened_drops_a_weight_whose_two_writes_cancel():
+    # (3, 1) - gamma4 and (0, 3) - gamma5 are both (0, 2): the gamma4 pass
+    # makes it from one source, and the gamma5 pass cancels it from the other
+    g4, g5 = PHI_GEQ[4]
+    terms = {(3, 1): {0: 1}, (0, 3): {0: -1}}
+    assert (3 - g4[0], 1 - g4[1]) == (0 - g5[0], 3 - g5[1]) == (0, 2)
+    got = straightened(terms, PHI_GEQ[4])
+    assert got.terms == subset_sum(terms, PHI_GEQ[4])
+    assert (0, 2) not in got.terms
     validate(got)
 
 

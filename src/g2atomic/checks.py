@@ -16,7 +16,9 @@ each route's much smaller level5_in_atomic, the fold below the top link.
 Both top links send (a, b) to (a, b-1) with factor q, so atomic(a, b) is
 level5_in_atomic(a, b) + q*atomic(a, b-1), and by induction up each column
 the sweep's checks of it state what verify()'s state of atomic (the round
-trip with the level-5 definitional consistency).
+trip with the level-5 definitional consistency).  This module keeps no
+memo: level5_in_atomic keeps the weight asked for last, as atomic does, so
+the three checks that read it fold each weight once per route.
 
 The sweep's loop runs row by row (a fixed), split across one process per
 CPU: the rows with a <= SMALL and the two box-level checks stay in the
@@ -97,19 +99,22 @@ def cross_approach(lam: Weight) -> None:
         raise AssertionError(f"the two atomic routes disagree at {lam!r}")
 
 
-def inverts_definitional(lam: Weight, x: Combination) -> bool:
-    """Whether x, in the atomic basis, is the expansion of the canonical
-    element at lam: substituting the definitional expansion of each atomic
-    element must give back exactly that canonical element.
+def inverts_definitional(lam: Weight, x: Combination, level: int) -> bool:
+    """Whether x, in the atomic basis, is the expansion of the pre-canonical
+    element of the given level at lam, level 6 being the canonical one:
+    substituting the definitional expansion of each atomic element must give
+    back exactly the definitional expansion of that element, which reads no
+    link.
 
     Substitution and straightening are both linear, so the whole of x goes
     through precanonical.straightened once, the kernel that defines each
     atomic element, instead of one expansion per term."""
-    return precanonical.straightened(x.terms, PHI_GEQ[2]).terms == {lam: {0: 1}}
+    back = precanonical.straightened(x.terms, PHI_GEQ[2])
+    return back == precanonical.defn_precanonical(level, lam)
 
 
 def definitional_roundtrip(lam: Weight) -> None:
-    if not inverts_definitional(lam, adjusted.atomic_second(lam)):
+    if not inverts_definitional(lam, adjusted.atomic_second(lam), 6):
         raise AssertionError(f"definitional expansion does not invert the "
                              f"pipeline at {lam!r}")
 
@@ -184,36 +189,20 @@ def verify(lam: Weight) -> VerifyReport:
 
 # Box checks take the box as a list of weights in dominant_box order.
 
-# function -> (weight, its fold there) for the weight asked for last, so
-# the three sweep checks below share one fold per route at each weight.
-# sweep() empties it when it returns.
-_FOLDS: dict = {}
-
-
-def _level5(route, lam: Weight) -> Combination:
-    """route.level5_in_atomic(lam), looked up on the module at call time."""
-    fn = route.level5_in_atomic
-    if _FOLDS.get(fn, (None,))[0] != lam:
-        _FOLDS[fn] = lam, fn(lam)
-    return _FOLDS[fn][1]
-
-
 def level5_positivity(lam: Weight) -> None:
-    check_atomic(lam, _level5(adjusted, lam))
+    check_atomic(lam, adjusted.level5_in_atomic(lam))
 
 
 def level5_cross_approach(lam: Weight) -> None:
     # the walks along the two top links, which check that each descends
     if precanonical.step_up(5, lam).terms != adjusted.adjusted_expand_up(5, lam).terms:
         raise AssertionError(f"the two routes' top links disagree at {lam!r}")
-    if _level5(adjusted, lam) != _level5(precanonical, lam):
+    if adjusted.level5_in_atomic(lam) != precanonical.level5_in_atomic(lam):
         raise AssertionError(f"the two atomic routes disagree at {lam!r}")
 
 
 def level5_roundtrip(lam: Weight) -> None:
-    # compared with the definition of the level-5 element, which reads no link
-    back = precanonical.straightened(_level5(adjusted, lam).terms, PHI_GEQ[2])
-    if back != precanonical.defn_precanonical(5, lam):
+    if not inverts_definitional(lam, adjusted.level5_in_atomic(lam), 5):
         raise AssertionError(f"definitional expansion does not invert the "
                              f"pipeline at {lam!r}")
 
@@ -480,7 +469,6 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
         for pid in pids:  # still running only if the sweep raised
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        _FOLDS.clear()
     for name, (_, result) in first.items():
         outcome[name] = result
     return [outcome[name] for name, _ in BOX_CHECKS]

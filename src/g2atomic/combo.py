@@ -261,10 +261,13 @@ def folded(links: list[Link],
 
     - expand(x) checks x (else ValueError) and folds it through every link;
     - atomic(lam) is expand at the canonical element at lam, checked by
-      check_atomic and not to be mutated.  Its memo keeps the one expansion
-      asked for last, so kostka_foulkes at one lam and many mu folds lam
-      once, and atomic.cache_clear() frees it;
+      check_atomic;
     - below_top(lam) folds lam through every link but the top one.
+
+    atomic and below_top are each memoized by dominant_memo and keep the
+    one result asked for last, which is not to be mutated: kostka_foulkes
+    at one lam and many mu folds lam once, and the sweep's three checks of
+    below_top share one fold at each weight.  cache_clear() frees it.
 
     By linearity, when the top link leads from lam to u with factor c*q^d,
     atomic(lam) is below_top(lam) plus c*q^d*atomic(u); when it leads
@@ -289,8 +292,8 @@ def folded(links: list[Link],
         check_atomic(lam, x)
         return x
 
+    @partial(dominant_memo, maxsize=1)
     def below_top(lam: Weight) -> Combination:
-        check_dominant(lam)
         return fold({lam: {0: 1}}, links[1:])
 
     return expand, atomic, below_top

@@ -130,7 +130,8 @@ def dominant_rep(w: Weight) -> "tuple[int, Weight] | None":
     (sign, rep) where rep is the unique dominant weight in the dot orbit and
     sign is (-1)**(number of simple reflections used).  The policy reflects
     the first strictly negative coordinate of w + rho at each step.  w is not
-    checked: precanonical.straightened calls this once per weight it makes.
+    checked: precanonical.straightened calls this once per weight it makes
+    that is not dominant.
     """
     sign, x, y = _straighten(w, 1)
     if x == 0 or y == 0:
@@ -163,13 +164,6 @@ X_SINGLE = {
     4: lambda a, b: a >= 3,
     5: lambda a, b: b >= 1,
 }
-
-
-def x_set_member(k: int, lam: Weight) -> bool:
-    """Whether lam lies in the level-k correction set X_k."""
-    check_dominant(lam)
-    check_level(k, 5)
-    return X_SINGLE[k](*lam)
 
 
 def x_I_member(I: frozenset | set | tuple | list, lam: Weight) -> bool:

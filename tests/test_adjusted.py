@@ -12,8 +12,7 @@ from g2atomic.adjusted import (adjusted2_in_atomic, adjusted_expand_up,
                                atomic_second)
 from g2atomic.combo import (CANONICAL, Combination, adjusted_label, single,
                             substitute)
-from g2atomic.lattice import (GAMMA, dominant_box, gamma_sum, sub, x_I_member,
-                              x_set_member)
+from g2atomic.lattice import GAMMA, dominant_box, gamma_sum, sub, x_I_member
 from g2atomic.precanonical import defn_precanonical
 
 from reference_data import REF_ATOMIC_24
@@ -39,7 +38,7 @@ def test_step_down_matches_membership_and_gamma():
     for lam in dominant_box(20, 20):
         for k in (2, 3, 4, 5):
             x = adjusted_step_down(k, lam)
-            if x_set_member(k, lam):
+            if x_I_member({k}, lam):
                 g = GAMMA[k]
                 mu = (lam[0] - g[0], lam[1] - g[1])
                 assert x.terms == {lam: {0: 1}, mu: {1: -1}}

@@ -157,10 +157,10 @@ def test_verify_at_published_weights(lam):
 
 def test_sweep_folds_each_weight_once_below_the_top_link(monkeypatch):
     # The sweep folds each weight once per route below the top link, shared
-    # by the three checks that read that fold, and asks the full-expansion
-    # memos only for the weights of the small box, for the Kostka-Foulkes
-    # checks.  The calls are recorded in this process, so the sweep runs in
-    # it alone.
+    # by the three checks that read that fold through its memo, and asks
+    # the full-expansion memos only for the weights of the small box, for
+    # the Kostka-Foulkes checks.  The folds and calls are counted in this
+    # process, so the sweep runs in it alone.
     monkeypatch.setattr(checks.os, "sched_getaffinity", lambda pid: {0})
     calls = {}
 
@@ -172,20 +172,17 @@ def test_sweep_folds_each_weight_once_below_the_top_link(monkeypatch):
             return f(lam)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for module, attr in ((precanonical, "level5_in_atomic"),
-                         (adjusted, "level5_in_atomic"),
-                         (precanonical, "atomic"), (adjusted, "atomic_second"),
+    for module, attr in ((precanonical, "atomic"), (adjusted, "atomic_second"),
                          (kostka, "atomic")):
         recorded(module, attr)
-    for memo in (kostka.canonical_to_standard, kostka.multiplicity_table):
+    folds = (precanonical.level5_in_atomic, adjusted.level5_in_atomic)
+    for memo in (*folds, kostka.canonical_to_standard, kostka.multiplicity_table):
         memo.cache_clear()
     assert all(r.ok for r in checks.sweep(12, 12))
     box = dominant_box(12, 12)
-    assert calls.pop(("g2atomic.precanonical", "level5_in_atomic")) == box
-    assert calls.pop(("g2atomic.adjusted", "level5_in_atomic")) == box
+    assert [fold.cache_info().misses for fold in folds] == [len(box)] * 2
     assert set(calls) == {("g2atomic.kostka", "atomic")}
     assert set(calls["g2atomic.kostka", "atomic"]) == set(checks._small(box))
-    assert checks._FOLDS == {}
 
 
 def test_sweep_holds_no_canonical_expansion_across_weights(monkeypatch):

@@ -499,6 +499,7 @@ def test_expansion_is_its_fold_below_the_top_link_plus_the_shifted_neighbour():
         for lam in dominant_box(10, 10):
             x = below_top(lam)
             validate(x)
+            assert below_top(lam) is x, (name, lam)  # the memo's own result
             want = dict(atomic_at(lam).terms)
             step = links[0](*lam)
             if step is not None:

@@ -191,17 +191,22 @@ def test_monotone_check_matches_reference(lam, edits):
         assert mu in kf and nu in kf and _monotone_fails(kf, mu, nu)
 
 
-@given(st.sampled_from(dominant_box(6, 6)),
+@given(st.sampled_from(dominant_box(6, 6)), st.sampled_from([6, 5]),
        st.one_of(st.none(), st.tuples(st.integers(0, 60), st.integers(0, 16),
                                       st.integers(-3, 3))))
-@example((0, 1), (0, 1, 1))  # (0,0) gets 2q: every coefficient stays positive
-@example((2, 4), (5, 9, 2))
-@example((0, 0), (0, 0, -1))  # nothing left
-def test_inverts_definitional_matches_substitute(lam, edit):
-    # Real expansions, and the same with one coefficient edited at any
+@example((0, 1), 6, (0, 1, 1))  # (0,0) gets 2q: every coefficient stays positive
+@example((2, 4), 6, (5, 9, 2))
+@example((0, 0), 6, (0, 0, -1))  # nothing left
+@example((2, 4), 5, None)
+@example((2, 4), 5, (5, 9, 2))
+@example((0, 0), 5, (0, 0, -1))
+def test_inverts_definitional_matches_substitute(lam, level, edit):
+    # Real expansions of the canonical element (level 6) and of the level-5
+    # element at lam, and the same with one coefficient edited at any
     # dominant weight below lam: the factored check gives the verdict of
     # substituting the independent definitional oracle term by term.
-    terms = {w: dict(p) for w, p in adjusted.atomic_second(lam).terms.items()}
+    real = (adjusted.atomic_second if level == 6 else adjusted.level5_in_atomic)(lam)
+    terms = {w: dict(p) for w, p in real.terms.items()}
     if edit is not None:
         i, e, d = edit
         below = dominant_below(lam)
@@ -211,8 +216,8 @@ def test_inverts_definitional_matches_substitute(lam, edit):
         terms = {w: r for w, r in terms.items() if r}
     x = Combination(ATOMIC, terms)
     want = substitute(x, lambda w: Combination(CANONICAL, defn_oracle(2, w)),
-                      basis=CANONICAL).terms == {lam: {0: 1}}
-    assert checks.inverts_definitional(lam, x) == want
+                      basis=CANONICAL).terms == defn_oracle(level, lam)
+    assert checks.inverts_definitional(lam, x, level) == want
     assert want == (edit is None or edit[2] == 0)
 
 
@@ -266,7 +271,7 @@ def test_inverts_definitional_in_place_matches_copying(lam, edit):
     terms = {w: {e: c for e, c in p.items() if c} for w, p in terms.items()}
     x = Combination(ATOMIC, {w: p for w, p in terms.items() if p})
     before = {w: dict(p) for w, p in x.terms.items()}
-    got = checks.inverts_definitional(lam, x)
+    got = checks.inverts_definitional(lam, x, 6)
     assert x.terms == before
     assert got == _inverts_definitional_copying(lam, x)
     assert got == (edit is None)  # every edit changes x

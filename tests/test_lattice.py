@@ -9,14 +9,14 @@ from functools import partial
 
 import pytest
 
-from g2atomic import checks, kostka, precanonical
+from g2atomic import adjusted, checks, kostka, precanonical
 from g2atomic.adjusted import atomic_second
 from g2atomic.checks import verify
 from g2atomic.lattice import (GAMMA, PHI_GEQ, POSITIVE_ROOTS, RHO,
                               dominance_leq, dominant_below, dominant_box,
                               dominant_rep, gamma_sum, height, is_dominant,
                               linear_dominant, orbit_size, sub, to_root_coords,
-                              x_I_member, x_I_member_closed, x_set_member)
+                              x_I_member, x_I_member_closed)
 
 
 # independent straightening oracle: explore the whole dot orbit
@@ -258,22 +258,22 @@ def test_height_difference_nonnegative():
 
 
 def test_x_set_examples():
-    assert x_set_member(2, (2, 1))
-    assert not x_set_member(2, (2, 0))
-    assert x_set_member(3, (2, 0))
-    assert x_set_member(4, (3, 0))
-    assert not x_set_member(4, (2, 5))
-    assert x_set_member(5, (0, 1))
+    assert x_I_member({2}, (2, 1))
+    assert not x_I_member({2}, (2, 0))
+    assert x_I_member({3}, (2, 0))
+    assert x_I_member({4}, (3, 0))
+    assert not x_I_member({4}, (2, 5))
+    assert x_I_member({5}, (0, 1))
     with pytest.raises(ValueError):
-        x_set_member(6, (0, 0))
+        x_I_member({6}, (0, 0))
     with pytest.raises(ValueError):
-        x_set_member(2, (-1, 0))
+        x_I_member({2}, (-1, 0))
 
 
 def test_x_membership_implies_dominant_shift():
     for lam in dominant_box(10, 10):
         for k in (2, 3, 4, 5):
-            if x_set_member(k, lam):
+            if x_I_member({k}, lam):
                 assert is_dominant(sub(lam, GAMMA[k]))
 
 
@@ -366,8 +366,9 @@ def test_library_weights_are_pairs_of_ints():
         call((-3, 1))
     # (2.0, 1) equals and hashes like (2, 1), so each weight memo checks the
     # weight before its lookup, not only on a miss.
-    for memo in (atomic_second, precanonical.atomic,
-                 kostka.canonical_to_standard, kostka.multiplicity_table):
+    for memo in (atomic_second, precanonical.atomic, adjusted.level5_in_atomic,
+                 precanonical.level5_in_atomic, kostka.canonical_to_standard,
+                 kostka.multiplicity_table):
         memo((2, 1))
         with pytest.raises(ValueError, match=r"weight \(2.0, 1\) is not two ints"):
             memo((2.0, 1))

@@ -84,10 +84,26 @@ def _link2(a: int, b: int):
 def _tails(terms: dict[Weight, Poly]) -> Combination:
     """Terms pushed along _link2, in the atomic basis: adds, in place,
     q^k N(a+k, b-k) for 2-a <= k <= b at each weight with a < 2.  Tails land
-    only where a >= 2, so one snapshot of the a < 2 terms orders the pass."""
+    only where a >= 2, so one snapshot of the a < 2 terms orders the pass.
+    The accumulate loop of polyq.iadd_scaled is written out, as in
+    combo.push: a weight with no polynomial yet gets a new q^k p, and one
+    that has one is updated in place, dropping the zeros."""
     for (a, b), p in [(w, p) for w, p in terms.items() if w[0] < 2]:
         for k in range(2 - a, b + 1):
-            iadd_scaled(terms.setdefault((a + k, b - k), {}), p, k)
+            u = (a + k, b - k)
+            tgt = terms.get(u)
+            if tgt is None:
+                terms[u] = tgt = {}
+                for e, c in p.items():
+                    tgt[e + k] = c
+                continue
+            for e, c in p.items():
+                e += k
+                c += tgt.get(e, 0)
+                if c:
+                    tgt[e] = c
+                else:
+                    del tgt[e]
     return Combination(ATOMIC, {w: p for w, p in terms.items() if p})
 
 

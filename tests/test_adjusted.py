@@ -7,13 +7,14 @@ import sys
 
 import pytest
 
-from g2atomic.adjusted import (adjusted2_in_atomic, adjusted_expand_up,
-                               adjusted_in_canonical, adjusted_step_down,
-                               atomic_second)
-from g2atomic.combo import (CANONICAL, Combination, adjusted_label, single,
-                            substitute)
+from g2atomic.adjusted import (_LINKS, _link2, _tails, adjusted2_in_atomic,
+                               adjusted_expand_up, adjusted_in_canonical,
+                               adjusted_step_down, atomic_second)
+from g2atomic.combo import (ATOMIC, CANONICAL, Combination, adjusted_label,
+                            push, single, substitute)
 from g2atomic.lattice import GAMMA, dominant_box, gamma_sum, sub, x_I_member
-from g2atomic.precanonical import defn_precanonical
+from g2atomic.polyq import iadd_scaled
+from g2atomic.precanonical import defn_precanonical, step_up
 
 from reference_data import REF_ATOMIC_24
 from test_combo import validate
@@ -157,6 +158,57 @@ def test_adjusted2_positivity():
         assert x.terms[lam] == {0: 1}
         for w, p in x.terms.items():
             assert all(c > 0 for c in p.values()), (lam, w)
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_tails_are_shifted_level3_chains(a):
+    # the tails of N(a, b) are q^(2-a) times the pre-canonical level-3
+    # element at (2, b-2+a) in the level-2 basis, a route through
+    # precanonical's own link that shares no code with _tails
+    for b in range(41):
+        want = {(a, b): {0: 1}}
+        if b - 2 + a >= 0:
+            for w, p in step_up(2, (2, b - 2 + a)).terms.items():
+                want[w] = {e + 2 - a: c for e, c in p.items()}
+        got = _tails({(a, b): {0: 1}})
+        assert got.basis is ATOMIC
+        assert got.terms == want, (a, b)
+
+
+def _tails_reference(terms):
+    """_tails with one polyq.iadd_scaled call per tail term."""
+    for (a, b), p in [(w, p) for w, p in terms.items() if w[0] < 2]:
+        for k in range(2 - a, b + 1):
+            iadd_scaled(terms.setdefault((a + k, b - k), {}), p, k)
+    return Combination(ATOMIC, {w: p for w, p in terms.items() if p})
+
+
+def _tails_inputs():
+    links = [_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2], _link2]
+    for lam in [*dominant_box(12, 12), (0, 100), (1, 100), (2, 60)]:
+        for chain in (links, links[1:]):
+            terms = {lam: {0: 1}}
+            for link in chain:
+                terms = push(terms, link)
+            yield (lam, len(chain)), terms
+    # signed: the one tail of (0, 2) cancels the term at (2, 0)
+    yield "cancel", {(0, 2): {0: 1}, (2, 0): {2: -1}}
+    # the tails of (0, 3) and (1, 2) land on (2, 1), which has no term yet
+    yield "merge", {(0, 3): {0: 1}, (1, 2): {1: 1, 3: -1}}
+
+
+def test_tails_match_one_call_per_tail():
+    for case, terms in _tails_inputs():
+        want = _tails_reference({w: dict(p) for w, p in terms.items()})
+        got = _tails({w: dict(p) for w, p in terms.items()})
+        assert got.basis is ATOMIC
+        assert list(got.terms.items()) == list(want.terms.items()), case
+        validate(got)
+        assert len({id(p) for p in got.terms.values()}) == len(got.terms)
+    assert _tails({(0, 2): {0: 1}, (2, 0): {2: -1}}).terms == {(0, 2): {0: 1}}
+    assert _tails({(0, 3): {0: 1}, (1, 2): {1: 1, 3: -1}}).terms == {
+        (0, 3): {0: 1}, (1, 2): {1: 1, 3: -1},
+        (2, 1): {2: 2, 4: -1}, (3, 0): {3: 2, 5: -1}}
 
 
 def test_correction_identity():

@@ -130,6 +130,9 @@ GOLDEN_STDOUT = {
     "atomic 0 100 --format json": "cecb7b0b7e0e8fe13dc2483d98a27adb7e27de93a6b987985db845369d6dcbb1",
     "atomic 300 1 --format json": "69953a4dc2c6ea6b25eb712be3d5671fa451006ae470f69cebfdaf879491c862",
     "standard 30 30 --format json": "e3b310261b08eddab022c2b8ff73cc76f7651a7f8525d77a780f3488bea739e1",
+    # a b-heavy weight whose targets take tails from both a = 0 and a = 1,
+    # recorded before the tails loop was written out
+    "atomic 1 100 --format text": "da7c36124849f64c1df5c48a10a59c9187bb46edc3e69a29b4f0720762f65a88",
 }
 
 

@@ -17,8 +17,8 @@ Both top links send (a, b) to (a, b-1) with factor q, so atomic(a, b) is
 level5_in_atomic(a, b) + q*atomic(a, b-1), and by induction up each column
 the sweep's checks of it state what verify()'s state of atomic (the round
 trip with the level-5 definitional consistency).  This module keeps no
-memo: level5_in_atomic keeps the weight asked for last, as atomic does, so
-the three checks that read it fold each weight once per route.
+memo; each memo it reads keeps the weight asked for last, so the checks at
+one weight share one fold per route, one column and one Freudenthal table.
 
 The sweep's loop runs row by row (a fixed), split across one process per
 CPU: the rows with a <= SMALL and the two box-level checks stay in the
@@ -365,11 +365,11 @@ BOX_CHECKS = [
 
 def _shards(max_a: int, max_b: int, k: int) -> list[list[int]]:
     """The rows a of the box, split into at most k shards, each in
-    increasing a.  Shard 0 keeps every row with a <= SMALL, so the small box
-    and kostka.two-paths share one process and its canonical_to_standard
-    memo.  Each other row, heaviest first, joins the shard with the least
-    work so far, a weight's work taken as its height.  Empty shards are
-    dropped."""
+    increasing a.  Shard 0 runs in the calling process, which also runs
+    the two box-level checks, so it keeps the lightest rows, a <= SMALL;
+    a sweep without this pin was slower.  Each other row, heaviest first,
+    joins the shard with the least work so far, a weight's work taken as
+    its height.  Empty shards are dropped."""
     def work(a):
         return sum(height((a, b)) for b in range(max_b + 1))
 

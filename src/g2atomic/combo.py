@@ -10,7 +10,7 @@ is CANONICAL.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, update_wrapper
+from functools import lru_cache, update_wrapper
 from typing import Callable, Optional
 
 from .lattice import Weight, check_dominant, height
@@ -264,10 +264,10 @@ def folded(links: list[Link],
       check_atomic;
     - below_top(lam) folds lam through every link but the top one.
 
-    atomic and below_top are each memoized by dominant_memo and keep the
-    one result asked for last, which is not to be mutated: kostka_foulkes
-    at one lam and many mu folds lam once, and the sweep's three checks of
-    below_top share one fold at each weight.  cache_clear() frees it.
+    atomic and below_top are each memoized by dominant_memo, so each keeps
+    the one result asked for last, which is not to be mutated:
+    kostka_foulkes at one lam and many mu folds lam once, and the sweep's
+    three checks of below_top share one fold at each weight.
 
     By linearity, when the top link leads from lam to u with factor c*q^d,
     atomic(lam) is below_top(lam) plus c*q^d*atomic(u); when it leads
@@ -284,7 +284,7 @@ def folded(links: list[Link],
             check_dominant(w)
         return fold(x.terms, links)
 
-    @partial(dominant_memo, maxsize=1)
+    @dominant_memo
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
@@ -292,17 +292,17 @@ def folded(links: list[Link],
         check_atomic(lam, x)
         return x
 
-    @partial(dominant_memo, maxsize=1)
+    @dominant_memo
     def below_top(lam: Weight) -> Combination:
         return fold({lam: {0: 1}}, links[1:])
 
     return expand, atomic, below_top
 
 
-def dominant_memo(fn, maxsize: Optional[int] = None):
-    """fn of one weight, memoized by lru_cache(maxsize) behind check_dominant,
-    which a lookup alone would skip: (2.0, 1) equals and hashes like (2, 1)."""
-    memo = lru_cache(maxsize)(fn)
+def dominant_memo(fn):
+    """fn of one weight, keeping the one result asked for last (lru_cache(1)),
+    behind check_dominant, since (2.0, 1) equals and hashes like (2, 1)."""
+    memo = lru_cache(1)(fn)
     checked = update_wrapper(lambda lam: check_dominant(lam) or memo(lam), fn)
     checked.cache_info, checked.cache_clear = memo.cache_info, memo.cache_clear
     return checked

@@ -167,9 +167,7 @@ def dimension_by_orbits(lam: Weight) -> int:
 
 # Defined here rather than in checks: the benchmark's tracer marks the end of
 # each check run, one per weight in the sweep, by hooking its construction.
-# It sees only the runs of the calling process: a sweep's forked children end
-# with os._exit and report only their exit status; a shard that did not pass
-# runs again in the calling process.
+# It sees only the runs of the calling process, not a forked child's.
 class CheckResult:
     """The outcome of one named check, with a detail string."""
 

@@ -166,17 +166,22 @@ X_SINGLE = {
 }
 
 
+def _index_set(I) -> tuple[int, ...]:
+    """I, a set of ints in {2,3,4,5}, as an ascending tuple (INDEX_SUBSETS)."""
+    idx = set(I)
+    if not idx <= {2, 3, 4, 5}:
+        raise ValueError(f"index set must be a subset of {{2,3,4,5}}, got {I!r}")
+    for i in idx:
+        check_level(i, 5)  # refuses 3.0, which equals 3
+    return tuple(sorted(idx))
+
+
 def x_I_member(I: frozenset | set | tuple | list, lam: Weight) -> bool:
     """Whether lam lies in X_I, defined recursively on the index set I:
     X_empty is everything, and for i0 = min I, lam is in X_I when lam is in
     X_{i0} and lam - gamma_{i0} is in X_{I minus i0}."""
     check_dominant(lam)
-    idx = sorted(set(I))
-    if any(i not in (2, 3, 4, 5) for i in idx):
-        raise ValueError(f"index set must be a subset of {{2,3,4,5}}, got {I!r}")
-    for i in idx:
-        check_level(i, 5)
-    return x_I_walk(X_I_STEPS[tuple(idx)][0], *lam)
+    return x_I_walk(X_I_STEPS[_index_set(I)][0], *lam)
 
 
 def x_I_walk(steps, a: int, b: int) -> bool:
@@ -199,41 +204,38 @@ INDEX_SUBSETS = tuple(
 )
 
 # Closed-form membership conditions for every subset of {2,3,4,5}, used only
-# as a cross-check of the recursion above.  Keys are frozensets; values take
-# the coordinates of lam.
-X_I_CLOSED: dict[frozenset, object] = {
-    frozenset(): lambda a, b: True,
-    frozenset({2}): lambda a, b: a > 1 and b > 0,
-    frozenset({3}): lambda a, b: a > 1,
-    frozenset({4}): lambda a, b: a > 2,
-    frozenset({5}): lambda a, b: b > 0,
-    frozenset({2, 3}): lambda a, b: a > 1 and b > 0,
-    frozenset({2, 4}): lambda a, b: a > 1 and b > 0,
-    frozenset({2, 5}): lambda a, b: a > 1 and b > 1,
-    frozenset({3, 4}): lambda a, b: a > 3,
-    frozenset({3, 5}): lambda a, b: a > 1 and b > 0,
-    frozenset({4, 5}): lambda a, b: a > 2,
-    frozenset({2, 3, 4}): lambda a, b: a > 2 and b > 0,
-    frozenset({2, 3, 5}): lambda a, b: a > 1 and b > 1,
-    frozenset({2, 4, 5}): lambda a, b: a > 1 and b > 0,
-    frozenset({3, 4, 5}): lambda a, b: a > 3,
-    frozenset({2, 3, 4, 5}): lambda a, b: a > 2 and b > 0,
+# as a cross-check of the recursion above.  Keys are the tuples of
+# INDEX_SUBSETS; values take the coordinates of lam.
+X_I_CLOSED: dict[tuple[int, ...], object] = {
+    (): lambda a, b: True,
+    (2,): lambda a, b: a > 1 and b > 0,
+    (3,): lambda a, b: a > 1,
+    (4,): lambda a, b: a > 2,
+    (5,): lambda a, b: b > 0,
+    (2, 3): lambda a, b: a > 1 and b > 0,
+    (2, 4): lambda a, b: a > 1 and b > 0,
+    (2, 5): lambda a, b: a > 1 and b > 1,
+    (3, 4): lambda a, b: a > 3,
+    (3, 5): lambda a, b: a > 1 and b > 0,
+    (4, 5): lambda a, b: a > 2,
+    (2, 3, 4): lambda a, b: a > 2 and b > 0,
+    (2, 3, 5): lambda a, b: a > 1 and b > 1,
+    (2, 4, 5): lambda a, b: a > 1 and b > 0,
+    (3, 4, 5): lambda a, b: a > 3,
+    (2, 3, 4, 5): lambda a, b: a > 2 and b > 0,
 }
 
 
 def x_I_member_closed(I, lam: Weight) -> bool:
     """Closed-form version of x_I_member (cross-check only)."""
     check_dominant(lam)
-    key = frozenset(I)
-    if key not in X_I_CLOSED:
-        raise ValueError(f"index set must be a subset of {{2,3,4,5}}, got {I!r}")
-    return X_I_CLOSED[key](*lam)
+    return X_I_CLOSED[_index_set(I)](*lam)
 
 
 def gamma_sum(I) -> Weight:
     """Sum of gamma_i over i in I."""
     a = b = 0
-    for i in set(I):
+    for i in _index_set(I):
         g = GAMMA[i]
         a += g[0]
         b += g[1]

@@ -551,6 +551,25 @@ def test_atomic_a_heavy_peak_memory():
     assert int(maxrss) < 64 * 1024  # kilobytes on Linux
 
 
+def test_kostka_column_walk_peak_memory():
+    # Every memo keeps the one result asked for last, so a caller that walks
+    # the Kostka-Foulkes column over a box holds one column: about 13 MB,
+    # against 64 to 69 MB when that memo kept every column it was asked.
+    walk = """
+from g2atomic import kostka
+from g2atomic.lattice import dominant_box
+for lam in dominant_box(16, 16):
+    kostka.canonical_to_standard(lam)
+print(kostka.canonical_to_standard.cache_info().currsize)
+"""
+    proc = subprocess.run([sys.executable, "-c", _LEAN_LAUNCHER, sys.executable,
+                           "-c", walk], capture_output=True, check=True)
+    *_, code, maxrss = proc.stderr.split()
+    assert int(code) == 0, proc.stderr
+    assert int(maxrss) < 32 * 1024  # kilobytes on Linux
+    assert proc.stdout == b"1\n"  # the one column asked for last
+
+
 def test_import_path_is_lean():
     # The CLI module loads only what `atomic` runs; the package resolves its
     # public names on first use.

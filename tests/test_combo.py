@@ -1,7 +1,10 @@
 """Basis labels, combination arithmetic, substitution, display order."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import random
 import re
 from functools import cache
@@ -9,6 +12,7 @@ from functools import cache
 import pytest
 from hypothesis import example, given, strategies as st
 
+import g2atomic
 from g2atomic import adjusted, combo, precanonical
 from g2atomic.adjusted import adjusted2_in_atomic
 from g2atomic.adjusted import adjusted_expand_up
@@ -569,3 +573,20 @@ def _adjusted2_recursive(lam):
 def test_adjusted2_forward_matches_recursion():
     for lam in dominant_box(20, 20) + [(1, 150), (0, 300)]:
         assert adjusted2_in_atomic(lam) == _adjusted2_recursive(lam), lam
+
+
+def test_every_memo_keeps_one_result():
+    # One memo rule for the package: dominant_memo takes no size and keeps
+    # the one result asked for last.  Every submodule is scanned, so a memo
+    # added later must keep it too.
+    assert list(inspect.signature(combo.dominant_memo).parameters) == ["fn"]
+    sizes = {}
+    for info in pkgutil.iter_modules(g2atomic.__path__):
+        module = importlib.import_module(f"g2atomic.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert {"precanonical.atomic", "precanonical.level5_in_atomic",
+            "adjusted.atomic_second", "adjusted.level5_in_atomic",
+            "kostka.canonical_to_standard", "kostka.multiplicity_table"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size != 1} == {}

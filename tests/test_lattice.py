@@ -12,11 +12,12 @@ import pytest
 from g2atomic import adjusted, checks, kostka, precanonical
 from g2atomic.adjusted import atomic_second
 from g2atomic.checks import verify
-from g2atomic.lattice import (GAMMA, PHI_GEQ, POSITIVE_ROOTS, RHO,
-                              dominance_leq, dominant_below, dominant_box,
-                              dominant_rep, gamma_sum, height, is_dominant,
-                              linear_dominant, orbit_size, sub, to_root_coords,
-                              x_I_member, x_I_member_closed)
+from g2atomic.lattice import (GAMMA, INDEX_SUBSETS, PHI_GEQ, POSITIVE_ROOTS,
+                              RHO, X_I_CLOSED, X_I_STEPS, dominance_leq,
+                              dominant_below, dominant_box, dominant_rep,
+                              gamma_sum, height, is_dominant, linear_dominant,
+                              orbit_size, sub, to_root_coords, x_I_member,
+                              x_I_member_closed)
 
 
 # independent straightening oracle: explore the whole dot orbit
@@ -295,6 +296,12 @@ def test_x_I_member_closed_rejects_a_bad_index_set():
     for I in [{1}, (2, 6), {0, 3}]:
         with pytest.raises(ValueError, match="index set must be a subset"):
             x_I_member_closed(I, (2, 3))
+    # 3.0 equals 3, but the two share one validator, which refuses it
+    for I in [{2, 3.0}, [2, 3.0]]:
+        for member in (x_I_member, x_I_member_closed):
+            with pytest.raises(ValueError, match="^level must be in 2..5, got 3.0$"):
+                member(I, (3, 3))
+    assert set(X_I_CLOSED) == set(X_I_STEPS) == set(INDEX_SUBSETS)
 
 
 def test_x_I_membership_implies_dominant_shift():
@@ -310,6 +317,11 @@ def test_gamma_sum():
     assert gamma_sum(()) == (0, 0)
     assert gamma_sum({2, 3}) == (0, 1)
     assert gamma_sum({2, 3, 4, 5}) == (3, 1)
+    # the validator of x_I_member, not a KeyError or a float read as an int
+    with pytest.raises(ValueError, match="index set must be a subset"):
+        gamma_sum({6})
+    with pytest.raises(ValueError, match="^level must be in 2..5, got 3.0$"):
+        gamma_sum({2, 3.0})
 
 
 def test_dominant_below():

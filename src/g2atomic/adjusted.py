@@ -115,11 +115,10 @@ def adjusted2_in_atomic(lam: Weight) -> Combination:
 
 
 # Second atomic pipeline, the production route: the canonical element pushed
-# down the adjusted levels and the level-2 correction, then the tails.  Every
-# step is non-negative, so positivity holds by construction and nothing
-# cancels; the verification sweep checks it against the pre-canonical route.
-# level5_in_atomic(lam) starts below the top link: the adjusted level-5
-# element at lam in the atomic basis.
+# down the adjusted levels and the level-2 correction (CHAIN), then the
+# tails.  Every step is non-negative, so positivity holds by construction
+# and nothing cancels; the verification sweep checks it against the
+# pre-canonical route, below the top link (g2atomic.graded).
 
-to_atomic, atomic_second, level5_in_atomic = folded(
-    [_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2], _link2], _tails)
+CHAIN = [_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2], _link2]
+to_atomic, atomic_second = folded(CHAIN, _tails)

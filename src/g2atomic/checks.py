@@ -12,13 +12,15 @@ next.  Only the even column (over m) and the two Kostka-Foulkes paths
 modules at call time, so a tracing wrapper bound there sees every call.
 
 verify() checks the full atomic expansion at its weight; the sweep checks
-each route's much smaller level5_in_atomic, the fold below the top link.
+each route's much smaller fold below the top link, in ints (g2atomic.graded).
 Both top links send (a, b) to (a, b-1) with factor q, so atomic(a, b) is
-level5_in_atomic(a, b) + q*atomic(a, b-1), and by induction up each column
-the sweep's checks of it state what verify()'s state of atomic (the round
-trip with the level-5 definitional consistency).  This module keeps no
-memo; each memo it reads keeps the weight asked for last, so the checks at
-one weight share one fold per route, one column and one Freudenthal table.
+that fold, with q put back, plus q*atomic(a, b-1), and by induction up each
+column the sweep's checks of it state what verify()'s state of atomic (the
+round trip with the level-5 definitional consistency).  Positivity reads
+the ints, cross-approach compares the two routes' ints, and the round trip
+puts q back once.  This module keeps no memo; each memo it reads keeps the
+weight asked for last, so the checks at one weight share one fold per
+route, one column and one Freudenthal table.
 
 The sweep's loop runs row by row (a fixed), split across one process per
 CPU: the rows with a <= SMALL and the two box-level checks stay in the
@@ -38,9 +40,9 @@ import threading
 from functools import cache, partial
 from itertools import product
 
-from . import adjusted, kostka, precanonical
-from .combo import (ATOMIC, CANONICAL, Combination, check_atomic, combo_add,
-                    pre_canonical, single, substitute)
+from . import adjusted, graded, kostka, precanonical
+from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
+                    single, substitute)
 from .kostka import CheckResult
 from .lattice import (INDEX_SUBSETS, PHI_GEQ, POSITIVE_ROOTS, Weight,
                       check_dominant, dominance_leq, dominant_box, height,
@@ -190,19 +192,20 @@ def verify(lam: Weight) -> VerifyReport:
 # Box checks take the box as a list of weights in dominant_box order.
 
 def level5_positivity(lam: Weight) -> None:
-    check_atomic(lam, adjusted.level5_in_atomic(lam))
+    graded.check_positive(lam, graded.adjusted_level5(lam))
 
 
 def level5_cross_approach(lam: Weight) -> None:
     # the walks along the two top links, which check that each descends
     if precanonical.step_up(5, lam).terms != adjusted.adjusted_expand_up(5, lam).terms:
         raise AssertionError(f"the two routes' top links disagree at {lam!r}")
-    if adjusted.level5_in_atomic(lam) != precanonical.level5_in_atomic(lam):
+    if graded.adjusted_level5(lam) != graded.precanonical_level5(lam):
         raise AssertionError(f"the two atomic routes disagree at {lam!r}")
 
 
 def level5_roundtrip(lam: Weight) -> None:
-    if not inverts_definitional(lam, adjusted.level5_in_atomic(lam), 5):
+    x = graded.with_q(lam, graded.adjusted_level5(lam))
+    if not inverts_definitional(lam, x, 5):
         raise AssertionError(f"definitional expansion does not invert the "
                              f"pipeline at {lam!r}")
 

@@ -257,21 +257,16 @@ def folded(links: list[Link],
     through one push pass per link in turn, then hands them, fresh and so
     free to mutate, to the base map, which returns the atomic combination.
     Each level expands every weight once, so signed terms cancel before
-    they are expanded further.  Returns (expand, atomic, below_top):
+    they are expanded further.  Returns (expand, atomic):
 
     - expand(x) checks x (else ValueError) and folds it through every link;
     - atomic(lam) is expand at the canonical element at lam, checked by
-      check_atomic;
-    - below_top(lam) folds lam through every link but the top one.
+      check_atomic, and memoized by dominant_memo, so it keeps the one
+      result asked for last, which is not to be mutated: kostka_foulkes at
+      one lam and many mu folds lam once.
 
-    atomic and below_top are each memoized by dominant_memo, so each keeps
-    the one result asked for last, which is not to be mutated:
-    kostka_foulkes at one lam and many mu folds lam once, and the sweep's
-    three checks of below_top share one fold at each weight.
-
-    By linearity, when the top link leads from lam to u with factor c*q^d,
-    atomic(lam) is below_top(lam) plus c*q^d*atomic(u); when it leads
-    nowhere, the two are equal."""
+    The fold below the top link, which the verify sweep checks, is folded
+    in ints by g2atomic.graded."""
     def fold(terms: dict[Weight, Poly], links: list[Link]) -> Combination:
         for link in links:
             terms = push(terms, link)
@@ -292,11 +287,7 @@ def folded(links: list[Link],
         check_atomic(lam, x)
         return x
 
-    @dominant_memo
-    def below_top(lam: Weight) -> Combination:
-        return fold({lam: {0: 1}}, links[1:])
-
-    return expand, atomic, below_top
+    return expand, atomic
 
 
 def dominant_memo(fn):

@@ -216,10 +216,9 @@ def closed_form_4to3(lam: Weight) -> Combination:
 
 
 # Atomic pipeline, kept as the oracle for the adjusted route (which serves
-# production): the canonical combination pushed down the four chain links;
-# the level-2 basis is the atomic one.  level5_in_atomic(lam) pushes lam
-# down the three links below the top: the level-5 element at lam in the
-# atomic basis.
+# production): the canonical combination pushed down the four chain links
+# (CHAIN); the level-2 basis is the atomic one.  The verification sweep
+# checks it below the top link (g2atomic.graded).
 
-to_atomic, atomic, level5_in_atomic = folded(
-    [_link5, _link4, _link3, _link2], lambda terms: Combination(ATOMIC, terms))
+CHAIN = [_link5, _link4, _link3, _link2]
+to_atomic, atomic = folded(CHAIN, lambda terms: Combination(ATOMIC, terms))

@@ -13,9 +13,11 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from g2atomic import adjusted, checks, cli, kostka, precanonical
+from g2atomic import adjusted, checks, cli, graded, kostka, precanonical
 from g2atomic.combo import Combination, check_atomic
 from g2atomic.lattice import dominant_box
+
+from test_graded import one_more_q
 
 
 def _times_q(fn):
@@ -38,6 +40,11 @@ def _negated(fn):
     return wrong
 
 
+def _ints_times(k):
+    """How to make a fold below the top link, {w: n}, wrong: every n times k."""
+    return lambda fn: lambda lam: {w: k * n for w, n in fn(lam).items()}
+
+
 def _negated_and_checked(route):
     """An atomic route that builds the negated expansion and checks it, as
     the production route checks positivity while it builds."""
@@ -53,14 +60,14 @@ BREAKERS = {
     "precanonical.step-roundtrips": (precanonical, "inverse_step", _times_q),
     "precanonical.closed-forms": (precanonical, "closed_form_6to5", _times_q),
     "precanonical.definitional-consistency": (precanonical, "inverse_step", _times_q),
-    "precanonical.definitional-roundtrip": (adjusted, "level5_in_atomic", _times_q),
-    "precanonical.positivity": (adjusted, "level5_in_atomic", _negated),
+    "precanonical.definitional-roundtrip": (graded, "adjusted_level5", _ints_times(2)),
+    "precanonical.positivity": (graded, "adjusted_level5", _ints_times(-1)),
     "precanonical.even-column-closed-form": (precanonical, "step_up", _times_q),
     "adjusted.step-roundtrips": (adjusted, "adjusted_step_down", _times_q),
     "adjusted.canonical-consistency": (adjusted, "adjusted_step_down", _times_q),
     "adjusted.atomic-consistency": (adjusted, "adjusted2_in_atomic", _times_q),
     "adjusted.correction-identity": (adjusted, "adjusted2_in_atomic", _times_q),
-    "adjusted.cross-approach": (precanonical, "level5_in_atomic", _times_q),
+    "adjusted.cross-approach": (graded, "precanonical_level5", _ints_times(2)),
     "lattice.membership-tables":
         (checks, "x_I_member_closed", lambda f: lambda I, lam: not f(I, lam)),
     "kostka.two-paths": (kostka, "kostka_foulkes", _times_q),
@@ -175,7 +182,7 @@ def test_sweep_folds_each_weight_once_below_the_top_link(monkeypatch):
     for module, attr in ((precanonical, "atomic"), (adjusted, "atomic_second"),
                          (kostka, "atomic")):
         recorded(module, attr)
-    folds = (precanonical.level5_in_atomic, adjusted.level5_in_atomic)
+    folds = (graded.precanonical_level5, graded.adjusted_level5)
     for memo in (*folds, kostka.canonical_to_standard, kostka.multiplicity_table):
         memo.cache_clear()
     assert all(r.ok for r in checks.sweep(12, 12))
@@ -322,15 +329,36 @@ def test_canonical_consistency_agrees_across_the_fork(monkeypatch, bad, least):
 def test_fold_below_the_top_link_agrees_across_the_fork(monkeypatch, bad, least):
     # The same with the adjusted route's fold below the top link wrong: each
     # of the three checks that read it reports the least of those weights
-    f = adjusted.level5_in_atomic
-    wrong = _times_q(f)
-    monkeypatch.setattr(adjusted, "level5_in_atomic",
+    f = graded.adjusted_level5
+    wrong = _ints_times(2)(f)
+    monkeypatch.setattr(graded, "adjusted_level5",
                         lambda lam: (wrong if lam in bad else f)(lam))
     assert _failures_on_one_and_three_cpus(monkeypatch) == {
         "precanonical.definitional-roundtrip":
             f"definitional expansion does not invert the pipeline at {least!r}",
         "precanonical.positivity": f"atomic expansion at {least!r} is not unitriangular",
         "adjusted.cross-approach": f"the two atomic routes disagree at {least!r}"}
+
+
+@_WRONG_AT
+def test_wrong_power_of_q_below_the_top_agrees_across_the_fork(monkeypatch, bad, least):
+    # The same with the adjusted route folded, at those weights, through a
+    # level-2 correction link that carries q^(d+1): the fold raises at its
+    # first such step, and each of the three checks reports that at the
+    # least of those weights
+    f = graded.adjusted_level5
+    wrong = graded.below_top(adjusted.CHAIN[:-1] + [one_more_q(adjusted._link2)],
+                             graded.tails)
+    monkeypatch.setattr(graded, "adjusted_level5",
+                        lambda lam: (wrong if lam in bad else f)(lam))
+    with pytest.raises(RuntimeError, match=r"^chain link from .* carries q\^\d+, "
+                                           r"not q\^\d+, its drop in r2$") as raised:
+        wrong(least)
+    detail = str(raised.value)
+    assert _failures_on_one_and_three_cpus(monkeypatch) == {
+        "precanonical.definitional-roundtrip": detail,
+        "precanonical.positivity": detail,
+        "adjusted.cross-approach": detail}
 
 
 def test_top_link_that_does_not_descend_fails_cross_approach(monkeypatch):

@@ -448,21 +448,18 @@ def test_fold_rejects_weights_outside_the_cone():
 
 
 def _fresh_folds():
-    """(name, links, expand, atomic, below_top) for new folds of both
-    routes, which no other test can have warmed; for the pre-canonical
-    route under a top link with factor 2q; and for the step (a, b) ->
-    (a, b-1) with factor q, then the same step with factor -q, over the
-    identity base map.  There atomic(a, b) is N(a, b) + q^2 atomic(a, b-2),
-    so the shifted neighbour cancels the part below the top link at
-    (a, b-1), (a, b-3), and so on."""
-    pre = [precanonical._LINKS[i] for i in (5, 4, 3, 2)]
-    adj = [adjusted._LINKS[k] for k in (5, 4, 3, 2)] + [adjusted._link2]
-    step = lambda c: lambda a, b: ((a, b - 1), 1, c) if b >= 1 else None
+    """(name, expand, atomic) for new folds of both routes, which no other
+    test can have warmed; for the pre-canonical route under a top link with
+    factor 2q; and for the step (a, b) -> (a, b-1) with factor q, then the
+    same step with factor -q, over the identity base map.  There atomic(a, b)
+    is N(a, b) + q^2 atomic(a, b-2)."""
     as_atomic = lambda terms: Combination(ATOMIC, terms)
-    folds = [("precanonical", pre, as_atomic), ("adjusted", adj, adjusted._tails),
-             ("doubled-top", [step(2)] + pre[1:], as_atomic),
+    step = lambda c: lambda a, b: ((a, b - 1), 1, c) if b >= 1 else None
+    folds = [("precanonical", precanonical.CHAIN, as_atomic),
+             ("adjusted", adjusted.CHAIN, adjusted._tails),
+             ("doubled-top", [step(2)] + precanonical.CHAIN[1:], as_atomic),
              ("signed-second", [step(1), step(-1)], as_atomic)]
-    return [(name, links, *combo.folded(links, base)) for name, links, base in folds]
+    return [(name, *combo.folded(links, base)) for name, links, base in folds]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "column"])
@@ -479,7 +476,7 @@ def test_reused_neighbours_do_not_show(order):
         random.Random(14).shuffle(box)
     elif order == "column":
         box = [(0, b) for b in range(41)]
-    for name, _, to_atomic, atomic_at, _ in _fresh_folds():
+    for name, to_atomic, atomic_at in _fresh_folds():
         seen, before = {}, {}
         for lam in box:
             below = [w for w in walk(precanonical._link5, lam, CANONICAL).terms
@@ -491,35 +488,6 @@ def test_reused_neighbours_do_not_show(order):
             shared = {id(p) for w in below for p in seen[w].terms.values()}
             assert not shared & {id(p) for p in got.terms.values()}, (name, lam)
             seen[lam], before[lam] = got, copy.deepcopy(got.terms)
-
-
-def test_expansion_is_its_fold_below_the_top_link_plus_the_shifted_neighbour():
-    # By linearity, atomic(lam) is below_top(lam) plus c*q^d*atomic(u) when
-    # the top link leads to u, and below_top(lam) when it leads nowhere.
-    # The sweep checks below_top alone and rests on this.  On both routes
-    # the top link is (a, b) -> (a, b-1) with factor q, and every
-    # coefficient below it is a single monomial c*q^e with c >= 1.
-    for name, links, _, atomic_at, below_top in _fresh_folds():
-        for lam in dominant_box(10, 10):
-            x = below_top(lam)
-            validate(x)
-            assert below_top(lam) is x, (name, lam)  # the memo's own result
-            want = dict(atomic_at(lam).terms)
-            step = links[0](*lam)
-            if step is not None:
-                u, d, c = step
-                for w, p in atomic_at(u).terms.items():
-                    want[w] = poly_add(want.get(w, {}), poly_mul({d: -c}, p))
-            assert x.terms == {w: p for w, p in want.items() if p}, (name, lam)
-            if name in ("precanonical", "adjusted"):
-                a, b = lam
-                assert step == (((a, b - 1), 1, 1) if b else None), (name, lam)
-                assert all(len(p) == 1 and min(p.values()) >= 1
-                           for p in x.terms.values()), (name, lam)
-    for module, fold in zip((precanonical, adjusted), _fresh_folds()):
-        assert module.level5_in_atomic((3, 5)) == fold[4]((3, 5))
-        with pytest.raises(ValueError, match="not dominant"):
-            module.level5_in_atomic((-1, 2))
 
 
 @pytest.mark.parametrize("change, message", [
@@ -586,7 +554,7 @@ def test_every_memo_keeps_one_result():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert {"precanonical.atomic", "precanonical.level5_in_atomic",
-            "adjusted.atomic_second", "adjusted.level5_in_atomic",
+    assert {"precanonical.atomic", "graded.precanonical_level5",
+            "adjusted.atomic_second", "graded.adjusted_level5",
             "kostka.canonical_to_standard", "kostka.multiplicity_table"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size != 1} == {}

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from g2atomic import adjusted, checks, kostka, precanonical
+from g2atomic import adjusted, checks, graded, kostka, precanonical
 from g2atomic.checks import VerifyReport, verify
 from g2atomic.combo import ATOMIC, CANONICAL, STANDARD, Combination, substitute
 from g2atomic.kostka import (CheckResult, atomic_to_standard,
@@ -205,7 +205,8 @@ def test_inverts_definitional_matches_substitute(lam, level, edit):
     # element at lam, and the same with one coefficient edited at any
     # dominant weight below lam: the factored check gives the verdict of
     # substituting the independent definitional oracle term by term.
-    real = (adjusted.atomic_second if level == 6 else adjusted.level5_in_atomic)(lam)
+    real = (adjusted.atomic_second(lam) if level == 6
+            else graded.with_q(lam, graded.adjusted_level5(lam)))
     terms = {w: dict(p) for w, p in real.terms.items()}
     if edit is not None:
         i, e, d = edit

@@ -9,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from g2atomic import adjusted, checks, kostka, precanonical
+from g2atomic import checks, graded, kostka, precanonical
 from g2atomic.adjusted import atomic_second
 from g2atomic.checks import verify
 from g2atomic.lattice import (GAMMA, INDEX_SUBSETS, PHI_GEQ, POSITIVE_ROOTS,
@@ -378,8 +378,8 @@ def test_library_weights_are_pairs_of_ints():
         call((-3, 1))
     # (2.0, 1) equals and hashes like (2, 1), so each weight memo checks the
     # weight before its lookup, not only on a miss.
-    for memo in (atomic_second, precanonical.atomic, adjusted.level5_in_atomic,
-                 precanonical.level5_in_atomic, kostka.canonical_to_standard,
+    for memo in (atomic_second, precanonical.atomic, graded.adjusted_level5,
+                 graded.precanonical_level5, kostka.canonical_to_standard,
                  kostka.multiplicity_table):
         memo((2, 1))
         with pytest.raises(ValueError, match=r"weight \(2.0, 1\) is not two ints"):

@@ -55,7 +55,7 @@ from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coe
 SMALL = 6
 
 # The largest sweep bound, checked before the box is built; the 40x40 box
-# takes about 13 s on two CPUs and 23 s on one (README, Limits).
+# takes 4.2 to 4.6 s on two CPUs and 7.8 to 8.5 s on one (README, Limits).
 MAX_BOX = 40
 
 

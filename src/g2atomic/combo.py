@@ -56,12 +56,11 @@ def _label(kind: str, level: Optional[int] = None) -> BasisLabel:
 
 CANONICAL, STANDARD, ATOMIC = map(_label, ("canonical", "standard", "atomic"))
 
-# Every basis, keyed by (kind, level) and by its string.  Level 6 of either
-# family maps to CANONICAL and has no string of its own.
+# Every basis, keyed by (kind, level).  Level 6 of either family maps to
+# CANONICAL.
 _LABELS = {(x.kind, None): x for x in (CANONICAL, STANDARD, ATOMIC)}
 _LABELS.update({(kind, i): CANONICAL if i == 6 else _label(kind, i)
                 for kind in ("precanonical", "adjusted") for i in (2, 3, 4, 5, 6)})
-_LABELS.update({str(x): x for x in _LABELS.values()})
 
 
 def pre_canonical(i: int) -> BasisLabel:
@@ -70,14 +69,6 @@ def pre_canonical(i: int) -> BasisLabel:
 
 def adjusted_label(k: int) -> BasisLabel:
     return BasisLabel("adjusted", k)
-
-
-def parse_basis(s: str) -> BasisLabel:
-    """Inverse of str(label)."""
-    label = _LABELS.get(s) if isinstance(s, str) else None
-    if label is None:
-        raise ValueError(f"unknown basis label {s!r}")
-    return label
 
 
 class Combination:

@@ -49,10 +49,6 @@ PHI_GEQ: dict[int, tuple[Weight, ...]] = {
 }
 
 
-def sub(u: Weight, w: Weight) -> Weight:
-    return (u[0] - w[0], u[1] - w[1])
-
-
 def to_root_coords(w: Weight) -> RootCoords:
     """Coefficients of w on the simple roots (alpha1, alpha2)."""
     a, b = w

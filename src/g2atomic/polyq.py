@@ -58,25 +58,3 @@ def degree(p: Poly):
 def leading_coeff(p: Poly) -> int:
     return p[max(p)] if p else 0
 
-
-def two_ints(field: str, v) -> tuple[int, int]:
-    """v, a serialized weight or pair, as exactly two ints (not bools)."""
-    if not (isinstance(v, (list, tuple)) and len(v) == 2
-            and type(v[0]) is int and type(v[1]) is int):
-        raise ValueError(f"serialized {field} {v!r} is not two ints")
-    return v[0], v[1]
-
-
-def from_pairs(pairs) -> Poly:
-    """Inverse of the JSON [exponent, coefficient] pairs.  Rejects entries
-    other than two ints, duplicate exponents and zero coefficients, so that
-    serialized form stays canonical."""
-    out: Poly = {}
-    for pair in pairs:
-        e, c = two_ints("pair", pair)
-        if c == 0:
-            raise ValueError("zero coefficient in serialized polynomial")
-        if e in out:
-            raise ValueError("duplicate exponent in serialized polynomial")
-        out[e] = c
-    return out

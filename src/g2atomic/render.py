@@ -1,4 +1,4 @@
-"""Rendering of results as text, LaTeX and JSON, and the JSON inverse.
+"""Rendering of results as text, LaTeX and JSON.
 
 Text and LaTeX share one renderer driven by a style table; they differ
 only in its entries: the exponent format, the separator between a
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .combo import BasisLabel, Combination, parse_basis, sorted_support
-from .lattice import Weight, check_dominant
-from .polyq import Poly, from_pairs, two_ints
+from .combo import BasisLabel, Combination, sorted_support
+from .lattice import Weight
+from .polyq import Poly
 
 
 class _Style(NamedTuple):
@@ -148,27 +148,3 @@ def _terms(x: Combination, order: list[Weight],
             coeff = f"+ ({_sum(p, mono)}){sep}"
         yield f"{coeff}{before}{w[0]},{w[1]}{after}"
 
-
-def _weight(v) -> Weight:
-    lam = two_ints("weight", v)
-    check_dominant(lam)
-    return lam
-
-
-def combination_from_json(obj) -> tuple[Combination, Weight]:
-    """Inverse of the JSON rendering; returns the combination and the
-    designated weight.  Malformed input raises ValueError."""
-    try:
-        basis = parse_basis(obj["basis"])
-        lam = _weight(obj["weight"])
-        terms = {}
-        for entry in obj["terms"]:
-            w = _weight(entry["weight"])
-            if w in terms:
-                raise ValueError(f"duplicate weight {w!r} in serialized combination")
-            if not entry["poly"]:
-                raise ValueError(f"empty poly at {w!r} in serialized combination")
-            terms[w] = from_pairs(entry["poly"])
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed serialized combination: {exc!r}") from None
-    return Combination(basis, terms), lam

@@ -11,13 +11,13 @@ import sys
 import time
 
 from g2atomic.adjusted import atomic_second
-from g2atomic.combo import CANONICAL, substitute
+from g2atomic.combo import ATOMIC, CANONICAL, STANDARD, Combination, substitute
 from g2atomic.kostka import (dimension_by_orbits, freudenthal_multiplicity,
                              kostka_foulkes, weyl_dimension)
 from g2atomic.lattice import (X_I_CLOSED, dominance_leq, dominant_below,
                               dominant_box, height, x_I_member,
                               x_I_member_closed)
-from g2atomic.polyq import eval_at_one, degree, from_pairs, leading_coeff
+from g2atomic.polyq import eval_at_one, degree, leading_coeff
 from g2atomic.precanonical import (atomic, closed_form_3to2, closed_form_4to3,
                                    closed_form_5to4, closed_form_6to5,
                                    defn_precanonical, inverse_step, step_up)
@@ -49,7 +49,7 @@ def test_criterion_01_atomic_expansion_cli():
     def run():
         proc = _cli("atomic", "2", "4", "--format", "json")
         obj = json.loads(proc.stdout)
-        got = {tuple(t["weight"]): from_pairs(t["poly"]) for t in obj["terms"]}
+        got = {tuple(t["weight"]): {e: c for e, c in t["poly"]} for t in obj["terms"]}
         assert got == REF_ATOMIC_24
         assert [tuple(t["weight"]) for t in obj["terms"]] == REF_ORDER_24
         assert got[(2, 2)] == {4: 2, 3: 1, 2: 1}
@@ -61,7 +61,7 @@ def test_criterion_01_atomic_expansion_cli():
 def test_criterion_02_kostka_foulkes_cli():
     def run():
         proc = _cli("kf", "6", "9", "3", "2", "--format", "json")
-        poly = from_pairs(json.loads(proc.stdout)["poly"])
+        poly = {e: c for e, c in json.loads(proc.stdout)["poly"]}
         assert poly == REF_KF_69_32
         assert poly[44] == 1 and poly[38] == 9
         assert poly[20] == 51 and poly[9] == 1
@@ -183,11 +183,15 @@ def test_criterion_10_determinism_and_roundtrip():
         for cmd in cmds:
             a, b = _cli(*cmd), _cli(*cmd)
             assert a.stdout == b.stdout and a.stdout, cmd
-        from g2atomic.render import combination_from_json, combination_parts
+        from g2atomic.render import combination_parts
+        labels = {str(x): x for x in (ATOMIC, STANDARD, CANONICAL)}
         for cmd in cmds[:1] + cmds[4:6]:
             out = _cli(*cmd).stdout.decode()
             obj = json.loads(out)
-            x, lam = combination_from_json(obj)
+            terms = {tuple(t["weight"]): {e: c for e, c in t["poly"]}
+                     for t in obj["terms"]}
+            x = Combination(labels[obj["basis"]], terms)
+            lam = tuple(obj["weight"])
             again = "".join(combination_parts(x, CANONICAL, lam, "json"))
             assert again == out.rstrip("\n"), cmd
     _criterion(10, "byte-identical CLI reruns and lossless JSON round trip",

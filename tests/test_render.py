@@ -1,16 +1,12 @@
 """The one-pass renderer against the generator-based renderer it replaced,
-the direct JSON writer against the json.dumps tree it replaced, and the
-JSON inverse on malformed input."""
+and the direct JSON writer against the json.dumps tree it replaced."""
 
 import json
-import re
 
-import pytest
 from hypothesis import given, strategies as st
 
-from g2atomic.combo import ATOMIC, BasisLabel, Combination, sorted_support
-from g2atomic.render import (combination_from_json, combination_parts,
-                             json_pairs, render_poly)
+from g2atomic.combo import BasisLabel, Combination, sorted_support
+from g2atomic.render import combination_parts, json_pairs, render_poly
 
 
 # The renderer as it was before it built monomials from per-call tables,
@@ -137,53 +133,3 @@ def test_render_poly_zero_and_negative_lead():
     assert render_poly({3: -1, 0: 2}, "text") == "-q^3 + 2"
     assert render_poly({1: -4, 0: -1}, "latex") == "-4q - 1"
 
-
-def _serialized(weight=(2, 1), term_weight=(1, 1), poly=((0, 1),)):
-    return {"basis": "atomic", "weight": list(weight),
-            "terms": [{"weight": list(term_weight), "poly": [list(e) for e in poly]}]}
-
-
-def test_combination_from_json_rejects_malformed():
-    x, lam = combination_from_json(_serialized())
-    assert (x, lam) == (Combination(ATOMIC, {(1, 1): {0: 1}}), (2, 1))
-    for obj in [
-        _serialized(poly=[(1.5, 2.9)]),      # floats are not truncated
-        _serialized(poly=[(1, 2.0)]),
-        _serialized(poly=[("7", 1)]),        # nor strings parsed
-        _serialized(poly=[(1, True)]),       # nor bools read as ints
-        _serialized(poly=[(1, 0)]),
-        _serialized(poly=[(1, 2), (1, 3)]),
-        _serialized(poly=[(1, 2, 3)]),
-        _serialized(term_weight=(1.9, 0)),
-        _serialized(term_weight=("7", 0)),
-        _serialized(term_weight=(True, 0)),
-        _serialized(term_weight=(-3, 0)),    # not dominant
-        _serialized(term_weight=(1, 2, 3)),
-        _serialized(weight=(0, -1)),
-        _serialized(weight=(2.0, 1)),
-        {"basis": "atomic", "weight": [2, 1], "terms": [{"weight": [1, 1]}]},
-        {"basis": "borel", "weight": [2, 1], "terms": []},
-        {"basis": "adjusted( 4)", "weight": [2, 1], "terms": []},
-        {"basis": 7, "weight": [2, 1], "terms": []},
-        {"weight": [2, 1], "terms": []},
-        {"basis": "atomic", "weight": 5, "terms": []},
-        [],
-    ]:
-        with pytest.raises(ValueError):
-            combination_from_json(obj)
-
-
-@pytest.mark.parametrize("obj, message", [
-    (_serialized(weight=(1, 2, 3)), "serialized weight [1, 2, 3] is not two ints"),
-    (_serialized(weight=(4,)), "serialized weight [4] is not two ints"),
-    (_serialized(term_weight=(1, 1, 0)), "serialized weight [1, 1, 0] is not two ints"),
-    (_serialized(poly=[(0, 1, 2)]), "serialized pair [0, 1, 2] is not two ints"),
-    (_serialized(poly=[(0,)]), "serialized pair [0] is not two ints"),
-    (_serialized(poly=[]), "empty poly at (1, 1)"),
-    ({"basis": "atomic", "weight": [2, 1],
-      "terms": [{"weight": [1, 1], "poly": [[0, 1]]}, {"weight": [1, 1], "poly": [[2, 1]]}]},
-     "duplicate weight (1, 1)"),
-])
-def test_combination_from_json_names_the_bad_field(obj, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        combination_from_json(obj)

@@ -1,4 +1,5 @@
-"""The sources parse as the oldest Python that pyproject.toml allows."""
+"""The sources parse as the oldest Python that pyproject.toml allows, and
+every definition in them is called or exported."""
 
 import ast
 import pathlib
@@ -16,3 +17,45 @@ def test_sources_parse_as_the_oldest_python_allowed():
     assert len(sources) > 20
     for path in sources:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def _references(tree: ast.Module, module: str) -> set:
+    """(module, name) for each name that tree refers to: by name in its own
+    module, through `from .mod import name`, and as `mod.name` after
+    `from . import mod`."""
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    found.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add((module, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def test_every_definition_is_referenced_or_public():
+    # code that no code in src/ calls and the package does not export is
+    # dead; the console entry is called from pyproject.toml instead, and a
+    # dunder such as the package's __getattr__ by Python itself
+    import g2atomic
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in ROOT.glob("src/g2atomic/*.py")}
+    defined = {(module, node.name) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("__")}
+    referenced = set().union(*(_references(tree, module)
+                               for module, tree in trees.items()))
+    public = {(module, name) for module, names in g2atomic._PUBLIC.items()
+              for name in names}
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    entry = re.search(r'^g2atomic = "g2atomic\.(\w+):(\w+)"$', pyproject, re.M)
+    assert entry and entry.groups() == ("cli", "entry")
+    assert sorted(defined - referenced - public - {entry.groups()}) == []

@@ -18,13 +18,15 @@ that fold, with q put back, plus q*atomic(a, b-1), and by induction up each
 column the sweep's checks of it state what verify()'s state of atomic (the
 round trip with the level-5 definitional consistency).  Positivity reads
 the ints, cross-approach compares the two routes' ints, and the round trip
-puts q back once.  This module keeps no memo; each memo it reads keeps the
-weight asked for last, so the checks at one weight share one fold per
-route, one column and one Freudenthal table.
+straightens the ints and puts q back once, at the end (graded.in_canonical).
+This module keeps no memo; each memo it reads keeps the weight asked for
+last, so the checks at one weight share one fold per route, one column and
+one Freudenthal table.
 
 The sweep's loop runs row by row (a fixed), split across one process per
-CPU: the rows with a <= SMALL and the two box-level checks stay in the
-calling process, and forked children run the other rows and report only
+CPU: the rows with a <= SMALL, the small-box checks and the two box-level
+checks stay in the calling process, which takes fewer of the other rows
+for that work (_shards), and forked children run the rest and report only
 whether every check passed there.  A shard that did not pass runs again
 in the calling process, so run() there forms every result.  The outcome
 of a check is its failure at the least weight, (a, b) ordered as a tuple,
@@ -55,7 +57,7 @@ from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coe
 SMALL = 6
 
 # The largest sweep bound, checked before the box is built; the 40x40 box
-# takes 4.2 to 4.6 s on two CPUs and 7.8 to 8.5 s on one (README, Limits).
+# takes 3.2 to 4.9 s on two CPUs and 5.7 to 6.8 s on one (README, Limits).
 MAX_BOX = 40
 
 
@@ -101,22 +103,21 @@ def cross_approach(lam: Weight) -> None:
         raise AssertionError(f"the two atomic routes disagree at {lam!r}")
 
 
-def inverts_definitional(lam: Weight, x: Combination, level: int) -> bool:
-    """Whether x, in the atomic basis, is the expansion of the pre-canonical
-    element of the given level at lam, level 6 being the canonical one:
-    substituting the definitional expansion of each atomic element must give
-    back exactly the definitional expansion of that element, which reads no
+def inverts_definitional(lam: Weight, x: Combination) -> bool:
+    """Whether x, in the atomic basis, is the expansion of the canonical
+    element at lam: substituting the definitional expansion of each atomic
+    element must give back exactly the canonical element, which reads no
     link.
 
     Substitution and straightening are both linear, so the whole of x goes
     through precanonical.straightened once, the kernel that defines each
     atomic element, instead of one expansion per term."""
     back = precanonical.straightened(x.terms, PHI_GEQ[2])
-    return back == precanonical.defn_precanonical(level, lam)
+    return back == precanonical.defn_precanonical(6, lam)
 
 
 def definitional_roundtrip(lam: Weight) -> None:
-    if not inverts_definitional(lam, adjusted.atomic_second(lam), 6):
+    if not inverts_definitional(lam, adjusted.atomic_second(lam)):
         raise AssertionError(f"definitional expansion does not invert the "
                              f"pipeline at {lam!r}")
 
@@ -204,8 +205,8 @@ def level5_cross_approach(lam: Weight) -> None:
 
 
 def level5_roundtrip(lam: Weight) -> None:
-    x = graded.with_q(lam, graded.adjusted_level5(lam))
-    if not inverts_definitional(lam, x, 5):
+    x = graded.in_canonical(lam, graded.adjusted_level5(lam))
+    if x != precanonical.defn_precanonical(5, lam):
         raise AssertionError(f"definitional expansion does not invert the "
                              f"pipeline at {lam!r}")
 
@@ -366,18 +367,37 @@ BOX_CHECKS = [
 ]
 
 
+# The work that only the calling process does, the small-box checks and the
+# two box-level checks, in _shards' unit (a weight's height) per pair of
+# weights of the small box: kostka.two-paths, the largest part, is quadratic
+# in it.  Measured by timing each run() of a one-process sweep (the least of
+# 5 sweeps, 2-vCPU host, Python 3.11.7) and dividing by the 19 to 21 us per
+# unit of the other rows: 3,800 to 4,300 units (80 to 90 ms) from the 12x12
+# box to the 24x24 box (2,401 pairs), 500 at 40x2 (441) and 85 at 40x0 (49).
+# The rows a <= SMALL cost about 10% more per unit than the others, which
+# adds about 500 at 16x16.  Of the splits that loads from 0 to 7,000 give,
+# the same timings rate the one this load gives the fastest at 16x16, 20x20
+# and 24x24.
+FIXED_PER_PAIR = 1.7
+
+
+def _fixed_load(max_a: int, max_b: int) -> float:
+    return FIXED_PER_PAIR * ((min(max_a, SMALL) + 1) * (min(max_b, SMALL) + 1)) ** 2
+
+
 def _shards(max_a: int, max_b: int, k: int) -> list[list[int]]:
     """The rows a of the box, split into at most k shards, each in
     increasing a.  Shard 0 runs in the calling process, which also runs
-    the two box-level checks, so it keeps the lightest rows, a <= SMALL;
-    a sweep without this pin was slower.  Each other row, heaviest first,
-    joins the shard with the least work so far, a weight's work taken as
-    its height.  Empty shards are dropped."""
+    the small-box checks and the two box-level checks, so it keeps the
+    lightest rows, a <= SMALL, and starts with that fixed load
+    (_fixed_load).  Each other row, heaviest first, joins the shard with
+    the least work so far, a weight's work taken as its height.  Empty
+    shards are dropped."""
     def work(a):
         return sum(height((a, b)) for b in range(max_b + 1))
 
     shards = [list(range(min(max_a, SMALL) + 1))] + [[] for _ in range(k - 1)]
-    load = [sum(map(work, shards[0]))] + [0] * (k - 1)
+    load = [sum(map(work, shards[0])) + _fixed_load(max_a, max_b)] + [0] * (k - 1)
     for a in range(max_a, SMALL, -1):
         i = load.index(min(load))
         shards[i].append(a)

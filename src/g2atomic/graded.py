@@ -7,7 +7,8 @@ atomic(a, b-1).  That fold is the level-5 element at lam in the atomic
 basis, and it is graded: every link below the top, on both routes, and
 every tail of the adjusted route carries q to its drop in r2.  So it is one
 monomial n*q^(r2(lam - w)) at each w, and this module folds only the ints
-n.  graded_push asserts that power of q at every step; with_q puts q back.
+n.  graded_push asserts that power of q at every step; in_canonical, the
+round trip's kernel, straightens the ints and puts q back once, at the end.
 
 Only the sweep (g2atomic.checks) imports this module.  atomic, expand and
 verify(lam) keep the polynomial fold of combo.folded.
@@ -16,8 +17,9 @@ verify(lam) keep the polynomial fold of combo.folded.
 from __future__ import annotations
 
 from . import adjusted, precanonical
-from .combo import ATOMIC, Combination, Link, _descend, dominant_memo
-from .lattice import Weight
+from .combo import CANONICAL, Combination, Link, _descend, dominant_memo
+from .lattice import PHI_GEQ, Weight, dominant_rep
+from .polyq import Poly
 
 
 def graded_push(terms: dict[Weight, int], link: Link) -> dict[Weight, int]:
@@ -101,11 +103,56 @@ precanonical_level5 = below_top(precanonical.CHAIN)
 adjusted_level5 = below_top(adjusted.CHAIN, tails)
 
 
-def with_q(lam: Weight, terms: dict[Weight, int]) -> Combination:
-    """The level-5 element at lam in the atomic basis, from the ints of its
-    fold below the top link: n*q^(r2(lam - w)) at each w."""
+# The roots of the atomic elements' factors (1 - q T_{-gamma}), split by
+# their r2: a root with r2 = 1 keeps the form n*q^(r - r2(w)) of the fold
+# below the top link, one with r2 = 2 writes one power of q below it.
+ONE_DROP = tuple(g for g in PHI_GEQ[2] if g[0] + 2 * g[1] == 1)
+TWO_DROP = tuple(g for g in PHI_GEQ[2] if g[0] + 2 * g[1] == 2)
+
+
+def in_canonical(lam: Weight, terms: dict[Weight, int]) -> Combination:
+    """The element whose fold below the top link at lam has the ints terms,
+    n*q^(r2(lam - w)) at each w, in the canonical basis:
+    precanonical.straightened of it times the factors over PHI_GEQ[2], with
+    q put back once, at the end.
+
+    Each factor of ONE_DROP keeps one int per weight: it subtracts the
+    ints, shifted by its root, from a copy of them.  The single factor of
+    TWO_DROP then adds a second grade, one power of q lower, and each
+    weight that did not cancel is straightened once in each grade, by
+    dominant_rep unless it is dominant already.  terms is not changed."""
+    y = terms
+    for ga, gb in ONE_DROP:
+        z = dict(y)
+        for (a, b), n in y.items():
+            if n:
+                u = a - ga, b - gb
+                z[u] = z.get(u, 0) - n
+        y = z
+    ((ga, gb),) = TWO_DROP
     r = lam[0] + 2 * lam[1]
-    return Combination(ATOMIC, {w: {r - w[0] - 2 * w[1]: n} for w, n in terms.items()})
+    acc: dict[Weight, Poly] = {}
+    for (a, b), n in y.items():
+        if not n:
+            continue  # cancelled
+        e = r - a - 2 * b
+        for w, f, c in (((a, b), e, n), ((a - ga, b - gb), e + 1, -n)):
+            if w[0] < 0 or w[1] < 0:
+                sd = dominant_rep(w)
+                if sd is None:
+                    continue
+                sign, w = sd
+                c *= sign
+            p = acc.get(w)
+            if p is None:
+                acc[w] = {f: c}
+                continue
+            c += p.get(f, 0)
+            if c:
+                p[f] = c
+            else:
+                del p[f]
+    return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
 
 
 def check_positive(lam: Weight, terms: dict[Weight, int]) -> None:

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from g2atomic import adjusted, checks, cli, graded, kostka, precanonical
 from g2atomic.combo import Combination, check_atomic
-from g2atomic.lattice import dominant_box
+from g2atomic.lattice import dominant_box, height
 
 from test_graded import one_more_q
 
@@ -265,6 +265,27 @@ def test_shards_split_the_rows(max_a, max_b, k):
     assert set(range(min(max_a, checks.SMALL) + 1)) <= set(shards[0])
     assert all(rows == sorted(rows) and rows for rows in shards)
     assert len(shards) <= k
+    if k == 2:
+        # the modelled loads, shard 0's with the calling process's fixed
+        # work, balance to within the heaviest row once the pinned rows and
+        # that fixed work leave the other rows at least half
+        def work(a):
+            return sum(height((a, b)) for b in range(max_b + 1))
+
+        fixed = checks._fixed_load(max_a, max_b)
+        pinned = sum(map(work, range(min(max_a, checks.SMALL) + 1))) + fixed
+        if pinned < (sum(map(work, range(max_a + 1))) + fixed) / 2:
+            loads = [sum(map(work, rows)) for rows in shards]
+            assert len(loads) == 2
+            assert abs(loads[0] + fixed - loads[1]) <= work(max_a)
+
+
+def test_fixed_load_scales_with_the_small_box():
+    # the 7x7 small box of every box from 6x6 up carries one fixed load,
+    # and a thin box a small part of it
+    assert checks._fixed_load(6, 6) == checks._fixed_load(16, 16) == checks._fixed_load(40, 40)
+    assert 3000 < checks._fixed_load(16, 16) < 5000
+    assert checks._fixed_load(40, 0) < checks._fixed_load(40, 2) < checks._fixed_load(16, 16) / 4
 
 
 def test_forked_sweep_equals_the_one_process_sweep(monkeypatch):

@@ -1,14 +1,16 @@
 """The fold below the top link in ints: every link below the top carries q
 to its drop in r2, the fold asserts it at each step, and with q put back
-the fold is what the polynomial fold gives."""
+the fold is what the polynomial fold gives; the round trip's kernel on the
+ints is precanonical.straightened with q put back."""
 
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from g2atomic import adjusted, combo, graded, precanonical
 from g2atomic.combo import ATOMIC, Combination
-from g2atomic.lattice import dominant_box, height
+from g2atomic.lattice import PHI_GEQ, dominant_box, height
 
 from test_polyq import poly_add, poly_mul
 
@@ -16,6 +18,12 @@ from test_polyq import poly_add, poly_mul
 def _r2(w):
     """The second root coordinate of w."""
     return w[0] + 2 * w[1]
+
+
+def with_q(lam, terms):
+    """The element of the atomic basis whose fold below the top link at lam
+    has the ints terms: n*q^(r2(lam - w)) at each w."""
+    return Combination(ATOMIC, {w: {_r2(lam) - _r2(w): n} for w, n in terms.items()})
 
 
 def one_more_q(link):
@@ -97,7 +105,7 @@ def test_expansion_is_its_fold_below_the_top_link_plus_the_shifted_neighbour():
                 u, d, c = step
                 for w, p in atomic_at(u).terms.items():
                     want[w] = poly_add(want.get(w, {}), poly_mul({d: -c}, p))
-            assert graded.with_q(lam, x).terms == {w: p for w, p in want.items() if p}, \
+            assert with_q(lam, x).terms == {w: p for w, p in want.items() if p}, \
                 (name, lam)
             if name != "doubled-top":
                 a, b = lam
@@ -182,3 +190,46 @@ def test_check_positive_rejects_each_fault(change, message):
     with pytest.raises(ValueError, match=re.escape(message)) as raised:
         graded.check_positive((2, 4), change(dict(terms)))
     assert str(raised.value).startswith("atomic expansion at (2, 4) ")
+
+
+def test_the_atomic_factors_split_by_their_drop_in_r2():
+    # gamma2, gamma3 and gamma4 drop r2 by 1, gamma5 by 2: read off PHI_GEQ[2]
+    assert len(graded.ONE_DROP) == 3 and len(graded.TWO_DROP) == 1
+    assert [*graded.ONE_DROP, *graded.TWO_DROP] == [*PHI_GEQ[2]]
+    assert {_r2(g) for g in graded.ONE_DROP} == {1}
+    assert {_r2(g) for g in graded.TWO_DROP} == {2}
+
+
+def _straightened_with_q(lam, terms):
+    return precanonical.straightened(with_q(lam, terms).terms, PHI_GEQ[2])
+
+
+def test_in_canonical_is_straightened_with_q_put_back():
+    # At every weight of the 24x24 box, on both routes: the kernel on the
+    # ints is the polynomial kernel on them with q put back, and both give
+    # the level-5 definitional expansion; the fold is left as it was
+    for lam in dominant_box(24, 24):
+        want = precanonical.defn_precanonical(5, lam)
+        for fold in (graded.adjusted_level5, graded.precanonical_level5):
+            terms = fold(lam)
+            before = dict(terms)
+            got = graded.in_canonical(lam, terms)
+            assert got == _straightened_with_q(lam, terms) == want, (fold, lam)
+            assert terms == before, (fold, lam)
+
+
+# Signed ints at weights near the walls, where the factors' images cancel,
+# and leave the dominant cone or fall on a wall.
+_near_walls = st.dictionaries(
+    st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 9)),
+              st.tuples(st.integers(0, 9), st.integers(0, 2))),
+    st.integers(-3, 3).filter(bool), max_size=12)
+
+
+@given(st.sampled_from(dominant_box(6, 6)), _near_walls)
+@example((0, 0), {(0, 0): 1, (0, 1): 1})  # gamma5's images of (0, 1) and (0, 0) meet
+@example((2, 1), {(1, 0): 1, (0, 1): -1, (2, 0): 2})
+def test_in_canonical_matches_straightened_near_the_walls(lam, terms):
+    before = dict(terms)
+    assert graded.in_canonical(lam, terms) == _straightened_with_q(lam, terms)
+    assert terms == before

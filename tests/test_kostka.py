@@ -20,6 +20,7 @@ from g2atomic.lattice import (PHI_GEQ, POSITIVE_ROOTS, dominance_leq,
 from g2atomic.polyq import degree, is_nonnegative
 
 from reference_data import REF_KF_69_32
+from test_graded import with_q
 from test_precanonical import defn_oracle
 from test_polyq import poly_add, poly_scale_qpow, poly_sub
 
@@ -204,21 +205,32 @@ def test_inverts_definitional_matches_substitute(lam, level, edit):
     # Real expansions of the canonical element (level 6) and of the level-5
     # element at lam, and the same with one coefficient edited at any
     # dominant weight below lam: the factored check gives the verdict of
-    # substituting the independent definitional oracle term by term.
-    real = (adjusted.atomic_second(lam) if level == 6
-            else graded.with_q(lam, graded.adjusted_level5(lam)))
-    terms = {w: dict(p) for w, p in real.terms.items()}
-    if edit is not None:
-        i, e, d = edit
-        below = dominant_below(lam)
-        p = terms.setdefault(below[i % len(below)], {})
-        p[e] = p.get(e, 0) + d
-        terms = {w: {f: c for f, c in r.items() if c} for w, r in terms.items()}
-        terms = {w: r for w, r in terms.items() if r}
-    x = Combination(ATOMIC, terms)
+    # substituting the independent definitional oracle term by term.  The
+    # level-5 element is the ints of its fold below the top link, checked
+    # through graded.in_canonical, so its edit changes the int at a weight.
+    below = dominant_below(lam)
+    if level == 6:
+        terms = {w: dict(p) for w, p in adjusted.atomic_second(lam).terms.items()}
+        if edit is not None:
+            i, e, d = edit
+            p = terms.setdefault(below[i % len(below)], {})
+            p[e] = p.get(e, 0) + d
+            terms = {w: {f: c for f, c in r.items() if c} for w, r in terms.items()}
+            terms = {w: r for w, r in terms.items() if r}
+        x = Combination(ATOMIC, terms)
+        got = checks.inverts_definitional(lam, x)
+    else:
+        ints = dict(graded.adjusted_level5(lam))
+        if edit is not None:
+            i, _, d = edit
+            w = below[i % len(below)]
+            ints[w] = ints.get(w, 0) + d
+            ints = {w: n for w, n in ints.items() if n}
+        x = with_q(lam, ints)
+        got = graded.in_canonical(lam, ints) == precanonical.defn_precanonical(5, lam)
     want = substitute(x, lambda w: Combination(CANONICAL, defn_oracle(2, w)),
                       basis=CANONICAL).terms == defn_oracle(level, lam)
-    assert checks.inverts_definitional(lam, x, level) == want
+    assert got == want
     assert want == (edit is None or edit[2] == 0)
 
 
@@ -272,7 +284,7 @@ def test_inverts_definitional_in_place_matches_copying(lam, edit):
     terms = {w: {e: c for e, c in p.items() if c} for w, p in terms.items()}
     x = Combination(ATOMIC, {w: p for w, p in terms.items() if p})
     before = {w: dict(p) for w, p in x.terms.items()}
-    got = checks.inverts_definitional(lam, x, 6)
+    got = checks.inverts_definitional(lam, x)
     assert x.terms == before
     assert got == _inverts_definitional_copying(lam, x)
     assert got == (edit is None)  # every edit changes x

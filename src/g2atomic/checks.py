@@ -23,15 +23,14 @@ This module keeps no memo; each memo it reads keeps the weight asked for
 last, so the checks at one weight share one fold per route, one column and
 one Freudenthal table.
 
-The sweep's loop runs row by row (a fixed), split across one process per
-CPU: the rows with a <= SMALL, the small-box checks and the two box-level
-checks stay in the calling process, which takes fewer of the other rows
-for that work (_shards), and forked children run the rest and report only
-whether every check passed there.  A shard that did not pass runs again
-in the calling process, so run() there forms every result.  The outcome
-of a check is its failure at the least weight, (a, b) ordered as a tuple,
-so it is the same with one CPU or many.  A tracing wrapper sees the
-calling process's share of the loop only.
+The sweep's loop is split across one process per CPU: forked children
+each run every k-th weight of the box and report only whether every check
+passed there, while the calling process runs the two box-level checks
+(_shards).  A shard that did not pass runs again in the calling process,
+so run() there forms every result.  The outcome of a check is its failure
+at the least weight, (a, b) ordered as a tuple, so it is the same with one
+CPU or many.  When the sweep forks, a tracing wrapper sees the box-level
+checks only.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import os
 import signal
 import threading
 from functools import cache, partial
-from itertools import product
 
 from . import adjusted, graded, kostka, precanonical
 from .combo import (ATOMIC, CANONICAL, Combination, combo_add, pre_canonical,
@@ -57,7 +55,7 @@ from .polyq import degree, eval_at_one, iadd_scaled, is_nonnegative, leading_coe
 SMALL = 6
 
 # The largest sweep bound, checked before the box is built; the 40x40 box
-# takes 3.2 to 4.9 s on two CPUs and 5.7 to 6.8 s on one (README, Limits).
+# takes about 3.1 s on two CPUs and 5.8 s on one (README, Limits).
 MAX_BOX = 40
 
 
@@ -367,42 +365,10 @@ BOX_CHECKS = [
 ]
 
 
-# The work that only the calling process does, the small-box checks and the
-# two box-level checks, in _shards' unit (a weight's height) per pair of
-# weights of the small box: kostka.two-paths, the largest part, is quadratic
-# in it.  Measured by timing each run() of a one-process sweep (the least of
-# 5 sweeps, 2-vCPU host, Python 3.11.7) and dividing by the 19 to 21 us per
-# unit of the other rows: 3,800 to 4,300 units (80 to 90 ms) from the 12x12
-# box to the 24x24 box (2,401 pairs), 500 at 40x2 (441) and 85 at 40x0 (49).
-# The rows a <= SMALL cost about 10% more per unit than the others, which
-# adds about 500 at 16x16.  Of the splits that loads from 0 to 7,000 give,
-# the same timings rate the one this load gives the fastest at 16x16, 20x20
-# and 24x24.
-FIXED_PER_PAIR = 1.7
-
-
-def _fixed_load(max_a: int, max_b: int) -> float:
-    return FIXED_PER_PAIR * ((min(max_a, SMALL) + 1) * (min(max_b, SMALL) + 1)) ** 2
-
-
-def _shards(max_a: int, max_b: int, k: int) -> list[list[int]]:
-    """The rows a of the box, split into at most k shards, each in
-    increasing a.  Shard 0 runs in the calling process, which also runs
-    the small-box checks and the two box-level checks, so it keeps the
-    lightest rows, a <= SMALL, and starts with that fixed load
-    (_fixed_load).  Each other row, heaviest first, joins the shard with
-    the least work so far, a weight's work taken as its height.  Empty
-    shards are dropped."""
-    def work(a):
-        return sum(height((a, b)) for b in range(max_b + 1))
-
-    shards = [list(range(min(max_a, SMALL) + 1))] + [[] for _ in range(k - 1)]
-    load = [sum(map(work, shards[0])) + _fixed_load(max_a, max_b)] + [0] * (k - 1)
-    for a in range(max_a, SMALL, -1):
-        i = load.index(min(load))
-        shards[i].append(a)
-        load[i] += work(a)
-    return [sorted(rows) for rows in shards if rows]
+def _shards(box: list[Weight], k: int) -> list[list[Weight]]:
+    """The weights of the box dealt into at most k shards, every k-th
+    weight in box order, none of them empty."""
+    return [box[i::k] for i in range(min(k, len(box)))]
 
 
 def _processes() -> int:
@@ -415,13 +381,13 @@ def _processes() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _first_failures(rows, max_b, each, small, parent=None) -> dict:
-    """Each per-weight check's first failure on the rows a of the box, in
-    order, each for b in 0..max_b: name -> (weight, result).  A check that
-    fails runs at no later weight of the shard.  A child given its parent's
-    pid exits at the next weight once that parent is gone."""
+def _first_failures(weights, each, small, parent=None) -> dict:
+    """Each per-weight check's first failure on the weights, in order:
+    name -> (weight, result).  A check that fails runs at no later weight.
+    A child given its parent's pid exits at the next weight once that
+    parent is gone."""
     first: dict = {}
-    for lam in product(rows, range(max_b + 1)):
+    for lam in weights:
         if parent is not None and os.getppid() != parent:
             os._exit(1)
         for name, c in each:
@@ -448,15 +414,15 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     b <= max_b.  Raises ValueError unless both bounds are ints in
     0..MAX_BOX, and MemoryError if a check runs out of memory.
 
-    The per-weight checks run row by row (a fixed) in one process per CPU,
-    on the rows _shards gives each: shard 0 in the calling process, with the
-    two box-level checks, and each other shard in a forked child, which
-    reports only whether every check passed there.  A shard whose child
-    reports otherwise, or dies, runs again in the calling process, so every
-    result is formed there.  A check's outcome is its failure at the least
-    weight, so the results are the one-process results, whatever a child
-    did.  With one CPU, no os.fork or another thread running, the whole box
-    is one shard, run in process.  No child outlives the call."""
+    With k > 1 processes, the per-weight checks run in k forked children,
+    one per shard of _shards, each reporting only whether every check
+    passed there, while the calling process runs the two box-level checks.
+    A shard whose child reports otherwise, or dies, runs again in the
+    calling process, so every result is formed there.  A check's outcome
+    is its failure at the least weight, so the results are the one-process
+    results, whatever a child did.  With one CPU, no os.fork or another
+    thread running, the whole box runs in process.  No child outlives the
+    call."""
     if type(max_a) is not int or type(max_b) is not int or max_a < 0 or max_b < 0:
         kind = "non-negative" if type(max_a) is type(max_b) is int else "ints"
         raise ValueError(f"sweep bounds must be {kind}")
@@ -468,30 +434,29 @@ def sweep(max_a: int, max_b: int) -> list[CheckResult]:
     # A per-weight check passes unless some weight fails it.
     outcome = {name: CheckResult(name, True, f"{len(small if c.small else box)}"
                                  f" weights{c.suffix}") for name, c in each}
-    shards = _shards(max_a, max_b, _processes())
+    shards = _shards(box, _processes())
+    forked = shards if len(shards) > 1 else []
+    again = [] if forked else box  # the weights to run in process
     parent, pids = os.getpid(), []  # pids: children not yet reaped
     try:
-        for rows in shards[1:]:
+        for weights in forked:
             pid = os.fork()
             if pid == 0:
-                _child(partial(_first_failures, rows, max_b, each, small, parent))
+                _child(partial(_first_failures, weights, each, small, parent))
             pids.append(pid)
-        first = _first_failures(shards[0], max_b, each, small)
         for name, c in BOX_CHECKS:
             if name not in outcome:
                 outcome[name] = run(name, partial(c, box))
-        for rows, pid in zip(shards[1:], list(pids)):
+        for weights, pid in zip(forked, list(pids)):
             status = os.waitpid(pid, 0)[1]
             pids.remove(pid)
-            if status == 0:
-                continue
-            for name, (lam, result) in _first_failures(rows, max_b, each, small).items():
-                if name not in first or lam < first[name][0]:
-                    first[name] = lam, result
+            if status != 0:
+                again += weights
     finally:
         for pid in pids:  # still running only if the sweep raised
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for name, (_, result) in first.items():
+    # in box order, so that each check's first failure is its least
+    for name, (_, result) in _first_failures(sorted(again), each, small).items():
         outcome[name] = result
     return [outcome[name] for name, _ in BOX_CHECKS]

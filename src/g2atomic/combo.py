@@ -293,7 +293,8 @@ def dominant_memo(fn):
 def check_atomic(lam: Weight, x: Combination) -> None:
     """Raise ValueError unless x is an expansion of the canonical element at
     lam in the atomic basis: unitriangular, supported on dominant weights
-    below lam, with nonzero coefficients in N[q]."""
+    below lam, with nonzero coefficients in N[q] of degree at most
+    r2(lam - w), the second root coordinate of lam - w at w."""
     if x.basis is not ATOMIC:
         raise ValueError(f"expansion at {lam!r} is in the {x.basis} basis, not atomic")
     if x.terms.get(lam) != {0: 1}:
@@ -301,13 +302,16 @@ def check_atomic(lam: Weight, x: Combination) -> None:
     la, lb = lam
     for w, p in x.terms.items():
         a, b = w
+        r2 = la - a + 2 * (lb - b)
         # dominant, and below lam: lam - w has non-negative root coordinates
-        if (a < 0 or b < 0
-                or 2 * (la - a) + 3 * (lb - b) < 0 or la - a + 2 * (lb - b) < 0):
+        if a < 0 or b < 0 or 2 * (la - a) + 3 * (lb - b) < 0 or r2 < 0:
             raise ValueError(f"atomic expansion at {lam!r} has support at {w!r}")
         if not p or min(p) < 0 or min(p.values()) < 0:
             raise ValueError(f"atomic expansion at {lam!r} has coefficient "
                              f"{p!r} at {w!r}, not a nonzero element of N[q]")
+        if max(p) > r2:
+            raise ValueError(f"atomic expansion at {lam!r} has coefficient "
+                             f"{p!r} at {w!r}, of degree above r2 = {r2}")
 
 
 def display_key(w: Weight) -> int:

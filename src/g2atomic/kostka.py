@@ -167,7 +167,9 @@ def dimension_by_orbits(lam: Weight) -> int:
 
 # Defined here rather than in checks: the benchmark's tracer marks the end of
 # each check run, one per weight in the sweep, by hooking its construction.
-# It sees only the runs of the calling process, not a forked child's.
+# It sees only the runs of the calling process, not a forked child's: when
+# the sweep forks, that process runs no per-weight check, only the two
+# box-level checks.
 class CheckResult:
     """The outcome of one named check, with a detail string."""
 

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from g2atomic import adjusted, checks, cli, graded, kostka, precanonical
 from g2atomic.combo import Combination, check_atomic
-from g2atomic.lattice import dominant_box, height
+from g2atomic.lattice import dominant_box
 
 from test_graded import one_more_q
 
@@ -258,43 +258,30 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@given(st.integers(0, 20), st.integers(0, 20), st.integers(1, 6))
-def test_shards_split_the_rows(max_a, max_b, k):
-    shards = checks._shards(max_a, max_b, k)
-    assert sorted(a for rows in shards for a in rows) == list(range(max_a + 1))
-    assert set(range(min(max_a, checks.SMALL) + 1)) <= set(shards[0])
-    assert all(rows == sorted(rows) and rows for rows in shards)
-    assert len(shards) <= k
-    if k == 2:
-        # the modelled loads, shard 0's with the calling process's fixed
-        # work, balance to within the heaviest row once the pinned rows and
-        # that fixed work leave the other rows at least half
-        def work(a):
-            return sum(height((a, b)) for b in range(max_b + 1))
-
-        fixed = checks._fixed_load(max_a, max_b)
-        pinned = sum(map(work, range(min(max_a, checks.SMALL) + 1))) + fixed
-        if pinned < (sum(map(work, range(max_a + 1))) + fixed) / 2:
-            loads = [sum(map(work, rows)) for rows in shards]
-            assert len(loads) == 2
-            assert abs(loads[0] + fixed - loads[1]) <= work(max_a)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 4))
+def test_shards_split_the_weights(max_a, max_b, k):
+    box = dominant_box(max_a, max_b)
+    shards = checks._shards(box, k)
+    # every weight lands in exactly one shard, and each shard is in box order
+    assert sorted(w for weights in shards for w in weights) == sorted(box)
+    for weights in shards:
+        members = set(weights)
+        assert weights and [w for w in box if w in members] == weights
+    assert len(shards) <= min(k, len(box))
 
 
-def test_fixed_load_scales_with_the_small_box():
-    # the 7x7 small box of every box from 6x6 up carries one fixed load,
-    # and a thin box a small part of it
-    assert checks._fixed_load(6, 6) == checks._fixed_load(16, 16) == checks._fixed_load(40, 40)
-    assert 3000 < checks._fixed_load(16, 16) < 5000
-    assert checks._fixed_load(40, 0) < checks._fixed_load(40, 2) < checks._fixed_load(16, 16) / 4
+def _8x2_shards():
+    """The three shards of the 8x2 box: shard b holds the weights (a, b)."""
+    shards = checks._shards(dominant_box(8, 2), 3)
+    assert shards == [[(a, b) for a in range(9)] for b in range(3)]
+    return shards
 
 
 def test_forked_sweep_equals_the_one_process_sweep(monkeypatch):
-    # rows 7 and 8 go to two children, the rows a <= SMALL stay in process
-    shards = checks._shards(8, 2, 3)
-    assert len(shards) == 3 and {7, 8} & set(shards[0]) == set()
-    assert not {7, 8} <= set(shards[1]) and not {7, 8} <= set(shards[2])
-    # membership-tables fails in both children, closed-forms in process and
-    # in a child, at-one-vs-freudenthal in process only
+    _8x2_shards()
+    # membership-tables fails in the shards b = 1 and b = 2, and reports
+    # the last shard's weight; closed-forms fails in the shards b = 0 and
+    # b = 1, and reports the second's; at-one-vs-freudenthal fails in one
     _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 1), (7, 2)})
     _failing_at(monkeypatch, precanonical, "closed_form_6to5", {(8, 0), (1, 1)})
     _failing_at(monkeypatch, kostka, "weyl_dimension", {(2, 1)})
@@ -313,10 +300,8 @@ def test_forked_sweep_equals_the_one_process_sweep(monkeypatch):
 
 def _failures_on_one_and_three_cpus(monkeypatch):
     """The failures of the 8x2 sweep, name -> detail, once three CPUs have
-    given the one-CPU results and left no child.  Row 3 is the calling
-    process's and row 8 a child's."""
-    shards = checks._shards(8, 2, 3)
-    assert 3 in shards[0] and 8 not in shards[0]
+    given the one-CPU results and left no child."""
+    _8x2_shards()
     _cpus(monkeypatch, 1)
     alone = checks.sweep(8, 2)
     _cpus(monkeypatch, 3)
@@ -332,9 +317,10 @@ _WRONG_AT = pytest.mark.parametrize("bad, least", [({(8, 1), (3, 2)}, (3, 2)),
 
 @_WRONG_AT
 def test_canonical_consistency_agrees_across_the_fork(monkeypatch, bad, least):
-    # inverse_step is wrong at (8, 1), in a child's row, and maybe at (3, 2),
-    # in the calling process's rows; definitional-consistency reports its
-    # failure at the least of those weights, on one CPU or three
+    # inverse_step is wrong at (8, 1), in the child of the shard b = 1, and
+    # maybe at (3, 2), in the child of the shard b = 2; definitional-
+    # consistency reports its failure at the least of those weights, on one
+    # CPU or three
     f = precanonical.inverse_step
     wrong = _times_q(f)
     monkeypatch.setattr(precanonical, "inverse_step",
@@ -402,7 +388,7 @@ def test_top_link_that_does_not_descend_fails_cross_approach(monkeypatch):
 
 def test_out_of_memory_in_a_child(monkeypatch, capsys):
     _cpus(monkeypatch, 2)
-    assert 8 not in checks._shards(8, 1, 2)[0]
+    assert (8, 0) in checks._shards(dominant_box(8, 1), 2)[0]
 
     def exhausted(lam):
         raise MemoryError
@@ -416,15 +402,15 @@ def test_out_of_memory_in_a_child(monkeypatch, capsys):
 
 
 def _counting_first_failures(monkeypatch):
-    """The rows of each call of checks._first_failures in this process.  A
-    forked child counts in its own copy of the list, which never reaches
+    """The weights of each call of checks._first_failures in this process.
+    A forked child counts in its own copy of the list, which never reaches
     this one."""
     calls = []
     f = checks._first_failures
 
-    def counted(rows, *args):
-        calls.append(list(rows))
-        return f(rows, *args)
+    def counted(weights, *args):
+        calls.append(list(weights))
+        return f(weights, *args)
     monkeypatch.setattr(checks, "_first_failures", counted)
     return calls
 
@@ -433,15 +419,13 @@ def test_passing_forked_sweep_runs_no_shard_again(monkeypatch):
     _cpus(monkeypatch, 3)
     calls = _counting_first_failures(monkeypatch)
     assert all(r.ok for r in checks.sweep(8, 2))
-    # one call, shard 0 of the calling process; the children ran rows 7, 8
-    assert calls == [list(range(7))]
+    # one call, on no weight: the three children ran the box
+    assert calls == [[]]
     _no_child_left()
 
 
 def test_failing_child_shard_alone_runs_again(monkeypatch):
-    shards = checks._shards(8, 2, 3)
-    row8 = next(rows for rows in shards if 8 in rows)
-    assert 7 not in row8
+    shards = _8x2_shards()
     _failing_at(monkeypatch, checks, "x_I_member_closed", {(8, 1)})
     _cpus(monkeypatch, 1)
     alone = checks.sweep(8, 2)
@@ -449,7 +433,7 @@ def test_failing_child_shard_alone_runs_again(monkeypatch):
     _cpus(monkeypatch, 3)
     assert checks.sweep(8, 2) == alone
     _no_child_left()
-    assert calls == [list(range(7)), [8]]
+    assert calls == [shards[1]]
     assert [r.name for r in alone if not r.ok] == ["lattice.membership-tables"]
 
 
@@ -470,20 +454,20 @@ def test_child_that_dies_is_run_again_in_process(monkeypatch, capsys, end):
     alone = _verify_8x1(capsys)
     assert alone[0] == 2 and "FAIL lattice.membership-tables" in alone[1]
     _cpus(monkeypatch, 2)
-    assert 8 not in checks._shards(8, 1, 2)[0]
+    assert (8, 0) in checks._shards(dominant_box(8, 1), 2)[0]
     assert _verify_8x1(capsys) == alone
     _no_child_left()
 
 
 def test_children_are_killed_when_the_sweep_raises(monkeypatch):
-    # (0, 0) is the first weight of the calling process, so it raises while
-    # the children still run
+    # kostka.two-paths, a box-level check, runs in the calling process only,
+    # so it raises there while the children still run the 12x12 box
     _cpus(monkeypatch, 3)
 
-    def exhausted(lam):
+    def exhausted(lam, mu):
         raise MemoryError
 
-    _failing_at(monkeypatch, checks, "x_I_member_closed", {(0, 0)}, exhausted)
+    monkeypatch.setattr(kostka, "kostka_foulkes", exhausted)
     with pytest.raises(MemoryError):
         checks.sweep(12, 12)
     _no_child_left()
@@ -510,7 +494,7 @@ def test_orphaned_child_exits_at_the_next_weight():
     if pid == 0:
         try:
             # a parent pid that is not this child's: the child is orphaned
-            checks._first_failures([0, 1], 1, [], set(), os.getpid())
+            checks._first_failures([(0, 0), (0, 1)], [], set(), os.getpid())
         finally:
             os._exit(0)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1

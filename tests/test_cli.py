@@ -1,5 +1,6 @@
 """Command-line front end: rendering, JSON schema, exit codes, import path."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2atomic import adjusted, checks, cli, combo
 from g2atomic.cli import main
@@ -291,6 +293,63 @@ def test_argparse_help_and_usage_errors(monkeypatch, capsys):
     for argv, want in USAGE_ERRORS.items():
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err.replace("'", "")) == (1, "", want.replace("'", "")), argv
+
+
+# The CLI contract on drawn argv.  Every int is at most 20 and every verify
+# bound at most 3, so that each call takes milliseconds; no text or float
+# token reads as a larger int.
+_ARITY = {"atomic": 2, "kf": 4, "standard": 2, "expand": 2, "verify": 0}
+_TOKEN = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.floats(-20, 20, allow_nan=False).map(str),
+    st.sampled_from(["x", "é", "λ", "２", "", "1e3", "-", "--", "-0"]))
+_OPTIONS = {
+    "--format": st.sampled_from(["text", "json", "latex", "yaml"]),
+    "--method": st.sampled_from(["adjusted", "precanonical", "fast"]),
+    "--level": st.one_of(st.integers(2, 6).map(str), st.integers(-1, 8).map(str), _TOKEN),
+    "--max-a": st.integers(-2, 3).map(str),
+    "--max-b": st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["1.5", "ⅱ"])),
+}
+# the options of each command besides --format
+_OWN = {"atomic": ["--method"], "expand": ["--level"], "verify": ["--max-a", "--max-b"]}
+
+
+@st.composite
+def _argv(draw):
+    """A command, valid or not, with its arguments and options, each of them
+    mostly valid: a missing or extra argument, a token that is no int, a
+    bad option value or another command's option now and then."""
+    command = draw(st.sampled_from([*_ARITY, *_ARITY, "atomics", "vérify", ""]))
+    arity = _ARITY.get(command, 2)
+    n = draw(st.sampled_from([arity] * 4 + [max(arity - 1, 0), arity + 1]))
+    args = [draw(st.integers(0, 20).map(str) if draw(st.integers(0, 7)) else _TOKEN)
+            for _ in range(n)]
+    # verify always gets both bounds, so that it never sweeps its default box
+    names = [name for name in ("--format", *_OWN.get(command, ()))
+             if name.startswith("--max") or draw(st.integers(0, 3))]
+    if not draw(st.integers(0, 7)):
+        names.append(draw(st.sampled_from(list(_OPTIONS))))
+    options = [token for name in names for token in (name, draw(_OPTIONS[name]))]
+    return [command, *options, *args] if draw(st.booleans()) else [command, *args, *options]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_contract_on_drawn_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "" and out.endswith("\n"), argv
+        formats = [v for k, v in zip(argv, argv[1:]) if k == "--format"]
+        if formats[-1:] == ["json"]:  # the last one given counts
+            json.loads(out)
+    elif code == 1:
+        assert out == "" and err and "Traceback" not in err, argv
+    else:
+        assert argv[0] == "verify", argv
 
 
 def test_domain_errors_go_to_stderr(capsys):

@@ -491,10 +491,13 @@ def test_reused_neighbours_do_not_show(order):
     (lambda t: Combination(ATOMIC, {**t, (0, 4): {0: -1}}), "coefficient {0: -1} at (0, 4)"),
     (lambda t: Combination(ATOMIC, {**t, (0, 4): {-1: 1}}), "coefficient {-1: 1} at (0, 4)"),
     (lambda t: Combination(ATOMIC, {**t, (0, 4): {}}), "coefficient {} at (0, 4)"),
+    (lambda t: Combination(ATOMIC, {**t, (0, 4): {0: 1, 3: 1}}),
+     "coefficient {0: 1, 3: 1} at (0, 4), of degree above r2 = 2"),
 ], ids=["basis", "unitriangular", "outside the cone", "above lam", "negative",
-        "negative exponent", "zero"])
+        "negative exponent", "zero", "degree above r2"])
 def test_check_atomic_rejects_each_fault(change, message):
-    # (0, 4) lies below (2, 4); (3, 4) lies above it
+    # (0, 4) lies below (2, 4), with r2((2, 4) - (0, 4)) = 2; (3, 4) lies
+    # above it
     x = precanonical.atomic((2, 4))
     combo.check_atomic((2, 4), x)
     with pytest.raises(ValueError, match=re.escape(message)):

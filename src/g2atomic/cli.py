@@ -39,7 +39,7 @@ _FORMATS = ("text", "json", "latex")
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="g2atomic",
                                      description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -106,8 +106,6 @@ def _standard_command(args) -> tuple[int, Iterable[str]]:
 
 def _expand_command(args) -> tuple[int, Iterable[str]]:
     lam = (args.a, args.b)
-    if not 2 <= args.level <= 6:
-        raise ValueError("--level must be in 2..6")
     from . import precanonical
     x = precanonical.defn_precanonical(args.level, lam)
     return 0, combination_parts(x, pre_canonical(args.level), lam, args.format)
@@ -172,9 +170,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error
         return 1 if exc.code else 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         code, parts = _COMMANDS[args.command](args)
     except Exception as exc:

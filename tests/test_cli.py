@@ -139,6 +139,24 @@ GOLDEN_STDOUT = {
     # a b-heavy weight whose targets take tails from both a = 0 and a = 1,
     # recorded before the tails loop was written out
     "atomic 1 100 --format text": "da7c36124849f64c1df5c48a10a59c9187bb46edc3e69a29b4f0720762f65a88",
+    # definitional expansions whose subset sums straighten across both walls,
+    # recorded before straightened multiplied into copies
+    "expand --level 2 0 9 --format text": "149c3175266f29770b17ae88f308428b24304b8c7304d92f661f763aecc2d6ad",
+    "expand --level 2 0 9 --format json": "e7c4a89bef75ed5fdc2e16f52a6f230787b3e28552528154253f02e5baea6bc3",
+    "expand --level 2 7 33 --format text": "d31b25243b4b92d1fdd9e58ebcf5929883f2be80488dde0e333285504eb29002",
+    "expand --level 2 7 33 --format json": "a42f034cd7ed550cc24cdd552212c10cabfc05bfd6f7ab1561cd8b6775741676",
+    "expand --level 3 0 9 --format text": "7c03f94a7a5be3444d80163054c501c1de6b7955bd72ad87de67ddbcbce291f4",
+    "expand --level 3 0 9 --format json": "231769ad69e98ff5db22d3384048afa92bd318fca7793a11a72efb723b458f4e",
+    "expand --level 3 7 33 --format text": "c40a6228f41eaf21cbc5ac8ab696c20ba7984a99bd21da3e886613b1e10b3155",
+    "expand --level 3 7 33 --format json": "fe5f8c281a7390d90a3b30a0e19b7b1c13e524182962aee5e96a881b94dee583",
+    "expand --level 4 0 9 --format text": "6f616cf9cd6d609da653f26da42c6c841965645f3d9cb9ee0c9801ddf55ccef0",
+    "expand --level 4 0 9 --format json": "46854b23912e0149d7732948af28983a720f01d56b76d798db4c1ff960a15dc1",
+    "expand --level 4 7 33 --format text": "81ba32ac0776f24b595c33445eb70ecb44207c49da0e8c6b6ef3d2365d6d7c6d",
+    "expand --level 4 7 33 --format json": "941985ac1591ec1dbb193e970a2118c231993b69c5ddbc7aeca97e60f914d1db",
+    "expand --level 5 0 9 --format text": "6e7084302a5f28415e22076ebfef4bb0aa6dcb396514ea94d8ea4779c31d9c16",
+    "expand --level 5 0 9 --format json": "dab31c448acb837500e787bcea62944510503c97e583d388525149ceb449b40e",
+    "expand --level 5 7 33 --format text": "93273db8522f420833e7d0b73b8a788e26860f6c8a17e5d0495603804cde16e2",
+    "expand --level 5 7 33 --format json": "af227a2c7d693a82a1187184cca8380ea2b52e2208de04e3b713feaa91de58ce",
 }
 
 
@@ -279,6 +297,8 @@ USAGE_ERRORS = {
     "(choose from 'atomic', 'kf', 'standard', 'expand', 'verify')\n",
     ("kf", "1", "2"): "usage: g2atomic kf [-h] [--format {text,json,latex}] a b c d\n"
     "g2atomic kf: error: the following arguments are required: c, d\n",
+    (): "usage: g2atomic [-h] {atomic,kf,standard,expand,verify} ...\n"
+    "g2atomic: error: the following arguments are required: command\n",
 }
 
 
@@ -318,7 +338,10 @@ _OWN = {"atomic": ["--method"], "expand": ["--level"], "verify": ["--max-a", "--
 def _argv(draw):
     """A command, valid or not, with its arguments and options, each of them
     mostly valid: a missing or extra argument, a token that is no int, a
-    bad option value or another command's option now and then."""
+    bad option value or another command's option now and then, and now
+    and then no command at all."""
+    if not draw(st.integers(0, 19)):
+        return []
     command = draw(st.sampled_from([*_ARITY, *_ARITY, "atomics", "vérify", ""]))
     arity = _ARITY.get(command, 2)
     n = draw(st.sampled_from([arity] * 4 + [max(arity - 1, 0), arity + 1]))
@@ -333,13 +356,7 @@ def _argv(draw):
     return [command, *options, *args] if draw(st.booleans()) else [command, *args, *options]
 
 
-@settings(max_examples=200, deadline=None)
-@given(_argv())
-def test_cli_contract_on_drawn_argv(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+def _check_contract(argv, code, out, err):
     assert code in (0, 1, 2), argv
     if code == 0:
         assert err == "" and out.endswith("\n"), argv
@@ -348,15 +365,38 @@ def test_cli_contract_on_drawn_argv(argv):
             json.loads(out)
     elif code == 1:
         assert out == "" and err and "Traceback" not in err, argv
+        assert "error:" in err.splitlines()[-1], argv
     else:
         assert argv[0] == "verify", argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_contract_on_drawn_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    _check_contract(argv, code, out.getvalue(), err.getvalue())
+
+
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+@settings(max_examples=10, deadline=None)
+@given(_argv())
+def test_cli_contract_on_drawn_argv_in_a_subprocess(argv):
+    # the same rules through a fresh interpreter, its own streams and exit status
+    proc = subprocess.run([sys.executable, "-m", "g2atomic.cli", *argv],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": _SRC})
+    _check_contract(argv, proc.returncode, proc.stdout.decode(errors="replace"),
+                    proc.stderr.decode(errors="replace"))
 
 
 def test_domain_errors_go_to_stderr(capsys):
     for argv, msg in ((["verify", "--max-a", "-1"], "sweep bounds must be non-negative"),
                       (["verify", "--max-b", "-3", "--format", "json"],
                        "sweep bounds must be non-negative"),
-                      (["expand", "--level", "9", "1", "1"], "--level must be in 2..6"),
+                      (["expand", "--level", "9", "1", "1"], "level must be in 2..6, got 9"),
                       (["atomic", "-1", "2"], "weight (-1, 2) is not dominant"),
                       (["kf", "1", "1", "0", "-3"], "weight (0, -3) is not dominant"),
                       (["standard", "4", "-1"], "weight (4, -1) is not dominant")):

@@ -87,7 +87,8 @@ _terms = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
 @example(6, [(4, -3, 1, 2, 1), (1, 2, 0, -1, 2)])  # twins cancel to zero
 def test_straightened_matches_oracle_on_sums(i, raw):
     # The kernel on a multi-term input is the coefficient-weighted sum of
-    # the subset-sum oracle at each weight, and leaves its input as it was.
+    # the subset-sum oracle at each weight, leaves its input as it was and
+    # shares no polynomial with it.
     terms = {}
     for a, b, e, c, twin in raw:
         for w in [(a, b)] + ([dot_reflect(twin, (a, b))] if twin else []):
@@ -105,6 +106,9 @@ def test_straightened_matches_oracle_on_sums(i, raw):
     assert got.terms == want
     assert terms == before
     validate(got)
+    for p in got.terms.values():
+        p[99] = 1
+    assert terms == before
 
 
 def subset_sum(terms, roots):
@@ -123,8 +127,8 @@ def subset_sum(terms, roots):
 
 
 def test_straightened_revisits_a_weight_made_at_a_visited_height():
-    # the gamma4 pass visits (4, 0) at height 12, then from (2, 2) makes
-    # (-1, 3), also at height 12; the gamma5 pass must read it
+    # the gamma4 factor makes (-1, 3) from (2, 2), at the height of (4, 0);
+    # the gamma5 factor must read it
     g4 = PHI_GEQ[4][0]
     terms = {(2, 2): {0: 1}, (4, 0): {1: 3}}
     made = (2 - g4[0], 2 - g4[1])
@@ -135,8 +139,8 @@ def test_straightened_revisits_a_weight_made_at_a_visited_height():
 
 
 def test_straightened_drops_a_weight_whose_two_writes_cancel():
-    # (3, 1) - gamma4 and (0, 3) - gamma5 are both (0, 2): the gamma4 pass
-    # makes it from one source, and the gamma5 pass cancels it from the other
+    # (3, 1) - gamma4 and (0, 3) - gamma5 are both (0, 2): the gamma4 factor
+    # makes it from one source, and the gamma5 factor cancels it from the other
     g4, g5 = PHI_GEQ[4]
     terms = {(3, 1): {0: 1}, (0, 3): {0: -1}}
     assert (3 - g4[0], 1 - g4[1]) == (0 - g5[0], 3 - g5[1]) == (0, 2)

@@ -121,4 +121,4 @@ def adjusted2_in_atomic(lam: Weight) -> Combination:
 # pre-canonical route, below the top link (g2atomic.graded).
 
 CHAIN = [_LINKS[5], _LINKS[4], _LINKS[3], _LINKS[2], _link2]
-to_atomic, atomic_second = folded(CHAIN, _tails)
+atomic_second = folded(CHAIN, _tails)

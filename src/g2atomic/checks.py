@@ -19,6 +19,8 @@ column the sweep's checks of it state what verify()'s state of atomic (the
 round trip with the level-5 definitional consistency).  Positivity reads
 the ints, cross-approach compares the two routes' ints, and the round trip
 straightens the ints and puts q back once, at the end (graded.in_canonical).
+The adjusted route's level-2 identity is checked in the canonical basis,
+by the definition of each atomic element, so no check folds a combination.
 This module keeps no memo; each memo it reads keeps the weight asked for
 last, so the checks at one weight share one fold per route, one column and
 one Freudenthal table.
@@ -283,8 +285,10 @@ def even_column_closed_form(box) -> str:
 
 
 def adjusted2_consistency(lam: Weight) -> None:
-    via = precanonical.to_atomic(adjusted.adjusted_in_canonical(2, lam))
-    if via != adjusted.adjusted2_in_atomic(lam):
+    # each atomic term of the level-2 adjusted element replaced by its definition
+    via = precanonical.straightened(adjusted.adjusted2_in_atomic(lam).terms,
+                                    PHI_GEQ[2])
+    if via != adjusted.adjusted_in_canonical(2, lam):
         raise AssertionError(f"level-2 atomic expansion disagrees at {lam!r}")
 
 

@@ -242,43 +242,30 @@ def push(terms: dict[Weight, Poly], link: Link) -> dict[Weight, Poly]:
 
 
 def folded(links: list[Link],
-           base: Callable[[dict[Weight, Poly]], Combination]) -> tuple:
-    """One route to the atomic basis as a left fold.  fold(terms, links)
-    pushes terms, at dominant weights in the basis that links[0] leaves,
-    through one push pass per link in turn, then hands them, fresh and so
-    free to mutate, to the base map, which returns the atomic combination.
-    Each level expands every weight once, so signed terms cancel before
-    they are expanded further.  Returns (expand, atomic):
-
-    - expand(x) checks x (else ValueError) and folds it through every link;
-    - atomic(lam) is expand at the canonical element at lam, checked by
-      check_atomic, and memoized by dominant_memo, so it keeps the one
-      result asked for last, which is not to be mutated: kostka_foulkes at
-      one lam and many mu folds lam once.
-
-    The fold below the top link, which the verify sweep checks, is folded
-    in ints by g2atomic.graded."""
-    def fold(terms: dict[Weight, Poly], links: list[Link]) -> Combination:
-        for link in links:
-            terms = push(terms, link)
-        return base(terms)
-
-    def expand(x: Combination) -> Combination:
-        if x.basis is not CANONICAL:
-            raise ValueError(f"cannot expand a combination in the {x.basis} basis")
-        for w in x.terms:
-            check_dominant(w)
-        return fold(x.terms, links)
-
+           base: Callable[[dict[Weight, Poly]], Combination]
+           ) -> Callable[[Weight], Combination]:
+    """One route to the atomic basis as a left fold: atomic(lam) pushes the
+    canonical element at lam through one push pass per link, then hands the
+    terms, fresh and so free to mutate, to the base map, which returns the
+    atomic combination.  Each level expands every weight once, so signed
+    terms cancel before they are expanded further.  atomic checks its result
+    by check_atomic, and dominant_memo keeps the one asked for last, not to
+    be mutated: kostka_foulkes at one lam and many mu folds lam once.  Any
+    combination x of canonical elements expands as substitute(x, atomic,
+    basis=ATOMIC).  The fold below the top link, which the verify sweep
+    checks, is folded in ints by g2atomic.graded."""
     @dominant_memo
     def atomic(lam: Weight) -> Combination:
         """Expansion of the canonical element at lam in the atomic basis,
         checked by check_atomic."""
-        x = fold({lam: {0: 1}}, links)
+        terms = {lam: {0: 1}}
+        for link in links:
+            terms = push(terms, link)
+        x = base(terms)
         check_atomic(lam, x)
         return x
 
-    return expand, atomic
+    return atomic
 
 
 def dominant_memo(fn):

@@ -27,8 +27,6 @@ from __future__ import annotations
 Weight = tuple[int, int]
 RootCoords = tuple[int, int]
 
-RHO: Weight = (1, 1)
-
 # (weight coords, root coords, height), height ascending.  Transcribed
 # constants; the test suite recomputes them from the simple roots.
 POSITIVE_ROOTS: tuple[tuple[Weight, RootCoords, int], ...] = (

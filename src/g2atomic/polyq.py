@@ -14,8 +14,9 @@ which the polynomials that cancelled to empty are dropped at the end; it
 makes one coefficient update per monomial handed in, and never stores a
 polynomial it was handed.  The three hottest sums, combo.push,
 combo.substitute and adjusted._tails, write its loop out in place, which
-spares a call per update; push and _tails build the polynomial of a weight
-that has none yet directly, as a scaled, shifted copy.
+spares a call per polynomial handed on: per weight in push, per target and
+monomial in substitute, per tail in _tails.  push and _tails build the
+polynomial of a weight that has none yet directly, as a scaled, shifted copy.
 """
 
 from __future__ import annotations

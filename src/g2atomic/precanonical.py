@@ -194,4 +194,4 @@ def closed_form_4to3(lam: Weight) -> Combination:
 # checks it below the top link (g2atomic.graded).
 
 CHAIN = [_link5, _link4, _link3, _link2]
-to_atomic, atomic = folded(CHAIN, lambda terms: Combination(ATOMIC, terms))
+atomic = folded(CHAIN, lambda terms: Combination(ATOMIC, terms))

@@ -109,6 +109,16 @@ def test_closed_forms_check_the_5to4_split(monkeypatch):
     assert failed == {"precanonical.closed-forms": "5to4 disagrees at (0, 1)"}
 
 
+def test_atomic_consistency_checks_the_canonical_side(monkeypatch):
+    # BREAKERS breaks adjusted.atomic-consistency through its atomic side
+    # only; a wrong canonical expansion at level 2 turns it to FAIL too
+    monkeypatch.setattr(adjusted, "adjusted_in_canonical",
+                        _times_q(adjusted.adjusted_in_canonical))
+    failed = {r.name: r.detail for r in checks.sweep(2, 2) if not r.ok}
+    assert failed == {"adjusted.atomic-consistency":
+                      "level-2 atomic expansion disagrees at (0, 0)"}
+
+
 # The same for verify(lam): per-weight check name -> (module, function, how
 # to make the function wrong).
 WEIGHT_BREAKERS = {

@@ -10,7 +10,7 @@ import re
 from functools import cache
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 import g2atomic
 from g2atomic import adjusted, combo, precanonical
@@ -399,60 +399,21 @@ def test_validate_flags_bad_combinations():
         validate(Combination(ATOMIC, {(1, 0): {}}))
 
 
-# Both routes fold a canonical combination down their chains.  The fold is
-# linear, so it must agree with expanding each weight on its own and
-# collecting: sum over w of p_w * atomic(w).
-_ROUTES = [(precanonical.to_atomic, precanonical.atomic),
-           (adjusted.to_atomic, adjusted.atomic_second)]
-_canonical_terms = st.dictionaries(
-    st.sampled_from(dominant_box(6, 6)),
-    st.dictionaries(st.integers(0, 4), st.sampled_from([1, -1, 2, -3]),
-                    min_size=1, max_size=3),
-    max_size=6)
-
-
-@given(_canonical_terms)
-@example({})
-# neighbours whose expansions overlap, with opposite signs
-@example({(2, 2): {0: 1}, (3, 1): {1: -1}, (1, 2): {0: -1, 2: 2},
-          (0, 2): {1: -3}})
-def test_fold_is_linear(terms):
-    x = Combination(CANONICAL, terms)
-    for to_atomic, atomic_at in _ROUTES:
-        got = to_atomic(x)
-        assert got == substitute(x, atomic_at, basis=ATOMIC)
-        assert got.basis == ATOMIC
-        validate(got)
-    assert x.terms == terms
-
-
-def test_fold_rejects_other_bases():
-    for to_atomic, _ in _ROUTES:
-        with pytest.raises(ValueError):
-            to_atomic(single(ATOMIC, (1, 0)))
-
-
-def test_fold_rejects_weights_outside_the_cone():
-    for to_atomic, _ in _ROUTES:
-        for w in [(-1, 0), (5, -1), (0, -3)]:
-            x = Combination(CANONICAL, {(2, 2): {0: 1}, w: {1: 1}})
-            with pytest.raises(ValueError, match=re.escape(f"weight {w!r} is not dominant")):
-                to_atomic(x)
-
-
 def _fresh_folds():
-    """(name, expand, atomic) for new folds of both routes, which no other
+    """(name, atomic, again) for new folds of both routes, which no other
     test can have warmed; for the pre-canonical route under a top link with
     factor 2q; and for the step (a, b) -> (a, b-1) with factor q, then the
     same step with factor -q, over the identity base map.  There atomic(a, b)
-    is N(a, b) + q^2 atomic(a, b-2)."""
+    is N(a, b) + q^2 atomic(a, b-2).  again is a second fold of the same
+    links, with a memo of its own."""
     as_atomic = lambda terms: Combination(ATOMIC, terms)
     step = lambda c: lambda a, b: ((a, b - 1), 1, c) if b >= 1 else None
     folds = [("precanonical", precanonical.CHAIN, as_atomic),
              ("adjusted", adjusted.CHAIN, adjusted._tails),
              ("doubled-top", [step(2)] + precanonical.CHAIN[1:], as_atomic),
              ("signed-second", [step(1), step(-1)], as_atomic)]
-    return [(name, *combo.folded(links, base)) for name, links, base in folds]
+    return [(name, combo.folded(links, base), combo.folded(links, base))
+            for name, links, base in folds]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "column"])
@@ -469,13 +430,13 @@ def test_reused_neighbours_do_not_show(order):
         random.Random(14).shuffle(box)
     elif order == "column":
         box = [(0, b) for b in range(41)]
-    for name, to_atomic, atomic_at in _fresh_folds():
+    for name, atomic_at, again in _fresh_folds():
         seen, before = {}, {}
         for lam in box:
             below = [w for w in walk(precanonical._link5, lam, CANONICAL).terms
                      if w in seen]
             got = atomic_at(lam)
-            assert got == to_atomic(single(CANONICAL, lam)), (name, lam)
+            assert got == again(lam), (name, lam)
             validate(got)
             assert all(seen[w].terms == before[w] for w in below), (name, lam)
             shared = {id(p) for w in below for p in seen[w].terms.values()}

@@ -93,7 +93,7 @@ def test_expansion_is_its_fold_below_the_top_link_plus_the_shifted_neighbour():
     doubled = ([lambda a, b: ((a, b - 1), 1, 2) if b >= 1 else None] + chain[1:],
                as_atomic, None)
     for name, (chain, base, graded_base) in {**_ROUTES, "doubled-top": doubled}.items():
-        atomic_at = combo.folded(chain, base)[1]
+        atomic_at = combo.folded(chain, base)
         below_top = graded.below_top(chain, graded_base)
         for lam in dominant_box(10, 10):
             x = below_top(lam)

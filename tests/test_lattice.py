@@ -13,7 +13,7 @@ from g2atomic import checks, graded, kostka, precanonical
 from g2atomic.adjusted import atomic_second
 from g2atomic.checks import verify
 from g2atomic.lattice import (GAMMA, INDEX_SUBSETS, PHI_GEQ, POSITIVE_ROOTS,
-                              RHO, X_I_CLOSED, X_I_STEPS, dominance_leq,
+                              X_I_CLOSED, X_I_STEPS, dominance_leq,
                               dominant_below, dominant_box, dominant_rep,
                               gamma_sum, height, is_dominant, linear_dominant,
                               orbit_size, to_root_coords, x_I_member,
@@ -66,14 +66,14 @@ def test_root_coords_examples():
     assert to_root_coords((1, 0)) == (2, 1)
     assert to_root_coords((0, 1)) == (3, 2)
     assert to_root_coords((0, 0)) == (0, 0)
-    assert to_root_coords(RHO) == (5, 3)
+    assert to_root_coords((1, 1)) == (5, 3)
 
 
 def test_height_examples():
     assert height((1, 0)) == 3
     assert height((0, 1)) == 5
     assert height((0, 0)) == 0
-    assert height(RHO) == 8
+    assert height((1, 1)) == 8
 
 
 def test_positive_root_table_is_consistent():

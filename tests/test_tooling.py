@@ -1,5 +1,6 @@
 """The sources parse as the oldest Python that pyproject.toml allows, and
-every definition in them is called or exported."""
+every definition in them, and every name bound at module level, is read
+or exported."""
 
 import ast
 import pathlib
@@ -20,9 +21,9 @@ def test_sources_parse_as_the_oldest_python_allowed():
 
 
 def _references(tree: ast.Module, module: str) -> set:
-    """(module, name) for each name that tree refers to: by name in its own
+    """(module, name) for each name that tree reads: by name in its own
     module, through `from .mod import name`, and as `mod.name` after
-    `from . import mod`."""
+    `from . import mod`.  Binding a name does not read it."""
     found, modules = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -32,7 +33,7 @@ def _references(tree: ast.Module, module: str) -> set:
                 else:
                     found.add((node.module, alias.name))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add((module, node.id))
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules):
@@ -40,17 +41,28 @@ def _references(tree: ast.Module, module: str) -> set:
     return found
 
 
+def _bound(tree: ast.Module):
+    """Each name that tree binds at module level: by def or class, or as a
+    target of an assignment, tuple targets included."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+
+
 def test_every_definition_is_referenced_or_public():
-    # code that no code in src/ calls and the package does not export is
-    # dead; the console entry is called from pyproject.toml instead, and a
-    # dunder such as the package's __getattr__ by Python itself
+    # code or a constant that no code in src/ reads and the package does not
+    # export is dead; the console entry is called from pyproject.toml
+    # instead, and a dunder such as the package's __getattr__ by Python itself
     import g2atomic
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in ROOT.glob("src/g2atomic/*.py")}
-    defined = {(module, node.name) for module, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("__")}
+    defined = {(module, name) for module, tree in trees.items()
+               for name in _bound(tree) if not name.startswith("__")}
     referenced = set().union(*(_references(tree, module)
                                for module, tree in trees.items()))
     public = {(module, name) for module, names in g2atomic._PUBLIC.items()

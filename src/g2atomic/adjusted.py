@@ -7,9 +7,9 @@ and is the level-(k+1) element otherwise:
     tN^k(lam) = tN^{k+1}(lam) - q * tN^{k+1}(lam - gamma_k)   if lam in X_k
     tN^k(lam) = tN^{k+1}(lam)                                 otherwise,
 
-with tN^6 the canonical basis.  Unwinding the recursion across all four
-levels expresses an adjusted element as a signed sum of canonical elements
-over the sets X_I (adjusted_in_canonical).  In the other direction each
+with tN^6 the canonical basis.  Unwound, the recursion is one product:
+lam times (1 - q T_{-gamma_i}) at the weights of X_i, for i = k..5
+ascending (adjusted_in_canonical).  In the other direction each
 level inverts to a chain with all-positive powers of q (adjusted_expand_up),
 the walk down by gamma_k along one link.  A level-2 adjusted element is,
 in the atomic basis, a fifth chain, the level-2 correction, with a tail
@@ -20,8 +20,7 @@ then the tails, expand the canonical basis positively into the atomic one
 
 from __future__ import annotations
 
-from .lattice import (GAMMA, X_I_STEPS, X_SINGLE, Weight, check_dominant,
-                      check_level, x_I_walk)
+from .lattice import GAMMA, X_SINGLE, Weight, check_dominant, check_level
 from .polyq import Poly, iadd_scaled
 from .combo import (ATOMIC, CANONICAL, Combination, adjusted_label, folded,
                     push, relation, walk)
@@ -57,18 +56,25 @@ def adjusted_expand_up(k: int, lam: Weight) -> Combination:
 
 def adjusted_in_canonical(k: int, lam: Weight) -> Combination:
     """Adjusted level-k element in the canonical basis: the recursion
-    unwound, a signed sum over index subsets I with min I >= k whose
-    membership set X_I contains lam, of (-q)^|I| at lam - gamma_sum(I)."""
+    unwound, lam times the ascending product over i = k..5 of
+    (1 - q T_{-gamma_i}) applied only at weights in X_i.
+
+    Each factor copies the terms, then subtracts from the copy q times
+    their part in X_i, shifted by gamma_i, the shape of
+    precanonical.straightened.  X_i holds only where subtracting gamma_i
+    stays in the dominant cone, so nothing is straightened.  No link is
+    read: the canonical-consistency check compares this with the links."""
     check_level(k, 6)
     check_dominant(lam)
-    a, b = lam
-    acc: dict[Weight, Poly] = {}
-    for I, (steps, (ga, gb)) in X_I_STEPS.items():
-        if I and I[0] < k or not x_I_walk(steps, a, b):
-            continue
-        # the walk's last step lands on lam - gamma_sum(I), a dominant weight
-        iadd_scaled(acc.setdefault((a - ga, b - gb), {}), {len(I): (-1) ** len(I)})
-    return Combination(CANONICAL, {w: p for w, p in acc.items() if p})
+    y: dict[Weight, Poly] = {lam: {0: 1}}
+    for i in range(k, 6):
+        member, (ga, gb) = X_SINGLE[i], GAMMA[i]
+        z = {w: dict(p) for w, p in y.items()}
+        for (a, b), p in y.items():
+            if member(a, b):
+                iadd_scaled(z.setdefault((a - ga, b - gb), {}), p, 1, -1)
+        y = z
+    return Combination(CANONICAL, {w: p for w, p in y.items() if p})
 
 
 def _link2(a: int, b: int):

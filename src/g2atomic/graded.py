@@ -10,8 +10,9 @@ monomial n*q^(r2(lam - w)) at each w, and this module folds only the ints
 n.  graded_push asserts that power of q at every step; in_canonical, the
 round trip's kernel, straightens the ints and puts q back once, at the end.
 
-Only the sweep (g2atomic.checks) imports this module.  atomic, expand and
-verify(lam) keep the polynomial fold of combo.folded.
+Only the sweep (g2atomic.checks) imports this module.  atomic, standard
+and kf (through kostka) and verify(lam) keep the polynomial fold of
+combo.folded.
 """
 
 from __future__ import annotations

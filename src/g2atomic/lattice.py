@@ -124,8 +124,8 @@ def dominant_rep(w: Weight) -> "tuple[int, Weight] | None":
     (sign, rep) where rep is the unique dominant weight in the dot orbit and
     sign is (-1)**(number of simple reflections used).  The policy reflects
     the first strictly negative coordinate of w + rho at each step.  w is not
-    checked: precanonical.straightened calls this once per weight it makes
-    that is not dominant.
+    checked: precanonical.straightened and graded.in_canonical call this once
+    per weight they make that is not dominant.
     """
     sign, x, y = _straighten(w, 1)
     if x == 0 or y == 0:
@@ -173,21 +173,14 @@ def _index_set(I) -> tuple[int, ...]:
 def x_I_member(I: frozenset | set | tuple | list, lam: Weight) -> bool:
     """Whether lam lies in X_I, defined recursively on the index set I:
     X_empty is everything, and for i0 = min I, lam is in X_I when lam is in
-    X_{i0} and lam - gamma_{i0} is in X_{I minus i0}."""
+    X_{i0} and lam - gamma_{i0} is in X_{I minus i0}.  Each step taken
+    stays dominant: X_i holds only where subtracting gamma_i does."""
     check_dominant(lam)
-    return x_I_walk(X_I_STEPS[_index_set(I)][0], *lam)
-
-
-def x_I_walk(steps, a: int, b: int) -> bool:
-    """Whether the dominant weight (a, b) lies in X_I, given the steps of
-    X_I_STEPS[I]; unchecked, for adjusted_in_canonical's loop.  No weight
-    it visits needs check_dominant: X_i holds only where subtracting
-    gamma_i stays in the dominant cone, so each step taken lands on a
-    dominant weight."""
-    for member, (ga, gb) in steps:
-        if not member(a, b):
+    a, b = lam
+    for i in _index_set(I):
+        if not X_SINGLE[i](a, b):
             return False
-        a, b = a - ga, b - gb
+        a, b = a - GAMMA[i][0], b - GAMMA[i][1]
     return True
 
 
@@ -224,23 +217,6 @@ def x_I_member_closed(I, lam: Weight) -> bool:
     """Closed-form version of x_I_member (cross-check only)."""
     check_dominant(lam)
     return X_I_CLOSED[_index_set(I)](*lam)
-
-
-def gamma_sum(I) -> Weight:
-    """Sum of gamma_i over i in I."""
-    a = b = 0
-    for i in _index_set(I):
-        g = GAMMA[i]
-        a += g[0]
-        b += g[1]
-    return (a, b)
-
-
-# Each index set I, as in INDEX_SUBSETS, with the steps of its membership
-# walk, (X_i, gamma_i) for i in I ascending, and its gamma sum, the shift
-# of lam when the walk succeeds.
-X_I_STEPS = {I: (tuple((X_SINGLE[i], GAMMA[i]) for i in I), gamma_sum(I))
-             for I in INDEX_SUBSETS}
 
 
 def dominant_below(lam: Weight) -> list[Weight]:

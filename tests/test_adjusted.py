@@ -12,7 +12,7 @@ from g2atomic.adjusted import (_LINKS, _link2, _tails, adjusted2_in_atomic,
                                adjusted_step_down, atomic_second)
 from g2atomic.combo import (ATOMIC, CANONICAL, Combination, adjusted_label,
                             push, single, substitute)
-from g2atomic.lattice import GAMMA, dominant_box, gamma_sum, x_I_member
+from g2atomic.lattice import GAMMA, dominant_box, x_I_member
 from g2atomic.polyq import iadd_scaled
 from g2atomic.precanonical import defn_precanonical, step_up
 
@@ -101,16 +101,17 @@ def test_in_canonical_examples():
 
 
 def test_in_canonical_is_the_signed_sum_over_index_sets():
-    # the docstring's sum, from the validated membership test: (-q)^|I| at
-    # lam - gamma_sum(I) for each I with min I >= k whose X_I holds lam
+    # the product unwound into the sum over index sets, from the validated
+    # membership test: (-q)^|I| at lam minus the sum of gamma_i over I, for
+    # each I with min I >= k whose X_I holds lam
     subsets = [I for r in range(5) for I in itertools.combinations((2, 3, 4, 5), r)]
     for lam in dominant_box(24, 24):
         for k in (2, 3, 4, 5, 6):
             want = {}
             for I in subsets:
                 if all(i >= k for i in I) and x_I_member(I, lam):
-                    g = gamma_sum(I)
-                    w = (lam[0] - g[0], lam[1] - g[1])
+                    w = (lam[0] - sum(GAMMA[i][0] for i in I),
+                         lam[1] - sum(GAMMA[i][1] for i in I))
                     want[w] = poly_add(want.get(w, {}), {len(I): (-1) ** len(I)})
             want = {w: p for w, p in want.items() if p}
             assert adjusted_in_canonical(k, lam).terms == want, (k, lam)

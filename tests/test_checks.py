@@ -119,6 +119,22 @@ def test_atomic_consistency_checks_the_canonical_side(monkeypatch):
                       "level-2 atomic expansion disagrees at (0, 0)"}
 
 
+def test_canonical_consistency_expands_without_the_links(monkeypatch):
+    # a level-3 link with q^2 in place of q: the step down and the walk up
+    # read it alike, so only the expansion into the canonical basis, which
+    # must not read the links, can tell
+    link = adjusted._LINKS[3]
+
+    def wrong(a, b):
+        step = link(a, b)
+        return step and (step[0], 2, step[2])
+
+    monkeypatch.setitem(adjusted._LINKS, 3, wrong)
+    failed = {r.name: r.detail for r in checks.sweep(3, 3) if not r.ok}
+    assert failed == {"adjusted.canonical-consistency":
+                      "level 3 canonical expansion disagrees at (2, 0)"}
+
+
 # The same for verify(lam): per-weight check name -> (module, function, how
 # to make the function wrong).
 WEIGHT_BREAKERS = {

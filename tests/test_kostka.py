@@ -235,8 +235,10 @@ def test_inverts_definitional_matches_substitute(lam, level, edit):
 
 
 def _inverts_definitional_copying(lam, x):
-    # The round trip before it ran in place: four full copies of the
-    # expansion, one per root, kept as the reference.
+    # The round trip written out with the test suite's own polynomial sums:
+    # one copy of the expansion per root, built by poly_add rather than
+    # iadd_scaled, and every weight, dominant or not, straightened by
+    # dominant_rep; it shares no code with precanonical.straightened.
     y = x.terms
     for ga, gb in PHI_GEQ[2]:
         z = dict(y)
@@ -267,8 +269,9 @@ _edits = st.one_of(
 @example((0, 2), ("add", (4, 4), 0, 1))  # a term above the top
 def test_inverts_definitional_in_place_matches_copying(lam, edit):
     # True expansions, and the same with a coefficient changed, a term
-    # added or a term dropped: the in-place round trip gives the verdict of
-    # the copying one and leaves its input as it was.
+    # added or a term dropped: checks.inverts_definitional, through
+    # precanonical.straightened, gives the verdict of the written-out round
+    # trip above and leaves its input as it was.
     terms = {w: dict(p) for w, p in adjusted.atomic_second(lam).terms.items()}
     support = sorted(terms)
     if edit is not None and edit[0] == "change":

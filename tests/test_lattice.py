@@ -13,9 +13,9 @@ from g2atomic import checks, graded, kostka, precanonical
 from g2atomic.adjusted import atomic_second
 from g2atomic.checks import verify
 from g2atomic.lattice import (GAMMA, INDEX_SUBSETS, PHI_GEQ, POSITIVE_ROOTS,
-                              X_I_CLOSED, X_I_STEPS, dominance_leq,
-                              dominant_below, dominant_box, dominant_rep,
-                              gamma_sum, height, is_dominant, linear_dominant,
+                              X_I_CLOSED, dominance_leq, dominant_below,
+                              dominant_box, dominant_rep, height,
+                              is_dominant, linear_dominant,
                               orbit_size, to_root_coords, x_I_member,
                               x_I_member_closed)
 
@@ -298,7 +298,7 @@ def test_x_I_member_closed_rejects_a_bad_index_set():
         for member in (x_I_member, x_I_member_closed):
             with pytest.raises(ValueError, match="^level must be in 2..5, got 3.0$"):
                 member(I, (3, 3))
-    assert set(X_I_CLOSED) == set(X_I_STEPS) == set(INDEX_SUBSETS)
+    assert set(X_I_CLOSED) == set(INDEX_SUBSETS)
 
 
 def test_x_I_membership_implies_dominant_shift():
@@ -307,19 +307,9 @@ def test_x_I_membership_implies_dominant_shift():
     for lam in dominant_box(8, 8):
         for I in subsets:
             if x_I_member(I, lam):
-                g = gamma_sum(I)
-                assert is_dominant((lam[0] - g[0], lam[1] - g[1]))
-
-
-def test_gamma_sum():
-    assert gamma_sum(()) == (0, 0)
-    assert gamma_sum({2, 3}) == (0, 1)
-    assert gamma_sum({2, 3, 4, 5}) == (3, 1)
-    # the validator of x_I_member, not a KeyError or a float read as an int
-    with pytest.raises(ValueError, match="index set must be a subset"):
-        gamma_sum({6})
-    with pytest.raises(ValueError, match="^level must be in 2..5, got 3.0$"):
-        gamma_sum({2, 3.0})
+                a = lam[0] - sum(GAMMA[i][0] for i in I)
+                b = lam[1] - sum(GAMMA[i][1] for i in I)
+                assert is_dominant((a, b))
 
 
 def test_dominant_below():

@@ -12,14 +12,22 @@ Subcommands:
 
 Each subcommand takes --format text|json|latex (verify prints text for
 latex).  Exit codes: 0 success, 1 usage, domain or output error or any
-other error while computing, 2 verification failure; main() alone sets
-them, and maps argparse's 2 for a usage error to 1.  Same argv,
-byte-identical output.
+other error while computing, 2 verification failure; main() sets them,
+and maps argparse's 2 for a usage error to 1; only a failed flush at exit
+of the --help text, which main() leaves buffered, turns a 0 into 1.
+Same argv, byte-identical output.
 
 Each command computes its result in full; main() then renders the line
 as it writes it.  An error before the first write leaves stdout empty; a
 failure while writing may leave part of a line.  Either way the call
 exits 1 with one line on stderr, or none if the reader closed the pipe.
+
+Run as a program (the console script or python -m g2atomic.cli), the
+call flushes stdout and stderr after main() returns and then ends the
+process with os._exit.  The interpreter's teardown, which frees every
+module and memo one object at a time, is skipped, and so are the atexit
+handlers of any other code.  Under a tracer or profiler (cProfile,
+coverage) the call exits normally instead, so that it can report.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from . import adjusted
 from .combo import CANONICAL, pre_canonical
@@ -163,6 +171,15 @@ def _fail(command: str, exc: Exception) -> int:
     return 1
 
 
+def _write_failed(exc: OSError) -> int:
+    """Report a failed write of the output; return 1.  A reader that closed
+    the pipe early ends the call quietly; any other write error (a full
+    disk, say) gets one line."""
+    if not isinstance(exc, BrokenPipeError):
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -181,16 +198,7 @@ def main(argv=None) -> int:
         sys.stdout.write("\n")
         sys.stdout.flush()
     except OSError as exc:
-        # A reader that closed early ends the call quietly; any other write
-        # error (a full disk, say) gets one line.  Either way, point stdout
-        # at the null device so that the flush at interpreter exit does not
-        # fail again.
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+        return _write_failed(exc)
     except Exception as exc:
         # The line is rendered as it is written, so whatever rendering
         # raises lands here, after part of the line may have gone out.
@@ -198,9 +206,42 @@ def main(argv=None) -> int:
     return code
 
 
-def entry() -> None:
-    raise SystemExit(main())
+def _finish(code: int) -> NoReturn:
+    """End the process with code: flush stdout and stderr, then os._exit.
+
+    The interpreter's teardown would take 6 to 7 ms more and run no code
+    of this package; the package registers no atexit handler.  A tracer or
+    profiler reports at the normal exit, so under one the call takes it."""
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's from 3.12
+    observed = (sys.gettrace() is not None or sys.getprofile() is not None
+                or (monitoring is not None
+                    and any(monitoring.get_tool(i) is not None for i in range(6))))
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # After a failed write main() has returned 1 and said so, and the
+        # flush fails again; only output that main() did not flush itself,
+        # the text of --help, can fail here first.
+        code = code or _write_failed(exc)
+        if observed:
+            # the normal exit flushes stdout once more: let that pass quietly
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    if observed:
+        raise SystemExit(code)
+    os._exit(code)
+
+
+def entry() -> NoReturn:
+    _finish(main())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    _finish(main())

@@ -594,6 +594,66 @@ def test_failed_write_ends_in_one_line():
         1, b"error: cannot write output: [Errno 28] No space left on device\n")
 
 
+# Run as a program, the CLI flushes both streams and ends by os._exit
+# (cli._finish), so these tests run it in a fresh process: entry() called
+# here would end pytest.  Stdout is block-buffered in the child, as for a
+# user, so output left unflushed at os._exit would be lost.
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_CLI = [sys.executable, "-m", "g2atomic.cli"]
+# the CLI under a tracer that watches calls only, as coverage would
+_TRACED = [sys.executable, "-c", "import runpy, sys; sys.settrace(lambda *a: None); "
+           "sys.argv[0] = 'g2atomic'; runpy.run_module('g2atomic.cli', run_name='__main__')"]
+
+
+def test_output_is_flushed_before_the_process_ends(tmp_path):
+    # A regular file and a pipe: both buffer the output until the flush.
+    out = tmp_path / "out"
+    with open(out, "wb") as fh:
+        proc = subprocess.run([*_CLI, "atomic", "2", "4"], stdout=fh,
+                              stderr=subprocess.PIPE, env=_BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    want = GOLDEN_STDOUT["atomic 2 4 --format text"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+    # argparse writes the help text and main() does not flush it
+    proc = subprocess.run([*_CLI, "--help"], capture_output=True, env=_BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage:")
+
+
+def test_closed_stdout_ends_in_one_line():
+    # With stdout closed (`>&-`) sys.stdout is None: nothing to flush.
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m g2atomic.cli atomic 2 4 >&-',
+                           sys.executable], stderr=subprocess.PIPE, env=_BUFFERED)
+    assert proc.returncode == 1
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.startswith(b"error: ")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_profiler_still_reports():
+    # A profiler writes its report at the normal exit, which the CLI keeps
+    # under one; os._exit would end the process before the report.
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "g2atomic.cli",
+                           "atomic", "2", "4"], capture_output=True, env=_BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"Hbar(2,4) = N(2,4) + ")
+    assert b"function calls" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("launcher", [_CLI, _TRACED], ids=["plain", "traced"])
+def test_failed_flush_at_exit_ends_in_one_line(launcher):
+    # The output stays buffered after a failed write, and the flush at exit
+    # fails again: after main() has reported it, that flush says nothing,
+    # and under a tracer the normal exit does not fail a third time.  The
+    # help text, which main() leaves buffered, fails first at exit.
+    for argv in (["atomic", "2", "4"], ["--help"]):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([*launcher, *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=_BUFFERED)
+        assert (proc.returncode, proc.stderr) == (
+            1, b"error: cannot write output: [Errno 28] No space left on device\n"), argv
+
+
 def test_failure_while_writing_ends_in_one_line(monkeypatch, capsys):
     # The line is rendered while it is written, so a failure can come after
     # part of it has gone out: it still ends in exit 1 and one line.

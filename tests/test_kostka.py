@@ -234,7 +234,7 @@ def test_inverts_definitional_matches_substitute(lam, level, edit):
     assert want == (edit is None or edit[2] == 0)
 
 
-def _inverts_definitional_copying(lam, x):
+def _written_out_round_trip(lam, x):
     # The round trip written out with the test suite's own polynomial sums:
     # one copy of the expansion per root, built by poly_add rather than
     # iadd_scaled, and every weight, dominant or not, straightened by
@@ -267,7 +267,7 @@ _edits = st.one_of(
 @given(st.sampled_from(dominant_box(8, 8)), _edits)
 @example((3, 3), ("drop", 0))  # the top term dropped
 @example((0, 2), ("add", (4, 4), 0, 1))  # a term above the top
-def test_inverts_definitional_in_place_matches_copying(lam, edit):
+def test_inverts_definitional_matches_written_out_round_trip(lam, edit):
     # True expansions, and the same with a coefficient changed, a term
     # added or a term dropped: checks.inverts_definitional, through
     # precanonical.straightened, gives the verdict of the written-out round
@@ -289,7 +289,7 @@ def test_inverts_definitional_in_place_matches_copying(lam, edit):
     before = {w: dict(p) for w, p in x.terms.items()}
     got = checks.inverts_definitional(lam, x)
     assert x.terms == before
-    assert got == _inverts_definitional_copying(lam, x)
+    assert got == _written_out_round_trip(lam, x)
     assert got == (edit is None)  # every edit changes x
 
 

@@ -1,6 +1,6 @@
-"""The sources parse as the oldest Python that pyproject.toml allows, and
+"""The sources parse as the oldest Python that pyproject.toml allows,
 every definition in them, and every name bound at module level, is read
-or exported."""
+or exported, and no module registers an exit handler."""
 
 import ast
 import pathlib
@@ -71,3 +71,22 @@ def test_every_definition_is_referenced_or_public():
     entry = re.search(r'^g2atomic = "g2atomic\.(\w+):(\w+)"$', pyproject, re.M)
     assert entry and entry.groups() == ("cli", "entry")
     assert sorted(defined - referenced - public - {entry.groups()}) == []
+
+
+def test_no_module_registers_an_exit_handler():
+    # The CLI ends its process by os._exit once both streams are flushed
+    # (cli._finish), so no atexit handler runs after a CLI call: one
+    # registered in the package would be skipped without a word.  That
+    # os._exit is sound only while no module imports atexit, and so none
+    # calls atexit.register.
+    sources = list(ROOT.glob("src/g2atomic/*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            assert "atexit" not in modules, path.name
